@@ -9,6 +9,8 @@ whose modulus controls the second-coefficient bound and the sloped
 Fekete-Szego branch.  When |d| vanishes (within a scale-aware tolerance)
 the affected bounds are reported as positive infinity rather than raised
 as errors: a parameter sweep must cross such points without aborting.
+``closed_form`` is the one evaluation of all of this, at one point or
+elementwise over arrays; the one-point functions are wrappers over it.
 
 The Fekete-Szego threshold exists in two conventions.  The branch
 condition that actually makes the two branches meet has denominator
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classop import ClassParams
+from .classop import ClassParams, param_factors
 
 CORRECTED = "corrected"
 AS_PRINTED = "as-printed"
@@ -44,16 +46,119 @@ REDUCTION_TOL = 1e-12
 _SINGULAR_RTOL = 1e-12
 
 
+class FeketeSzegoColumns(NamedTuple):
+    """The Fekete-Szego bound for one eta, elementwise over the kernel's points."""
+
+    bound: np.ndarray        # +inf on the sloped branch of a singular point
+    flat: np.ndarray         # True on the flat branch, |eta - 1| <= M
+    threshold_m: np.ndarray  # half-width of the flat band around eta = 1
+    h_eta: np.ndarray        # the weight whose size selects the branch
+
+
+class DenominatorBounds(NamedTuple):
+    """What the signed denominator d alone decides."""
+
+    singular: np.ndarray
+    a2: np.ndarray           # +inf where d vanishes
+    fs: tuple[FeketeSzegoColumns, ...]
+
+
+class ClosedForm(NamedTuple):
+    """Every closed-form quantity, at one point or elementwise over arrays."""
+
+    xi: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    d: np.ndarray            # signed A - 2 (2A - B) t^2
+    singular: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    fs: tuple[FeketeSzegoColumns, ...]
+
+
+def is_singular_denom(d_signed, scale):
+    """Scale-aware vanishing test shared by bounds, oracle and reductions.
+
+    Elementwise for arrays.
+    """
+    return abs(d_signed) < _SINGULAR_RTOL * np.maximum(1.0, scale)
+
+
+def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
+    """(xi, A, B, signed d, flat denominator, threshold denominator).
+
+    Products are spelled out (``t * t``, never ``t ** 2``): Python's ``**``
+    calls libm ``pow`` while numpy squares exactly, so only multiplication
+    gives the same bits for floats and for arrays.
+    """
+    f = param_factors(lam, mu, delta)
+    if variant == CORRECTED:
+        m_den = f.fs_flat_denom
+    elif variant == AS_PRINTED:
+        m_den = f.fs_printed_denom
+    else:
+        raise ValueError(f"unknown variant {variant!r}; use {CORRECTED!r} or {AS_PRINTED!r}")
+    a = f.op_linear_factor * f.op_linear_factor
+    b = f.quad_sum_factor
+    return f.xi, a, b, a - 2.0 * (2.0 * a - b) * t * t, f.fs_flat_denom, m_den
+
+
+def bounds_from_denominator(
+    t, d, scale, flat_den, etas: Iterable[float] = (), m_den=None
+) -> DenominatorBounds:
+    """Singular flag, |a2| bound and Fekete-Szego columns from d.
+
+    |a2| <= 2t sqrt(2t) / sqrt(|d|).  The Fekete-Szego bound is flat,
+    2t / flat_den, inside |eta - 1| <= M and sloped, 8 |eta - 1| t^3 / |d|,
+    outside, with M = |d| / (4 m_den t^2) (m_den defaults to flat_den, the
+    corrected convention).  Where d vanishes relative to ``scale`` the
+    |a2| bound and the sloped branch are +inf and M is 0.  Each eta may be
+    a float or an array broadcasting against t.
+    """
+    m_den = flat_den if m_den is None else m_den
+    singular = is_singular_denom(d, scale)
+    # d is zeroed where singular, so that each quotient by it is +-inf
+    # there; the rare 0/0 sits on a branch that is not selected
+    d = np.where(singular, 0.0, d)
+    absd = np.abs(d)
+    flat_bound = 2.0 * t / flat_den
+    t3 = t * t * t
+    fs = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a2 = 2.0 * t * np.sqrt(2.0 * t) / np.sqrt(absd)
+        m = absd / (4.0 * m_den * t * t)
+        for eta in etas:
+            dev = abs(eta - 1.0)
+            flat = dev <= m
+            fs.append(FeketeSzegoColumns(
+                bound=np.where(flat, flat_bound, 8.0 * dev * t3 / absd),
+                flat=flat,
+                threshold_m=m,
+                h_eta=np.where(eta == 1.0, 0.0, 2.0 * t * t * (1.0 - eta) / d),
+            ))
+    return DenominatorBounds(singular, a2, tuple(fs))
+
+
+def closed_form(
+    lam, mu, delta, t, etas: Iterable[float] = (), variant: str = CORRECTED
+) -> ClosedForm:
+    """The bounds of the theorem at one point or elementwise over arrays.
+
+    Python floats in give the same bits as arrays in; the one-point
+    functions below pass floats because that is several times cheaper
+    than one-element arrays.  ``variant`` picks the threshold convention
+    of the Fekete-Szego columns, one per eta.
+    """
+    xi, a, b, d, flat_den, m_den = _theorem_factors(lam, mu, delta, t, variant)
+    singular, a2, fs = bounds_from_denominator(t, d, a, flat_den, etas, m_den)
+    a3 = 4.0 * t * t / a + 2.0 * t / flat_den
+    return ClosedForm(xi, a, b, d, singular, a2, a3, fs)
+
+
 def theorem_denominator(p: ClassParams) -> tuple[float, float, float]:
     """(A, B, signed denominator A - 2 (2A - B) t^2)."""
-    a = p.op_linear_factor ** 2
-    b = p.quad_sum_factor
-    return a, b, a - 2.0 * (2.0 * a - b) * p.t * p.t
-
-
-def is_singular_denom(d_signed: float, scale: float) -> bool:
-    """Scale-aware vanishing test shared by bounds, oracle and reductions."""
-    return abs(d_signed) < _SINGULAR_RTOL * max(1.0, scale)
+    _, a, b, d, _, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
+    return a, b, d
 
 
 @dataclass(frozen=True)
@@ -87,29 +192,23 @@ class FeketeSzegoReport:
 
 def bound_a2(p: ClassParams) -> float:
     """Bound on |a2|: 2t sqrt(2t) / sqrt(|d|), or +inf when d vanishes."""
-    a, _, d = theorem_denominator(p)
-    if is_singular_denom(d, a):
-        return UNBOUNDED
-    t = p.t
-    return 2.0 * t * math.sqrt(2.0 * t) / math.sqrt(abs(d))
+    return float(closed_form(p.lam, p.mu, p.delta, p.t).a2)
 
 
 def bound_a3(p: ClassParams) -> float:
     """Bound on |a3|: 4t^2 / A + 2t / (2 lam + mu + 6 xi delta); always finite."""
-    a, _, _ = theorem_denominator(p)
-    t = p.t
-    return 4.0 * t * t / a + 2.0 * t / p.fs_flat_denom
+    return float(closed_form(p.lam, p.mu, p.delta, p.t).a3)
 
 
 def bound_report(p: ClassParams) -> BoundReport:
-    a, b, d = theorem_denominator(p)
+    cf = closed_form(p.lam, p.mu, p.delta, p.t)
     return BoundReport(
         params=p,
-        a2_bound=bound_a2(p),
-        a3_bound=bound_a3(p),
-        A=a,
-        B=b,
-        denom=abs(d),
+        a2_bound=float(cf.a2),
+        a3_bound=float(cf.a3),
+        A=float(cf.A),
+        B=float(cf.B),
+        denom=float(abs(cf.d)),
     )
 
 
@@ -123,59 +222,62 @@ def fekete_szego_bound(
     |d| / (4 (2 lam + mu + 6 xi delta) t^2) corrected, printed-denominator
     form otherwise.
     """
-    if variant == CORRECTED:
-        m_den = p.fs_flat_denom
-    elif variant == AS_PRINTED:
-        m_den = p.fs_printed_denom
-    else:
-        raise ValueError(f"unknown variant {variant!r}; use {CORRECTED!r} or {AS_PRINTED!r}")
     eta = float(eta)
-    a, _, d = theorem_denominator(p)
-    denom = abs(d)
-    singular = is_singular_denom(d, a)
-    t = p.t
-    flat = 2.0 * t / p.fs_flat_denom
-    m = 0.0 if singular else denom / (4.0 * m_den * t * t)
-    dev = abs(eta - 1.0)
-    if eta == 1.0:
-        h = 0.0
-    elif singular:
-        h = math.copysign(math.inf, 1.0 - eta)
-    else:
-        h = 2.0 * t * t * (1.0 - eta) / d
-    if dev <= m:
-        branch, bound = FLAT, flat
-    else:
-        branch = SLOPED
-        bound = UNBOUNDED if singular else 8.0 * dev * t ** 3 / denom
+    (fs,) = closed_form(p.lam, p.mu, p.delta, p.t, (eta,), variant).fs
     return FeketeSzegoReport(
         params=p,
         eta=eta,
-        bound=bound,
-        branch=branch,
-        threshold_m=m,
-        h_eta=h,
+        bound=float(fs.bound),
+        branch=FLAT if fs.flat else SLOPED,
+        threshold_m=float(fs.threshold_m),
+        h_eta=float(fs.h_eta),
         m_variant=variant,
     )
 
 
 # ---------------------------------------------------------------------------
 # printed specializations on pinned parameter slices
+#
+# Each slice spells out its own d, the scale of d and the flat denominator,
+# deliberately apart from the general formulas they are checked against.
 
 
-def _a2_guarded(t: float, d: float, scale: float) -> float:
-    if is_singular_denom(d, scale):
-        return UNBOUNDED
-    return 2.0 * t * math.sqrt(2.0 * t) / math.sqrt(abs(d))
+def _slice_lambda(p: ClassParams) -> tuple[float, float, float]:
+    lam, t = p.lam, p.t
+    return (1.0 + lam) ** 2 - 4.0 * lam * lam * t * t, (1.0 + lam) ** 2, 2.0 * lam + 1.0
 
 
-def _fs_guarded(t: float, eta: float, flat_den: float, d: float, scale: float) -> float:
-    dev = abs(eta - 1.0)
-    singular = is_singular_denom(d, scale)
-    m = 0.0 if singular else abs(d) / (4.0 * flat_den * t * t)
-    if dev <= m:
-        return 2.0 * t / flat_den
-    return UNBOUNDED if singular else 8.0 * dev * t ** 3 / abs(d)
+def _slice_mu(p: ClassParams) -> tuple[float, float, float]:
+    lam, mu, t = p.lam, p.mu, p.t
+    s = lam + mu
+    d = s * s - 2.0 * (2.0 * s * s - (2.0 * lam + mu) * (mu + 1.0)) * t * t
+    return d, s * s, 2.0 * lam + mu
+
+
+def _slice_delta(p: ClassParams) -> tuple[float, float, float]:
+    lam, delta, t = p.lam, p.delta, p.t
+    w = 1.0 + lam + 2.0 * delta
+    d = w * w - 4.0 * ((lam + 2.0 * delta) ** 2 - 2.0 * delta) * t * t
+    return d, w * w, 1.0 + 2.0 * lam + 6.0 * delta
+
+
+def _coef_on(slice_fn):
+    def evaluate(p: ClassParams, eta: float | None) -> dict[str, float]:
+        d, scale, flat_den = slice_fn(p)
+        t = p.t
+        return {
+            "a2": float(bounds_from_denominator(t, d, scale, flat_den).a2),
+            "a3": 4.0 * t * t / scale + 2.0 * t / flat_den,
+        }
+    return evaluate
+
+
+def _fs_on(slice_fn):
+    def evaluate(p: ClassParams, eta: float | None) -> dict[str, float]:
+        d, scale, flat_den = slice_fn(p)
+        (fs,) = bounds_from_denominator(p.t, d, scale, flat_den, (float(eta),)).fs
+        return {"fs": float(fs.bound)}
+    return evaluate
 
 
 def _coef_basic(p: ClassParams, eta: float | None) -> dict[str, float]:
@@ -183,35 +285,6 @@ def _coef_basic(p: ClassParams, eta: float | None) -> dict[str, float]:
     return {
         "a2": t * math.sqrt(2.0 * t) / math.sqrt(1.0 - t * t),
         "a3": t * t + 2.0 * t / 3.0,
-    }
-
-
-def _coef_lambda(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, t = p.lam, p.t
-    d = (1.0 + lam) ** 2 - 4.0 * lam * lam * t * t
-    return {
-        "a2": _a2_guarded(t, d, (1.0 + lam) ** 2),
-        "a3": 4.0 * t * t / (1.0 + lam) ** 2 + 2.0 * t / (2.0 * lam + 1.0),
-    }
-
-
-def _coef_mu(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, mu, t = p.lam, p.mu, p.t
-    s = lam + mu
-    d = s * s - 2.0 * (2.0 * s * s - (2.0 * lam + mu) * (mu + 1.0)) * t * t
-    return {
-        "a2": _a2_guarded(t, d, s * s),
-        "a3": 4.0 * t * t / (s * s) + 2.0 * t / (2.0 * lam + mu),
-    }
-
-
-def _coef_delta(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, delta, t = p.lam, p.delta, p.t
-    w = 1.0 + lam + 2.0 * delta
-    d = w * w - 4.0 * ((lam + 2.0 * delta) ** 2 - 2.0 * delta) * t * t
-    return {
-        "a2": _a2_guarded(t, d, w * w),
-        "a3": 4.0 * t * t / (w * w) + 2.0 * t / (1.0 + 2.0 * lam + 6.0 * delta),
     }
 
 
@@ -225,35 +298,15 @@ def _fs_basic(p: ClassParams, eta: float | None) -> dict[str, float]:
     m = (1.0 - t * t) / (3.0 * t * t)
     if dev <= m:
         return {"fs": 2.0 * t / 3.0}
-    return {"fs": 2.0 * dev * t ** 3 / (1.0 - t * t)}
+    return {"fs": 2.0 * dev * (t * t * t) / (1.0 - t * t)}
 
 
 def _fs_basic_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
     return {"fs": 2.0 * p.t / 3.0}
 
 
-def _fs_lambda(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, t = p.lam, p.t
-    d = (1.0 + lam) ** 2 - 4.0 * lam * lam * t * t
-    return {"fs": _fs_guarded(t, float(eta), 2.0 * lam + 1.0, d, (1.0 + lam) ** 2)}
-
-
 def _fs_lambda_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
     return {"fs": 2.0 * p.t / (2.0 * p.lam + 1.0)}
-
-
-def _fs_mu(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, mu, t = p.lam, p.mu, p.t
-    s = lam + mu
-    d = s * s - 2.0 * (2.0 * s * s - (2.0 * lam + mu) * (mu + 1.0)) * t * t
-    return {"fs": _fs_guarded(t, float(eta), 2.0 * lam + mu, d, s * s)}
-
-
-def _fs_delta(p: ClassParams, eta: float | None) -> dict[str, float]:
-    lam, delta, t = p.lam, p.delta, p.t
-    w = 1.0 + lam + 2.0 * delta
-    d = w * w - 4.0 * ((lam + 2.0 * delta) ** 2 - 2.0 * delta) * t * t
-    return {"fs": _fs_guarded(t, float(eta), 1.0 + 2.0 * lam + 6.0 * delta, d, w * w)}
 
 
 def _fs_delta_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
@@ -313,13 +366,13 @@ _register(_Reduction(
     _coef_basic, lambda: (_grid([1.0], [1.0], [0.0], _T81), None)))
 _register(_Reduction(
     "coef-lambda", "coef", (("mu", 1.0), ("delta", 0.0)),
-    _coef_lambda, lambda: (_grid(_L9, [1.0], [0.0], _T9), None)))
+    _coef_on(_slice_lambda), lambda: (_grid(_L9, [1.0], [0.0], _T9), None)))
 _register(_Reduction(
     "coef-mu", "coef", (("delta", 0.0),),
-    _coef_mu, lambda: (_grid(_L5, _M5, [0.0], _T5), None)))
+    _coef_on(_slice_mu), lambda: (_grid(_L5, _M5, [0.0], _T5), None)))
 _register(_Reduction(
     "coef-delta", "coef", (("mu", 1.0),),
-    _coef_delta, lambda: (_grid(_L5, [1.0], _D5, _T5), None)))
+    _coef_on(_slice_delta), lambda: (_grid(_L5, [1.0], _D5, _T5), None)))
 _register(_Reduction(
     "fs-eta1", "fs", (("eta", 1.0),),
     _fs_eta1, lambda: (_grid(_L3, _M3, _D3, _T3), None)))
@@ -331,16 +384,16 @@ _register(_Reduction(
     _fs_basic_eta1, lambda: (_grid([1.0], [1.0], [0.0], _T81), None)))
 _register(_Reduction(
     "fs-lambda", "fs", (("mu", 1.0), ("delta", 0.0)),
-    _fs_lambda, lambda: (_grid(_L5, [1.0], [0.0], _T5), _E5)))
+    _fs_on(_slice_lambda), lambda: (_grid(_L5, [1.0], [0.0], _T5), _E5)))
 _register(_Reduction(
     "fs-lambda-eta1", "fs", (("mu", 1.0), ("delta", 0.0), ("eta", 1.0)),
     _fs_lambda_eta1, lambda: (_grid(_L9, [1.0], [0.0], _T9), None)))
 _register(_Reduction(
     "fs-mu", "fs", (("delta", 0.0),),
-    _fs_mu, lambda: (_grid(_L3, _M3, [0.0], _T3), _E3)))
+    _fs_on(_slice_mu), lambda: (_grid(_L3, _M3, [0.0], _T3), _E3)))
 _register(_Reduction(
     "fs-delta", "fs", (("mu", 1.0),),
-    _fs_delta, lambda: (_grid(_L3, [1.0], _D3, _T3), _E3)))
+    _fs_on(_slice_delta), lambda: (_grid(_L3, [1.0], _D3, _T3), _E3)))
 _register(_Reduction(
     "fs-delta-eta1", "fs", (("mu", 1.0), ("eta", 1.0)),
     _fs_delta_eta1, lambda: (_grid(_L5, [1.0], _D5, _T5), None)))
@@ -444,19 +497,20 @@ def reduction_check(
         eta_values = list(etas)
     else:
         raise ValueError(f"corollary {cid!r} needs eta values to sweep")
+    lam, mu, delta, t = (
+        np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")
+    )
     worst = 0.0
     n = 0
-    for p in grid:
-        for eta in eta_values:
-            special = corollary_bound(cid, p, eta)
-            if entry.kind == "coef":
-                general = {"a2": bound_a2(p), "a3": bound_a3(p)}
-            else:
-                general = {
-                    "fs": fekete_szego_bound(p, 1.0 if eta is None else eta, variant).bound
-                }
-            for key, val in special.items():
-                worst = max(worst, _deviation(val, general[key]))
+    for eta in eta_values:
+        if entry.kind == "coef":
+            cf = closed_form(lam, mu, delta, t)
+            general = {"a2": cf.a2, "a3": cf.a3}
+        else:
+            general = {"fs": closed_form(lam, mu, delta, t, (eta,), variant).fs[0].bound}
+        for i, p in enumerate(grid):
+            for key, val in corollary_bound(cid, p, eta).items():
+                worst = max(worst, _deviation(val, float(general[key][i])))
             n += 1
     return ReductionResult(
         corollary=cid, n_points=n, max_deviation=worst, passed=worst <= tol

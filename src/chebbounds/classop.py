@@ -15,7 +15,9 @@ bound and oracle layers agree on them by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chebyshev import cheb_u
 from .powerseries import NormalizedSeries, TruncatedSeries
@@ -25,13 +27,36 @@ from .powerseries import NormalizedSeries, TruncatedSeries
 ADMISSIBLE_TOL = 1e-9
 
 
+class ParamFactors(NamedTuple):
+    """Recurring parameter combinations.  Each is named for the role it
+    plays in the coefficient relations, not for any symbol."""
+
+    xi: float                # (2 lam + mu) / (2 lam + 1)
+    op_linear_factor: float  # multiplies a2 in the degree-1 coefficient of L[f] (and of L[g])
+    quad_sum_factor: float   # multiplies a2^2 when the two degree-2 relations are added
+    fs_flat_denom: float     # denominator of the flat Fekete-Szego bound (also scales a3)
+    fs_printed_denom: float  # the literature's threshold denominator variant (2 xi delta term)
+
+
+def param_factors(lam, mu, delta) -> ParamFactors:
+    """The combinations of (lam, mu, delta); elementwise for arrays."""
+    xi = (2.0 * lam + mu) / (2.0 * lam + 1.0)
+    return ParamFactors(
+        xi=xi,
+        op_linear_factor=lam + mu + 2.0 * xi * delta,
+        quad_sum_factor=(2.0 * lam + mu) * (mu + 1.0) + 12.0 * xi * delta,
+        fs_flat_denom=2.0 * lam + mu + 6.0 * xi * delta,
+        fs_printed_denom=2.0 * lam + mu + 2.0 * xi * delta,
+    )
+
+
 def xi_of(lam: float, mu: float) -> float:
     """xi = (2 lam + mu) / (2 lam + 1)."""
     if not lam >= 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
     if not mu >= 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    return (2.0 * lam + mu) / (2.0 * lam + 1.0)
+    return param_factors(lam, mu, 0.0).xi
 
 
 @dataclass(frozen=True)
@@ -44,8 +69,11 @@ class ClassParams:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "delta", "t"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, label in (("lam", "lambda"), ("mu", "mu"), ("delta", "delta"), ("t", "t")):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.lam >= 1.0:
             raise ValueError(f"lambda must be >= 1, got {self.lam}")
         if not self.mu >= 0.0:
@@ -56,31 +84,30 @@ class ClassParams:
             raise ValueError(f"t must lie in the open interval (1/2, 1), got {self.t}")
 
     @property
-    def xi(self) -> float:
-        return xi_of(self.lam, self.mu)
+    def factors(self) -> ParamFactors:
+        return param_factors(self.lam, self.mu, self.delta)
 
-    # Recurring parameter combinations.  Each is named for the role it
-    # plays in the coefficient relations, not for any symbol.
+    # the combinations one at a time; see ParamFactors
+
+    @property
+    def xi(self) -> float:
+        return self.factors.xi
 
     @property
     def op_linear_factor(self) -> float:
-        """Multiplies a2 in the degree-1 coefficient of L[f] (and of L[g])."""
-        return self.lam + self.mu + 2.0 * self.xi * self.delta
+        return self.factors.op_linear_factor
 
     @property
     def quad_sum_factor(self) -> float:
-        """Multiplies a2^2 when the two degree-2 relations are added."""
-        return (2.0 * self.lam + self.mu) * (self.mu + 1.0) + 12.0 * self.xi * self.delta
+        return self.factors.quad_sum_factor
 
     @property
     def fs_flat_denom(self) -> float:
-        """Denominator of the flat Fekete-Szego bound (also scales a3)."""
-        return 2.0 * self.lam + self.mu + 6.0 * self.xi * self.delta
+        return self.factors.fs_flat_denom
 
     @property
     def fs_printed_denom(self) -> float:
-        """The literature's threshold denominator variant (2 xi delta term)."""
-        return 2.0 * self.lam + self.mu + 2.0 * self.xi * self.delta
+        return self.factors.fs_printed_denom
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .bounds import (
     AS_PRINTED,
     CORRECTED,
     bound_report,
+    closed_form,
     corollary_ids,
     fekete_szego_bound,
     is_singular_denom,
@@ -45,15 +46,20 @@ EXIT_IO = 3
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 10_000
+# sweep rows rendered per write: bounds the CSV text held in memory
+CSV_CHUNK_ROWS = 4096
 _VERIFY_RANGES = {"lam": "1:3:3", "mu": "0:2:3", "delta": "0:1:3", "t": "0.55:0.95:3"}
+_AXIS_NAMES = {"lam": "lambda", "mu": "mu", "delta": "delta", "t": "t"}
 _VERIFY_ETAS = (0.0, 1.0, 2.0)
+# 12 significant digits; inf renders as inf
+_NUMBER = "%.12g"
 
 
 def fmt(x: float | bool) -> str:
     """12-significant-digit rendering; booleans as true/false, inf as inf."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    return f"{float(x):.12g}"
+    return _NUMBER % float(x)
 
 
 def fmt_complex(z: complex) -> str:
@@ -65,7 +71,7 @@ def fmt_complex(z: complex) -> str:
 
 
 def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+    return float(_NUMBER % x)
 
 
 def _jsonable(x):
@@ -95,28 +101,45 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def parse_range(text: str) -> tuple[float, float, int]:
-    """VALUE or START:STOP:COUNT."""
+def parse_range(text: str, name: str = "range") -> tuple[float, float, int]:
+    """VALUE or START:STOP:COUNT with finite ends; ``name`` labels errors."""
     parts = str(text).split(":")
     if len(parts) == 1:
-        v = float(parts[0])
-        return (v, v, 1)
-    if len(parts) == 3:
+        start = stop = float(parts[0])
+        count = 1
+    elif len(parts) == 3:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
         if count < 1:
-            raise ValueError(f"range count must be >= 1, got {count}")
-        return (start, stop, count)
-    raise ValueError(f"range must be VALUE or START:STOP:COUNT, got {text!r}")
-
-
-def range_values(rng: tuple[float, float, int]) -> list[float]:
-    start, stop, count = rng
-    return [float(v) for v in np.linspace(start, stop, count)]
+            raise ValueError(f"{name} count must be >= 1, got {count}")
+    else:
+        raise ValueError(f"{name} must be VALUE or START:STOP:COUNT, got {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return (start, stop, count)
 
 
 def _parse_eta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _fs_label(eta: float) -> str:
+    return f"fs_bound@{eta:g}"
+
+
+def _check_etas(etas) -> tuple[float, ...]:
+    """Reject non-finite etas and etas whose fs_bound@ labels collide."""
+    seen: dict[str, float] = {}
+    for eta in etas:
+        if not math.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta}")
+        label = _fs_label(eta)
+        if label in seen:
+            raise ValueError(
+                f"eta {seen[label]!r} and eta {eta!r} would share the column {label}"
+            )
+        seen[label] = eta
+    return tuple(etas)
 
 
 def _parse_bool(text: str) -> bool:
@@ -173,59 +196,81 @@ class SweepSpec:
     out_format: str = "csv"
     output: str | None = None
     variant: str = CORRECTED
-    oracle: OracleConfig | None = None
+
+
+def grid_arrays(spec: SweepSpec) -> list[np.ndarray]:
+    """Lexicographic grid in (lambda, mu, delta, t) as four flat arrays.
+
+    Every value of every axis passes through ClassParams once; its checks
+    are per parameter, so this fails exactly when some grid point would.
+    """
+    axes = [np.linspace(*rng) for rng in (spec.lam, spec.mu, spec.delta, spec.t)]
+    for i in range(max(len(axis) for axis in axes)):
+        ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 def grid_points(spec: SweepSpec) -> list[ClassParams]:
-    """Lexicographic grid in (lambda, mu, delta, t); fails fast on any
-    invalid point."""
-    return [
-        ClassParams(lam, mu, delta, t)
-        for lam in range_values(spec.lam)
-        for mu in range_values(spec.mu)
-        for delta in range_values(spec.delta)
-        for t in range_values(spec.t)
-    ]
+    """The grid of ``grid_arrays``, one ClassParams per point."""
+    return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid_arrays(spec)))]
 
 
 def sweep_header(spec: SweepSpec) -> list[str]:
     return (
         ["lambda", "mu", "delta", "t", "xi", "a2_bound", "a3_bound"]
-        + [f"fs_bound@{eta:g}" for eta in spec.etas]
+        + [_fs_label(eta) for eta in spec.etas]
         + ["denom", "singular_flag"]
     )
 
 
-def sweep_rows(spec: SweepSpec) -> list[dict[str, float | bool]]:
-    rows = []
-    for p in grid_points(spec):
-        rep = bound_report(p)
-        row: dict[str, float | bool] = {
-            "lambda": p.lam,
-            "mu": p.mu,
-            "delta": p.delta,
-            "t": p.t,
-            "xi": p.xi,
-            "a2_bound": rep.a2_bound,
-            "a3_bound": rep.a3_bound,
-        }
-        for eta in spec.etas:
-            row[f"fs_bound@{eta:g}"] = fekete_szego_bound(p, eta, spec.variant).bound
-        row["denom"] = rep.denom
-        row["singular_flag"] = rep.singular
-        rows.append(row)
+def sweep_rows(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """The sweep's rows, held as one array per column of ``sweep_header``."""
+    lam, mu, delta, t = grid_arrays(spec)
+    cf = closed_form(lam, mu, delta, t, spec.etas, spec.variant)
+    rows = {
+        "lambda": lam,
+        "mu": mu,
+        "delta": delta,
+        "t": t,
+        "xi": cf.xi,
+        "a2_bound": cf.a2,
+        "a3_bound": cf.a3,
+    }
+    rows.update((_fs_label(eta), fs.bound) for eta, fs in zip(spec.etas, cf.fs))
+    rows["denom"] = np.abs(cf.d)
+    rows["singular_flag"] = cf.singular
     return rows
 
 
-def render_csv(header: list[str], rows: list[dict[str, float | bool]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(row[col]) for col in header) for row in rows)
-    return "\n".join(lines) + "\n"
+def render_csv(
+    header: list[str], rows: dict[str, np.ndarray], start: int = 0, stop: int | None = None
+) -> str:
+    """CSV lines of rows [start, stop); the header line leads at row 0."""
+    cells = [rows[col][start:stop].tolist() for col in header]
+    formats = []
+    for i, col in enumerate(header):
+        if rows[col].dtype == bool:
+            cells[i] = ["true" if flag else "false" for flag in cells[i]]
+            formats.append("%s")
+        else:
+            formats.append(_NUMBER)
+    line = ",".join(formats) + "\n"
+    text = "".join([line % row for row in zip(*cells)])
+    return ",".join(header) + "\n" + text if start == 0 else text
 
 
-def render_json(header: list[str], rows: list[dict[str, float | bool]]) -> str:
-    objs = [{col: _jsonable(row[col]) for col in header} for row in rows]
+def render_json(header: list[str], rows: dict[str, np.ndarray]) -> str:
+    cells = [[_jsonable(v) for v in rows[col].tolist()] for col in header]
+    objs = [dict(zip(header, row)) for row in zip(*cells)]
     return json.dumps(objs, indent=2) + "\n"
+
+
+def _write_sweep(fh, out_format: str, header: list[str], rows: dict[str, np.ndarray]) -> None:
+    if out_format == "json":
+        fh.write(render_json(header, rows))
+        return
+    for start in range(0, len(rows["lambda"]), CSV_CHUNK_ROWS):
+        fh.write(render_csv(header, rows, start, start + CSV_CHUNK_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +288,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     })
     _require(args, {"--lambda": "lam", "--mu": "mu", "--delta": "delta", "--t": "t"})
     variant = _check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant")
+    etas = _check_etas(args.eta or [])
     p = ClassParams(args.lam, args.mu, args.delta, args.t)
     rep = bound_report(p)
     print(f"lambda = {fmt(p.lam)}")
@@ -252,10 +298,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"xi = {fmt(p.xi)}")
     print(f"a2_bound = {fmt(rep.a2_bound)}")
     print(f"a3_bound = {fmt(rep.a3_bound)}")
-    for eta in args.eta or []:
+    for eta in etas:
         fr = fekete_szego_bound(p, eta, variant)
         print(
-            f"fs_bound@{eta:g} = {fmt(fr.bound)}  branch={fr.branch}"
+            f"{_fs_label(eta)} = {fmt(fr.bound)}  branch={fr.branch}"
             f"  M={fmt(fr.threshold_m)}  variant={fr.m_variant}"
         )
     print(f"denom = {fmt(rep.denom)}")
@@ -276,11 +322,8 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     })
     _require(args, {"--lambda": "lam", "--mu": "mu", "--delta": "delta", "--t": "t"})
     return SweepSpec(
-        lam=parse_range(args.lam),
-        mu=parse_range(args.mu),
-        delta=parse_range(args.delta),
-        t=parse_range(args.t),
-        etas=tuple(args.eta or []),
+        **{dest: parse_range(getattr(args, dest), name) for dest, name in _AXIS_NAMES.items()},
+        etas=_check_etas(args.eta or []),
         out_format=_check_choice(args.out_format or "csv", ("csv", "json"), "format"),
         output=args.output,
         variant=_check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant"),
@@ -291,12 +334,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
     header = sweep_header(spec)
     rows = sweep_rows(spec)
-    text = (render_csv if spec.out_format == "csv" else render_json)(header, rows)
     if spec.output:
         with open(spec.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_sweep(fh, spec.out_format, header, rows)
     else:
-        sys.stdout.write(text)
+        _write_sweep(sys.stdout, spec.out_format, header, rows)
     return EXIT_OK
 
 
@@ -520,18 +562,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mode = _check_choice(args.mode or PROOF_SET, (PROOF_SET, FULL_SYSTEM), "mode")
     variant = _check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant")
     refine = args.refine if args.refine is not None else True
-    ranges = {
-        dest: parse_range(getattr(args, dest) or default)
+    grid = grid_points(SweepSpec(**{
+        dest: parse_range(getattr(args, dest) or default, _AXIS_NAMES[dest])
         for dest, default in _VERIFY_RANGES.items()
-    }
-    grid = [
-        ClassParams(lam, mu, delta, t)
-        for lam in range_values(ranges["lam"])
-        for mu in range_values(ranges["mu"])
-        for delta in range_values(ranges["delta"])
-        for t in range_values(ranges["t"])
-    ]
-    etas = list(args.eta) if args.eta is not None else list(_VERIFY_ETAS)
+    }))
+    etas = list(_check_etas(args.eta if args.eta is not None else _VERIFY_ETAS))
     cfg = OracleConfig(mode=mode, n_samples=samples, seed=seed, grid_refine=refine)
 
     failed = False
