@@ -9,6 +9,7 @@ runs are byte-identical.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -155,6 +156,9 @@ def _parse_coeffs(text: str) -> list[complex]:
     vals = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise ValueError("need at least one coefficient")
+    for v in vals:
+        if not cmath.isfinite(v):
+            raise ValueError(f"coefficients must be finite, got {v}")
     return vals
 
 

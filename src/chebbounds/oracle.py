@@ -17,6 +17,12 @@ attained equalities exact rather than asymptotic.  The two square-root
 branches of a2 enter every verified quantity through a2^2 alone, so one
 evaluation accounts for both (solve_member_coeffs exposes the branch
 choice explicitly for callers that want a concrete a2).
+
+Search cases are data: each pairs a quantity with one of four a2^2
+rules, which also fixes the disk columns drawn.  They are summed (from
+the summed degree-2 relation), linear (from the linear relations), free
+(a2 drawn directly on a singular point's c2 + d2 = 0 slice) and pinned
+(a2 = 0 on that slice).  One evaluator and one witness builder serve all.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +82,10 @@ class Quantity:
         if self.kind != "fs" and self.eta is not None:
             raise ValueError(f"{self.kind} quantity takes no eta")
         if self.eta is not None:
-            object.__setattr__(self, "eta", float(self.eta))
+            eta = float(self.eta)
+            if not math.isfinite(eta):
+                raise ValueError(f"eta must be finite, got {eta}")
+            object.__setattr__(self, "eta", eta)
 
     @property
     def label(self) -> str:
@@ -125,40 +135,113 @@ class MemberSolution:
     c1: complex | None = None
 
 
-@dataclass(frozen=True)
-class _Derived:
-    """Parameter combinations shared by every kernel at one point."""
+# a2^2 rule -> the disk columns it draws, in draw order (the samples follow it)
+_RULE_COLUMNS = {
+    "summed": ("c2", "d2"),              # u1 (c2 + d2) / prefactor, the summed relation
+    "linear": ("c1", "d1", "c2", "d2"),  # u1^2 (c1^2 + d1^2) / (2A), the linear relations
+    "free": ("c2", "a2"),                # a2 drawn on |a2| <= u1/lin, with d2 = -c2
+    "pinned": ("c2", "d2"),              # 0, on a singular point's c2 + d2 = 0 slice
+}
 
-    t: float
+
+class _Case(NamedTuple):
+    """One search: the quantity, its a2^2 rule and the point's constants."""
+
+    quantity: Quantity
+    mode: str
+    rule: str
     u1: float
-    u2: float
-    u1sq: float
     lin: float
     a: float
-    d_signed: float
-    singular: bool
     prefactor: float             # d / (2 t^2); meaningless when singular
     two_f: float
-    a2_cap: float                # |a2| cap enforced by |c1| <= 1
 
-    @classmethod
-    def of(cls, p: ClassParams) -> "_Derived":
-        t = p.t
-        u1 = cheb_u(1, t)
-        a, _, d = theorem_denominator(p)
-        return cls(
-            t=t,
-            u1=u1,
-            u2=cheb_u(2, t),
-            u1sq=u1 * u1,
-            lin=p.op_linear_factor,
-            a=a,
-            d_signed=d,
-            singular=is_singular_denom(d, a),
-            prefactor=d / (2.0 * t * t),
-            two_f=2.0 * p.fs_flat_denom,
-            a2_cap=u1 / p.op_linear_factor,
-        )
+
+def _case(quantity: Quantity, mode: str, p: ClassParams) -> _Case | None:
+    """The search case of one quantity at one point: its a2^2 rule is picked
+    here.  None where the quantity carries no finite constraint at the
+    point (unbounded; the caller skips it)."""
+    u1 = cheb_u(1, p.t)
+    a, _, d = theorem_denominator(p)
+    singular = is_singular_denom(d, a)
+    if mode == FULL_SYSTEM:
+        # on a singular point the summed relation degenerates to c2 + d2 = 0
+        # with a2 free on |a2| <= u1/lin
+        rule = "free" if singular else "summed"
+    elif quantity.kind == "a3":
+        # a2^2 is bounded through the linear relations (|c1|, |d1| <= 1),
+        # not through the summed quadratic one, so the search stays finite
+        # even on singular points
+        rule = "linear"
+    elif not singular:
+        rule = "summed"
+    elif quantity.kind == "fs" and quantity.eta == 1.0:
+        # fs at eta = 1 does not see a2^2; its maximum lives on the
+        # c2 + d2 = 0 slice, where a2 is pinned to 0
+        rule = "pinned"
+    else:
+        return None
+    return _Case(
+        quantity=quantity,
+        mode=mode,
+        rule=rule,
+        u1=u1,
+        lin=p.op_linear_factor,
+        a=a,
+        prefactor=d / (2.0 * p.t * p.t),
+        two_f=2.0 * p.fs_flat_denom,
+    )
+
+
+def _evaluate(case: _Case, cols):
+    """(a2^2, a3, value, feasible) for column arrays or one point's scalars.
+
+    With r = u1 (c2 - d2) / (2F): a3 = a2^2 + r, and the value is
+    sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r|.  Only the full system's
+    summed rule can break |c1| <= 1, i.e. A |a2^2| <= u1^2.
+    """
+    u1 = case.u1
+    c2 = cols["c2"]
+    d2 = -c2 if case.rule == "free" else cols["d2"]
+    if case.rule == "summed":
+        a2sq = u1 * (c2 + d2) / case.prefactor
+    elif case.rule == "linear":
+        c1, d1 = cols["c1"], cols["d1"]
+        a2sq = u1 * u1 * (c1 * c1 + d1 * d1) / (2.0 * case.a)
+    elif case.rule == "free":
+        a2sq = cols["a2"] * cols["a2"]
+    else:
+        a2sq = 0.0
+    r = (u1 * (c2 - d2)) / case.two_f
+    a3 = a2sq + r
+    kind = case.quantity.kind
+    if kind == "a2":
+        value = np.sqrt(np.abs(a2sq))
+    elif kind == "a3":
+        value = np.abs(a3)
+    else:
+        value = np.abs((1.0 - case.quantity.eta) * a2sq + r)
+    if case.mode == FULL_SYSTEM and case.rule == "summed":
+        feasible = case.a * np.abs(a2sq) <= u1 * u1
+    else:
+        feasible = np.ones(np.shape(value), dtype=bool)
+    return a2sq, a3, value, feasible
+
+
+def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
+    """The Schwarz data and (a2, a3) of one point of the case's columns."""
+    a2sq, a3, _, _ = _evaluate(case, pt)
+    c2 = pt["c2"]
+    if case.rule == "free":
+        a2, d2 = pt["a2"], -c2
+    else:
+        a2, d2 = cmath.sqrt(a2sq), pt["d2"]
+    if case.rule == "linear":
+        c1, d1 = pt["c1"], pt["d1"]
+    else:
+        c1 = case.lin * a2 / case.u1
+        d1 = -c1
+    return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a3)
 
 
 def solve_member_coeffs(
@@ -175,7 +258,8 @@ def solve_member_coeffs(
     picks the square root (both roots produce the same |a2|, |a3| and
     |a3 - eta a2^2|).  When the prefactor vanishes the route degenerates:
     status "singular" if c2 + d2 != 0 (no solution this way), otherwise
-    a2 is genuinely free — pass it explicitly or receive status "free".
+    a2 is genuinely free — pass it explicitly or receive status "free";
+    d2 is then taken as exactly -c2.
     In full-system mode solutions with |c1| > 1 are "infeasible".
     """
     if sign not in (1, -1):
@@ -186,21 +270,22 @@ def solve_member_coeffs(
     for name, c in (("c2", c2), ("d2", d2)):
         if abs(c) > 1.0 + ADMISSIBLE_TOL:
             raise ValueError(f"{name} must lie in the closed unit disk, got |{name}| = {abs(c):g}")
-    der = _Derived.of(p)
-    if der.singular:
+    # the full system's case is exactly this route: the summed relation,
+    # or a free a2 where it degenerates
+    case = _case(A3, FULL_SYSTEM, p)
+    if case.rule == "free":
         if abs(c2 + d2) > 1e-12:
             return MemberSolution("singular")
         if a2 is None:
             return MemberSolution("free")
-        a2v = complex(a2)
+        w = _witness(case, {"c2": c2, "a2": complex(a2)})
+        a2v, c1 = w.a2, w.schwarz.c1
     else:
-        a2sq = der.u1 * (c2 + d2) / der.prefactor
-        a2v = sign * cmath.sqrt(a2sq)
-    c1 = der.lin * a2v / der.u1
+        w = _witness(case, {"c2": c2, "d2": d2})
+        a2v, c1 = (w.a2, w.schwarz.c1) if sign == 1 else (-w.a2, -w.schwarz.c1)
     if mode == FULL_SYSTEM and abs(c1) > 1.0 + ADMISSIBLE_TOL:
         return MemberSolution("infeasible")
-    a3 = a2v * a2v + (der.u1 * (c2 - d2)) / der.two_f
-    return MemberSolution("ok", a2v, a3, c1)
+    return MemberSolution("ok", a2v, w.a3, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,141 +300,6 @@ def _closed_form_bound(quantity: Quantity, p: ClassParams) -> float:
     return fekete_szego_bound(p, quantity.eta, CORRECTED).bound
 
 
-def _build_case(quantity: Quantity, mode: str, der: _Derived):
-    """Columns (name, disk radius), vectorized kernel, and witness builder.
-
-    kernel(cols) -> (values, feasible); every column array is complex and
-    already clamped to its disk.  Returns None when the point carries no
-    finite constraint for the quantity (unbounded; handled by the caller).
-    """
-    u1, two_f, lin = der.u1, der.two_f, der.lin
-
-    def a3_of(a2sq, c2, d2):
-        return a2sq + (u1 * (c2 - d2)) / two_f
-
-    if mode == PROOF_SET:
-        if quantity.kind == "a2":
-            if der.singular:
-                return None
-            columns = (("c2", 1.0), ("d2", 1.0))
-
-            def kernel(cols):
-                a2sq = u1 * (cols["c2"] + cols["d2"]) / der.prefactor
-                return np.sqrt(np.abs(a2sq)), np.ones(a2sq.shape, dtype=bool)
-
-            def witness(pt):
-                a2sq = u1 * (pt["c2"] + pt["d2"]) / der.prefactor
-                a2 = cmath.sqrt(a2sq)
-                c1 = lin * a2 / u1
-                return Witness(
-                    SchwarzPair.from_coeffs(c1, pt["c2"], -c1, pt["d2"]),
-                    a2,
-                    a3_of(a2sq, pt["c2"], pt["d2"]),
-                )
-
-            return columns, kernel, witness
-
-        if quantity.kind == "a3":
-            # a2^2 is bounded through the linear relations (|c1|, |d1| <= 1),
-            # not through the summed quadratic one, so the search stays
-            # finite even on singular points
-            columns = (("c1", 1.0), ("d1", 1.0), ("c2", 1.0), ("d2", 1.0))
-            two_a = 2.0 * der.a
-
-            def kernel(cols):
-                c1, d1 = cols["c1"], cols["d1"]
-                a2sq = der.u1sq * (c1 * c1 + d1 * d1) / two_a
-                vals = np.abs(a3_of(a2sq, cols["c2"], cols["d2"]))
-                return vals, np.ones(vals.shape, dtype=bool)
-
-            def witness(pt):
-                a2sq = der.u1sq * (pt["c1"] ** 2 + pt["d1"] ** 2) / two_a
-                return Witness(
-                    SchwarzPair.from_coeffs(pt["c1"], pt["c2"], pt["d1"], pt["d2"]),
-                    cmath.sqrt(a2sq),
-                    a3_of(a2sq, pt["c2"], pt["d2"]),
-                )
-
-            return columns, kernel, witness
-
-        # quantity "fs"
-        eta = quantity.eta
-        if der.singular and eta != 1.0:
-            return None
-        h = 0.0 if eta == 1.0 else 2.0 * der.t * der.t * (1.0 - eta) / der.d_signed
-        columns = (("c2", 1.0), ("d2", 1.0))
-
-        def kernel(cols):
-            c2, d2 = cols["c2"], cols["d2"]
-            vals = np.abs((u1 * (c2 - d2)) / two_f + (u1 * h) * (c2 + d2))
-            return vals, np.ones(vals.shape, dtype=bool)
-
-        def witness(pt):
-            c2, d2 = pt["c2"], pt["d2"]
-            if der.singular:
-                # consistent only on the c2 + d2 = 0 slice, where the
-                # maximum lives; a2 is pinned to 0 there
-                return Witness(
-                    SchwarzPair.from_coeffs(0.0, c2, 0.0, d2),
-                    0j,
-                    a3_of(0j, c2, d2),
-                )
-            a2sq = u1 * (c2 + d2) / der.prefactor
-            a2 = cmath.sqrt(a2sq)
-            c1 = lin * a2 / u1
-            return Witness(
-                SchwarzPair.from_coeffs(c1, c2, -c1, d2), a2, a3_of(a2sq, c2, d2)
-            )
-
-        return columns, kernel, witness
-
-    # FULL_SYSTEM
-    eta = quantity.eta
-
-    def value_of(a2sq, c2, d2):
-        if quantity.kind == "a2":
-            return np.sqrt(np.abs(a2sq))
-        if quantity.kind == "a3":
-            return np.abs(a3_of(a2sq, c2, d2))
-        return np.abs((1.0 - eta) * a2sq + (u1 * (c2 - d2)) / two_f)
-
-    if der.singular:
-        # the summed relation degenerates to c2 + d2 = 0 with a2 free on
-        # |a2| <= cap; sweep (c2, a2) directly
-        columns = (("c2", 1.0), ("a2", der.a2_cap))
-
-        def kernel(cols):
-            c2, a2 = cols["c2"], cols["a2"]
-            vals = value_of(a2 * a2, c2, -c2)
-            return vals, np.ones(vals.shape, dtype=bool)
-
-        def witness(pt):
-            c2, a2 = pt["c2"], pt["a2"]
-            c1 = lin * a2 / u1
-            return Witness(
-                SchwarzPair.from_coeffs(c1, c2, -c1, -c2), a2, a3_of(a2 * a2, c2, -c2)
-            )
-
-        return columns, kernel, witness
-
-    columns = (("c2", 1.0), ("d2", 1.0))
-
-    def kernel(cols):
-        c2, d2 = cols["c2"], cols["d2"]
-        a2sq = u1 * (c2 + d2) / der.prefactor
-        feas = der.a * np.abs(a2sq) <= der.u1sq
-        return value_of(a2sq, c2, d2), feas
-
-    def witness(pt):
-        c2, d2 = pt["c2"], pt["d2"]
-        a2sq = u1 * (c2 + d2) / der.prefactor
-        a2 = cmath.sqrt(a2sq)
-        c1 = lin * a2 / u1
-        return Witness(SchwarzPair.from_coeffs(c1, c2, -c1, d2), a2, a3_of(a2sq, c2, d2))
-
-    return columns, kernel, witness
-
-
 def _disk_samples(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     r = np.sqrt(rng.random(n)) * radius
     theta = rng.random(n) * (2.0 * math.pi)
@@ -362,14 +312,18 @@ def _extreme_product(columns) -> dict[str, np.ndarray]:
     return {name: grid.ravel() for (name, _), grid in zip(columns, mesh)}
 
 
-def _search(columns, kernel, witness_fn, rng, cfg: OracleConfig):
+def _search(case: _Case, rng, cfg: OracleConfig):
+    # (name, disk radius) per column; |a2| is capped by |c1| <= 1
+    columns = [
+        (name, case.u1 / case.lin if name == "a2" else 1.0)
+        for name in _RULE_COLUMNS[case.rule]
+    ]
     extremes = _extreme_product(columns)
-    random_cols = {name: _disk_samples(rng, cfg.n_samples, r) for name, r in columns}
     cols = {
-        name: np.concatenate([extremes[name], random_cols[name]])
-        for name, _ in columns
+        name: np.concatenate([extremes[name], _disk_samples(rng, cfg.n_samples, r)])
+        for name, r in columns
     }
-    vals, feas = kernel(cols)
+    _, _, vals, feas = _evaluate(case, cols)
     n_eval = int(vals.size)
     n_infeasible = int(np.count_nonzero(~feas))
     masked = np.where(feas, vals, -np.inf)
@@ -388,7 +342,7 @@ def _search(columns, kernel, witness_fn, rng, cfg: OracleConfig):
                 mag = np.abs(cand)
                 scale = np.where(mag > radius, radius / np.where(mag == 0.0, 1.0, mag), 1.0)
                 pert[name] = cand * scale
-            v, f = kernel(pert)
+            _, _, v, f = _evaluate(case, pert)
             n_eval += int(v.size)
             n_infeasible += int(np.count_nonzero(~f))
             vm = np.where(f, v, -np.inf)
@@ -396,7 +350,7 @@ def _search(columns, kernel, witness_fn, rng, cfg: OracleConfig):
             if vm[j] > sup:
                 sup = float(vm[j])
                 best = {name: complex(pert[name][j]) for name, _ in columns}
-    return sup, witness_fn(best), n_eval, n_infeasible
+    return sup, _witness(case, best), n_eval, n_infeasible
 
 
 def empirical_sup(
@@ -412,28 +366,16 @@ def empirical_sup(
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {cfg.n_samples}")
-    der = _Derived.of(p)
     closed = _closed_form_bound(quantity, p)
-    case = _build_case(quantity, cfg.mode, der)
+    case = _case(quantity, cfg.mode, p)
     if case is None:
         # no finite constraint at this point: |a2| (or the sloped branch)
         # is genuinely unbounded over the relaxed set
-        return OracleResult(
-            quantity=quantity,
-            params=p,
-            mode=cfg.mode,
-            sup_value=math.inf,
-            witness=None,
-            n_samples=0,
-            n_infeasible=0,
-            seed=cfg.seed,
-            closed_form_bound=closed,
-            verdict=SKIPPED,
-        )
-    columns, kernel, witness_fn = case
-    rng = np.random.default_rng(cfg.seed)
-    sup, wit, n_eval, n_infeasible = _search(columns, kernel, witness_fn, rng, cfg)
-    if math.isinf(closed):
+        sup, wit, n_eval, n_infeasible = math.inf, None, 0, 0
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        sup, wit, n_eval, n_infeasible = _search(case, rng, cfg)
+    if case is None or math.isinf(closed):
         verdict = SKIPPED
     elif sup <= closed + VERDICT_TOL:
         verdict = WITHIN_BOUND
@@ -471,7 +413,3 @@ def sweep_verify(
 def violations(results: list[OracleResult]) -> list[OracleResult]:
     return [r for r in results if r.verdict == VIOLATION]
 
-
-def all_within(results: list[OracleResult]) -> bool:
-    """True when no result is a violation (skipped rows are not failures)."""
-    return not violations(results)

@@ -89,3 +89,20 @@ def test_distinct_labels_still_accepted(capsys):
     code, out, _ = run(capsys, ["sweep", *BASE, "--eta", "1", "--eta", "1.001"])
     assert code == 0
     assert out.splitlines()[0].count("fs_bound@") == 2
+
+
+@pytest.mark.parametrize("coeffs", ["nan,0.1", "inf", "0.1,0.2-infj"])
+def test_series_flag_rejects_non_finite_coeffs(capsys, coeffs):
+    code, out, err = run(capsys, ["series", "--coeffs", coeffs])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--coeffs" in err
+
+
+def test_series_config_rejects_non_finite_coeffs(capsys, tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("coeffs = 0.1,nan\n")
+    code, out, err = run(capsys, ["series", "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "coefficients must be finite" in err

@@ -40,6 +40,9 @@ def test_quantity_validation():
         Quantity("fs", None)          # fs needs an eta
     with pytest.raises(ValueError):
         Quantity("a2", 1.0)           # coefficient quantities take none
+    for eta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            Quantity("fs", eta)
 
 
 def test_solve_member_extreme_point():
