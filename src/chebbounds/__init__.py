@@ -1,117 +1,8 @@
 """Coefficient and Fekete-Szego bounds for a Chebyshev-subordinated
-bi-univalent function class, with a brute-force verification oracle."""
+bi-univalent function class, with a brute-force verification oracle.
 
-from .powerseries import (
-    DEFAULT_ORDER,
-    NormalizedSeries,
-    TruncatedSeries,
-    identity_series,
-    invert_compositional,
-)
-from .chebyshev import cheb_u, gen_fun_coeffs
-from .classop import (
-    ADMISSIBLE_TOL,
-    ClassParams,
-    SchwarzPair,
-    apply_operator,
-    extract_schwarz,
-    membership_feasibility,
-    quad_coeff_direct,
-    quad_coeff_inverse,
-    xi_of,
-)
-from .bounds import (
-    AS_PRINTED,
-    CORRECTED,
-    FLAT,
-    SLOPED,
-    UNBOUNDED,
-    BoundReport,
-    FeketeSzegoReport,
-    ReductionResult,
-    bound_a2,
-    bound_a3,
-    bound_report,
-    corollary_bound,
-    corollary_ids,
-    default_reduction_grid,
-    fekete_szego_bound,
-    is_singular_denom,
-    reduction_check,
-    theorem_denominator,
-)
-from .oracle import (
-    A2,
-    A3,
-    FULL_SYSTEM,
-    PROOF_SET,
-    SKIPPED,
-    VIOLATION,
-    WITHIN_BOUND,
-    MemberSolution,
-    OracleConfig,
-    OracleResult,
-    Quantity,
-    Witness,
-    empirical_sup,
-    fs_quantity,
-    solve_member_coeffs,
-    sweep_verify,
-    violations,
-)
+The API lives in the submodules (``chebbounds.bounds``,
+``chebbounds.oracle``, ...); the package root holds only the version.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "A2",
-    "A3",
-    "ADMISSIBLE_TOL",
-    "AS_PRINTED",
-    "BoundReport",
-    "CORRECTED",
-    "ClassParams",
-    "DEFAULT_ORDER",
-    "FLAT",
-    "FULL_SYSTEM",
-    "FeketeSzegoReport",
-    "MemberSolution",
-    "NormalizedSeries",
-    "OracleConfig",
-    "OracleResult",
-    "PROOF_SET",
-    "Quantity",
-    "ReductionResult",
-    "SKIPPED",
-    "SLOPED",
-    "SchwarzPair",
-    "TruncatedSeries",
-    "UNBOUNDED",
-    "VIOLATION",
-    "WITHIN_BOUND",
-    "Witness",
-    "apply_operator",
-    "bound_a2",
-    "bound_a3",
-    "bound_report",
-    "cheb_u",
-    "corollary_bound",
-    "corollary_ids",
-    "default_reduction_grid",
-    "empirical_sup",
-    "extract_schwarz",
-    "fekete_szego_bound",
-    "fs_quantity",
-    "gen_fun_coeffs",
-    "identity_series",
-    "invert_compositional",
-    "is_singular_denom",
-    "membership_feasibility",
-    "quad_coeff_direct",
-    "quad_coeff_inverse",
-    "reduction_check",
-    "solve_member_coeffs",
-    "sweep_verify",
-    "theorem_denominator",
-    "violations",
-    "xi_of",
-]

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classop import ClassParams, param_factors
+from .classop import ClassParams, param_factors, param_points
 
 CORRECTED = "corrected"
 AS_PRINTED = "as-printed"
@@ -313,34 +313,18 @@ def _fs_delta_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
     return {"fs": 2.0 * p.t / (1.0 + 2.0 * p.lam + 6.0 * p.delta)}
 
 
-def _lin(a: float, b: float, n: int) -> list[float]:
-    return [float(v) for v in np.linspace(a, b, n)]
-
-
-def _grid(
-    lams: Iterable[float], mus: Iterable[float], deltas: Iterable[float], ts: Iterable[float]
-) -> list[ClassParams]:
-    return [
-        ClassParams(lam, mu, delta, t)
-        for lam in lams
-        for mu in mus
-        for delta in deltas
-        for t in ts
-    ]
-
-
-_T81 = _lin(0.505, 0.995, 81)
-_T9 = _lin(0.55, 0.95, 9)
-_T5 = _lin(0.55, 0.95, 5)
+_T81 = np.linspace(0.505, 0.995, 81)
+_T9 = np.linspace(0.55, 0.95, 9)
+_T5 = np.linspace(0.55, 0.95, 5)
 _T3 = [0.55, 0.75, 0.95]
-_L9 = _lin(1.0, 3.0, 9)
-_L5 = _lin(1.0, 3.0, 5)
+_L9 = np.linspace(1.0, 3.0, 9)
+_L5 = np.linspace(1.0, 3.0, 5)
 _L3 = [1.0, 2.0, 3.0]
-_M5 = _lin(0.0, 2.0, 5)
+_M5 = np.linspace(0.0, 2.0, 5)
 _M3 = [0.0, 1.0, 2.0]
-_D5 = _lin(0.0, 1.0, 5)
+_D5 = np.linspace(0.0, 1.0, 5)
 _D3 = [0.0, 0.5, 1.0]
-_E9 = _lin(-2.0, 4.0, 9)
+_E9 = np.linspace(-2.0, 4.0, 9).tolist()
 _E5 = [-2.0, 0.0, 1.0, 2.0, 4.0]
 _E3 = [0.0, 1.0, 3.0]
 
@@ -363,40 +347,40 @@ def _register(entry: _Reduction) -> None:
 
 _register(_Reduction(
     "coef-basic", "coef", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0)),
-    _coef_basic, lambda: (_grid([1.0], [1.0], [0.0], _T81), None)))
+    _coef_basic, lambda: (param_points([1.0], [1.0], [0.0], _T81), None)))
 _register(_Reduction(
     "coef-lambda", "coef", (("mu", 1.0), ("delta", 0.0)),
-    _coef_on(_slice_lambda), lambda: (_grid(_L9, [1.0], [0.0], _T9), None)))
+    _coef_on(_slice_lambda), lambda: (param_points(_L9, [1.0], [0.0], _T9), None)))
 _register(_Reduction(
     "coef-mu", "coef", (("delta", 0.0),),
-    _coef_on(_slice_mu), lambda: (_grid(_L5, _M5, [0.0], _T5), None)))
+    _coef_on(_slice_mu), lambda: (param_points(_L5, _M5, [0.0], _T5), None)))
 _register(_Reduction(
     "coef-delta", "coef", (("mu", 1.0),),
-    _coef_on(_slice_delta), lambda: (_grid(_L5, [1.0], _D5, _T5), None)))
+    _coef_on(_slice_delta), lambda: (param_points(_L5, [1.0], _D5, _T5), None)))
 _register(_Reduction(
     "fs-eta1", "fs", (("eta", 1.0),),
-    _fs_eta1, lambda: (_grid(_L3, _M3, _D3, _T3), None)))
+    _fs_eta1, lambda: (param_points(_L3, _M3, _D3, _T3), None)))
 _register(_Reduction(
     "fs-basic", "fs", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0)),
-    _fs_basic, lambda: (_grid([1.0], [1.0], [0.0], _T9), _E9)))
+    _fs_basic, lambda: (param_points([1.0], [1.0], [0.0], _T9), _E9)))
 _register(_Reduction(
     "fs-basic-eta1", "fs", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0), ("eta", 1.0)),
-    _fs_basic_eta1, lambda: (_grid([1.0], [1.0], [0.0], _T81), None)))
+    _fs_basic_eta1, lambda: (param_points([1.0], [1.0], [0.0], _T81), None)))
 _register(_Reduction(
     "fs-lambda", "fs", (("mu", 1.0), ("delta", 0.0)),
-    _fs_on(_slice_lambda), lambda: (_grid(_L5, [1.0], [0.0], _T5), _E5)))
+    _fs_on(_slice_lambda), lambda: (param_points(_L5, [1.0], [0.0], _T5), _E5)))
 _register(_Reduction(
     "fs-lambda-eta1", "fs", (("mu", 1.0), ("delta", 0.0), ("eta", 1.0)),
-    _fs_lambda_eta1, lambda: (_grid(_L9, [1.0], [0.0], _T9), None)))
+    _fs_lambda_eta1, lambda: (param_points(_L9, [1.0], [0.0], _T9), None)))
 _register(_Reduction(
     "fs-mu", "fs", (("delta", 0.0),),
-    _fs_on(_slice_mu), lambda: (_grid(_L3, _M3, [0.0], _T3), _E3)))
+    _fs_on(_slice_mu), lambda: (param_points(_L3, _M3, [0.0], _T3), _E3)))
 _register(_Reduction(
     "fs-delta", "fs", (("mu", 1.0),),
-    _fs_on(_slice_delta), lambda: (_grid(_L3, [1.0], _D3, _T3), _E3)))
+    _fs_on(_slice_delta), lambda: (param_points(_L3, [1.0], _D3, _T3), _E3)))
 _register(_Reduction(
     "fs-delta-eta1", "fs", (("mu", 1.0), ("eta", 1.0)),
-    _fs_delta_eta1, lambda: (_grid(_L5, [1.0], _D5, _T5), None)))
+    _fs_delta_eta1, lambda: (param_points(_L5, [1.0], _D5, _T5), None)))
 
 
 def corollary_ids() -> list[str]:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .chebyshev import cheb_u
 from .powerseries import NormalizedSeries, TruncatedSeries
 
@@ -108,6 +110,24 @@ class ClassParams:
     @property
     def fs_printed_denom(self) -> float:
         return self.factors.fs_printed_denom
+
+
+def param_grid(lams, mus, deltas, ts) -> list[np.ndarray]:
+    """Lexicographic grid in (lambda, mu, delta, t) as four flat arrays.
+
+    Every value of every axis passes through ClassParams once; its checks
+    are per parameter, so this fails exactly when some grid point would.
+    """
+    axes = [np.asarray(axis, dtype=float) for axis in (lams, mus, deltas, ts)]
+    for i in range(max(len(axis) for axis in axes)):
+        ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
+def param_points(lams, mus, deltas, ts) -> list[ClassParams]:
+    """The grid of ``param_grid``, one ClassParams per point."""
+    grid = param_grid(lams, mus, deltas, ts)
+    return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid))]
 
 
 @dataclass(frozen=True)

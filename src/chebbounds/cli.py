@@ -29,7 +29,14 @@ from .bounds import (
     theorem_denominator,
 )
 from .chebyshev import cheb_u, gen_fun_coeffs
-from .classop import ClassParams, apply_operator, extract_schwarz, membership_feasibility
+from .classop import (
+    ClassParams,
+    apply_operator,
+    extract_schwarz,
+    membership_feasibility,
+    param_grid,
+    param_points,
+)
 from .oracle import (
     FULL_SYSTEM,
     PROOF_SET,
@@ -45,13 +52,12 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 10_000
 # sweep rows rendered per write: bounds the CSV text held in memory
 CSV_CHUNK_ROWS = 4096
-_VERIFY_RANGES = {"lam": "1:3:3", "mu": "0:2:3", "delta": "0:1:3", "t": "0.55:0.95:3"}
-_AXIS_NAMES = {"lam": "lambda", "mu": "mu", "delta": "delta", "t": "t"}
-_VERIFY_ETAS = (0.0, 1.0, 2.0)
+# (flag name, destination, domain) of the four class parameters
+_PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
+           ("t", "t", "in (1/2, 1)"))
+_PARAM_FLAGS = {f"--{name}": dest for name, dest, _ in _PARAMS}
 # 12 significant digits; inf renders as inf
 _NUMBER = "%.12g"
 
@@ -71,15 +77,11 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
 
 
-def _round12(x: float) -> float:
-    return float(_NUMBER % x)
-
-
 def _jsonable(x):
     if isinstance(x, bool):
         return x
     if isinstance(x, float):
-        return "unbounded" if math.isinf(x) else _round12(x)
+        return "unbounded" if math.isinf(x) else float(_NUMBER % x)
     return x
 
 
@@ -120,10 +122,6 @@ def parse_range(text: str, name: str = "range") -> tuple[float, float, int]:
     return (start, stop, count)
 
 
-def _parse_eta_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _fs_label(eta: float) -> str:
     return f"fs_bound@{eta:g}"
 
@@ -153,23 +151,59 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_coeffs(text: str) -> list[complex]:
-    vals = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("need at least one coefficient")
-    for v in vals:
-        if not cmath.isfinite(v):
-            raise ValueError(f"coefficients must be finite, got {v}")
+    # ArgumentTypeError, so that argparse prints the reason with the flag
+    try:
+        vals = [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
+        if not vals:
+            raise ValueError("need at least one coefficient")
+        for v in vals:
+            if not cmath.isfinite(v):
+                raise ValueError(f"coefficients must be finite, got {v}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return vals
 
 
-def _merge_config(args: argparse.Namespace, table: dict[str, tuple[str, object]]) -> None:
-    """Fill still-unset (None) destinations from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    cfg = read_config(args.config)
-    for key, (dest, conv) in table.items():
-        if getattr(args, dest, None) is None and key in cfg:
-            setattr(args, dest, conv(cfg[key]))
+class _Repeatable(argparse.Action):
+    """A repeatable flag whose first use replaces the default, never extends it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (() if items is self.default else items) + (value,))
+
+
+def _flag_value(action: argparse.Action, text: str):
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+    return value
+
+
+def _merge_config(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
+    """Make the config values the parser's defaults, so that flags still win.
+
+    The key of an option is its long flag name.  A value is converted and
+    checked with the flag's own type and choices; a repeatable flag takes a
+    comma list and a boolean flag true or false.  Keys the command does not
+    take are ignored.
+    """
+    defaults = {}
+    for action in parser._actions:
+        key = action.option_strings[0].lstrip("-").replace("-", "_")
+        if key not in cfg or action.dest in ("help", "config"):
+            continue
+        text = cfg[key]
+        try:
+            if isinstance(action, argparse.BooleanOptionalAction):
+                defaults[action.dest] = _parse_bool(text)
+            elif isinstance(action, _Repeatable):
+                items = [tok for tok in text.split(",") if tok.strip()]
+                defaults[action.dest] = tuple(_flag_value(action, tok) for tok in items)
+            else:
+                defaults[action.dest] = _flag_value(action, text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+    parser.set_defaults(**defaults)
 
 
 def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
@@ -178,10 +212,9 @@ def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> str:
-    if value not in allowed:
-        raise ValueError(f"{what} must be one of {', '.join(allowed)}; got {value!r}")
-    return value
+def _ranges(args: argparse.Namespace) -> dict[str, tuple[float, float, int]]:
+    _require(args, _PARAM_FLAGS)
+    return {dest: parse_range(getattr(args, dest), name) for name, dest, _ in _PARAMS}
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +235,18 @@ class SweepSpec:
     variant: str = CORRECTED
 
 
-def grid_arrays(spec: SweepSpec) -> list[np.ndarray]:
-    """Lexicographic grid in (lambda, mu, delta, t) as four flat arrays.
+def _axes(spec: SweepSpec) -> list[np.ndarray]:
+    return [np.linspace(*rng) for rng in (spec.lam, spec.mu, spec.delta, spec.t)]
 
-    Every value of every axis passes through ClassParams once; its checks
-    are per parameter, so this fails exactly when some grid point would.
-    """
-    axes = [np.linspace(*rng) for rng in (spec.lam, spec.mu, spec.delta, spec.t)]
-    for i in range(max(len(axis) for axis in axes)):
-        ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
-    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+def grid_arrays(spec: SweepSpec) -> list[np.ndarray]:
+    """The sweep's grid as four flat arrays; see ``classop.param_grid``."""
+    return param_grid(*_axes(spec))
 
 
 def grid_points(spec: SweepSpec) -> list[ClassParams]:
-    """The grid of ``grid_arrays``, one ClassParams per point."""
-    return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid_arrays(spec)))]
+    """The sweep's grid, one ClassParams per point."""
+    return param_points(*_axes(spec))
 
 
 def sweep_header(spec: SweepSpec) -> list[str]:
@@ -282,17 +312,8 @@ def _write_sweep(fh, out_format: str, header: list[str], rows: dict[str, np.ndar
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "lambda": ("lam", float),
-        "mu": ("mu", float),
-        "delta": ("delta", float),
-        "t": ("t", float),
-        "eta": ("eta", _parse_eta_list),
-        "variant": ("variant", str),
-    })
-    _require(args, {"--lambda": "lam", "--mu": "mu", "--delta": "delta", "--t": "t"})
-    variant = _check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant")
-    etas = _check_etas(args.eta or [])
+    _require(args, _PARAM_FLAGS)
+    etas = _check_etas(args.eta)
     p = ClassParams(args.lam, args.mu, args.delta, args.t)
     rep = bound_report(p)
     print(f"lambda = {fmt(p.lam)}")
@@ -303,7 +324,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"a2_bound = {fmt(rep.a2_bound)}")
     print(f"a3_bound = {fmt(rep.a3_bound)}")
     for eta in etas:
-        fr = fekete_szego_bound(p, eta, variant)
+        fr = fekete_szego_bound(p, eta, args.variant)
         print(
             f"{_fs_label(eta)} = {fmt(fr.bound)}  branch={fr.branch}"
             f"  M={fmt(fr.threshold_m)}  variant={fr.m_variant}"
@@ -313,29 +334,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    _merge_config(args, {
-        "lambda": ("lam", str),
-        "mu": ("mu", str),
-        "delta": ("delta", str),
-        "t": ("t", str),
-        "eta": ("eta", _parse_eta_list),
-        "format": ("out_format", str),
-        "output": ("output", str),
-        "variant": ("variant", str),
-    })
-    _require(args, {"--lambda": "lam", "--mu": "mu", "--delta": "delta", "--t": "t"})
-    return SweepSpec(
-        **{dest: parse_range(getattr(args, dest), name) for dest, name in _AXIS_NAMES.items()},
-        etas=_check_etas(args.eta or []),
-        out_format=_check_choice(args.out_format or "csv", ("csv", "json"), "format"),
-        output=args.output,
-        variant=_check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant"),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_sweep_spec(args)
+    spec = SweepSpec(**_ranges(args), etas=_check_etas(args.eta), out_format=args.out_format,
+                     output=args.output, variant=args.variant)
     header = sweep_header(spec)
     rows = sweep_rows(spec)
     if spec.output:
@@ -347,9 +348,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_cheb(args: argparse.Namespace) -> int:
-    _merge_config(args, {"t": ("t", float), "n_max": ("n_max", int)})
     _require(args, {"--t": "t"})
-    n_max = args.n_max if args.n_max is not None else 10
+    n_max = args.n_max
     if n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {n_max}")
     series_vals = gen_fun_coeffs(args.t, n_max)
@@ -363,16 +363,9 @@ def cmd_cheb(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "coeffs": ("coeffs", _parse_coeffs),
-        "order": ("order", int),
-        "lambda": ("lam", float),
-        "mu": ("mu", float),
-        "delta": ("delta", float),
-        "t": ("t", float),
-    })
     _require(args, {"--coeffs": "coeffs"})
     tail = args.coeffs
+    # the one default that depends on another option: room for every coefficient
     order = args.order if args.order is not None else max(DEFAULT_ORDER, len(tail) + 1)
     f = NormalizedSeries.from_tail(tail, order=order)
     g = invert_compositional(f)
@@ -381,11 +374,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         print(f"f[{k}] = {fmt_complex(f.coeffs[k])}")
     for k in range(2, order + 1):
         print(f"inverse[{k}] = {fmt_complex(g.coeffs[k])}")
-    residual = g.compose(TruncatedSeries(f.coeffs))
-    worst = max(
-        abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(residual.coeffs)
-    )
-    print(f"compose_residual = {worst:.2e}")
+    print(f"compose_residual = {_compose_residual(f, g):.2e}")
     given = [v is not None for v in (args.lam, args.mu, args.delta, args.t)]
     if any(given):
         if not all(given):
@@ -403,27 +392,28 @@ def cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _compose_residual(f: NormalizedSeries, g: NormalizedSeries) -> float:
+    """Largest coefficient error of g(f(z)) against z."""
+    residual = g.compose(TruncatedSeries(f.coeffs))
+    return max(abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(residual.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 
 
 def _suite_reductions() -> tuple[bool, list[str]]:
-    worst = 0.0
-    total = 0
-    failing: list[str] = []
-    for cid in corollary_ids():
-        res = reduction_check(cid)
-        worst = max(worst, res.max_deviation)
-        total += res.n_points
-        if not res.passed:
-            failing.append(f"{cid} (max deviation {res.max_deviation:.3e})")
-    ok = not failing
+    results = [reduction_check(cid) for cid in corollary_ids()]
     line = (
-        f"corollary reductions: {len(corollary_ids())} slices, {total} points, "
-        f"max deviation {worst:.3e}"
+        f"corollary reductions: {len(results)} slices, {sum(r.n_points for r in results)} "
+        f"points, max deviation {max(r.max_deviation for r in results):.3e}"
     )
-    extra = [f"  failing slice: {f}" for f in failing]
-    return ok, [line] + extra
+    failing = [
+        f"  failing slice: {r.corollary} (max deviation {r.max_deviation:.3e})"
+        for r in results
+        if not r.passed
+    ]
+    return not failing, [line] + failing
 
 
 def _suite_chebyshev() -> tuple[bool, list[str]]:
@@ -468,11 +458,7 @@ def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
         worst_coeff = max(
             worst_coeff, max(abs(g.coeffs[k] - v) for k, v in expected.items())
         )
-        resid = g.compose(TruncatedSeries(f.coeffs))
-        worst_resid = max(
-            worst_resid,
-            max(abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(resid.coeffs)),
-        )
+        worst_resid = max(worst_resid, _compose_residual(f, g))
     ok = worst_coeff <= 1e-12 and worst_resid <= 1e-12
     return ok, [
         f"inverse-series fixtures: 100 draws, coefficient dev {worst_coeff:.3e}, "
@@ -480,9 +466,12 @@ def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
     ]
 
 
-def _continuity_draws(seed: int, n_draws: int = 500):
+def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
+    """ok is None for the as-printed variant, whose gap is informational."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_draws):
+    worst = 0.0
+    n = 0
+    for _ in range(500):
         p = ClassParams(
             1.0 + 2.0 * rng.random(),
             2.0 * rng.random(),
@@ -492,28 +481,15 @@ def _continuity_draws(seed: int, n_draws: int = 500):
         a, _, d = theorem_denominator(p)
         if is_singular_denom(d, a):
             continue
-        yield p, abs(d)
-
-
-def _suite_continuity(variant: str, seed: int) -> tuple[bool, list[str], bool]:
-    """Returns (ok, lines, informational)."""
-    worst = 0.0
-    n = 0
-    for p, denom in _continuity_draws(seed):
         m = fekete_szego_bound(p, 1.0, variant).threshold_m
         flat = 2.0 * p.t / p.fs_flat_denom
-        sloped_at_m = 8.0 * m * p.t ** 3 / denom
+        sloped_at_m = 8.0 * m * p.t ** 3 / abs(d)
         worst = max(worst, abs(flat - sloped_at_m))
         n += 1
+    line = f"fs branch continuity ({variant}): {n} draws, max gap at threshold {worst:.3e}"
     if variant == CORRECTED:
-        ok = worst <= 1e-10
-        return ok, [
-            f"fs branch continuity ({variant}): {n} draws, max gap at threshold {worst:.3e}"
-        ], False
-    return True, [
-        f"fs branch continuity ({variant}): {n} draws, max gap at threshold {worst:.3e} "
-        "(discontinuity expected for delta > 0; informational)"
-    ], True
+        return worst <= 1e-10, [line]
+    return None, [line + " (discontinuity expected for delta > 0; informational)"]
 
 
 def _suite_oracle(
@@ -547,48 +523,24 @@ def _suite_oracle(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "lambda": ("lam", str),
-        "mu": ("mu", str),
-        "delta": ("delta", str),
-        "t": ("t", str),
-        "eta": ("eta", _parse_eta_list),
-        "samples": ("samples", int),
-        "seed": ("seed", int),
-        "mode": ("mode", str),
-        "variant": ("variant", str),
-        "refine": ("refine", _parse_bool),
-    })
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    if samples < 1:
-        raise ValueError(f"--samples must be positive, got {samples}")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    mode = _check_choice(args.mode or PROOF_SET, (PROOF_SET, FULL_SYSTEM), "mode")
-    variant = _check_choice(args.variant or CORRECTED, (CORRECTED, AS_PRINTED), "variant")
-    refine = args.refine if args.refine is not None else True
-    grid = grid_points(SweepSpec(**{
-        dest: parse_range(getattr(args, dest) or default, _AXIS_NAMES[dest])
-        for dest, default in _VERIFY_RANGES.items()
-    }))
-    etas = list(_check_etas(args.eta if args.eta is not None else _VERIFY_ETAS))
-    cfg = OracleConfig(mode=mode, n_samples=samples, seed=seed, grid_refine=refine)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
+    grid = grid_points(SweepSpec(**_ranges(args)))
+    etas = list(_check_etas(args.eta))
+    cfg = OracleConfig(
+        mode=args.mode, n_samples=args.samples, seed=args.seed, grid_refine=args.refine
+    )
 
-    failed = False
     suites = [
-        (_suite_reductions(), False),
-        (_suite_chebyshev(), False),
-        (_suite_inverse(seed), False),
+        _suite_reductions(),
+        _suite_chebyshev(),
+        _suite_inverse(args.seed),
+        _suite_continuity(args.variant, args.seed),
+        _suite_oracle(grid, etas, cfg),
     ]
-    cont_ok, cont_lines, cont_info = _suite_continuity(variant, seed)
-    suites.append(((cont_ok, cont_lines), cont_info))
-    suites.append((_suite_oracle(grid, etas, cfg), False))
-    for (ok, lines), informational in suites:
-        tag = "INFO" if informational else ("PASS" if ok else "FAIL")
-        print(f"[{tag}] {lines[0]}")
-        for line in lines[1:]:
-            print(line)
-        if not ok and not informational:
-            failed = True
+    for ok, lines in suites:
+        print(f"[{'INFO' if ok is None else 'PASS' if ok else 'FAIL'}]", "\n".join(lines))
+    failed = any(ok is not None and not ok for ok, _ in suites)
     print(f"verify: {'FAIL' if failed else 'PASS'}")
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -607,64 +559,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, ranges: bool):
-        helptext = "range START:STOP:COUNT or single value" if ranges else "value"
-        typ = str if ranges else float
-        sp.add_argument("--lambda", dest="lam", type=typ, help=f"lambda {helptext} (>= 1)")
-        sp.add_argument("--mu", dest="mu", type=typ, help=f"mu {helptext} (>= 0)")
-        sp.add_argument("--delta", dest="delta", type=typ, help=f"delta {helptext} (>= 0)")
-        sp.add_argument("--t", dest="t", type=typ, help=f"t {helptext} (in (1/2, 1))")
+    def add_command(name, func, helptext):
+        sp = sub.add_parser(name, help=helptext)
+        sp.set_defaults(func=func, command_parser=sp)
         sp.add_argument("--config", help="key = value file; flags override it")
+        return sp
 
-    sp = sub.add_parser("bound", help="closed-form bounds at one parameter point")
-    add_common(sp, ranges=False)
-    sp.add_argument("--eta", action="append", type=float, default=None,
-                    help="Fekete-Szego eta (repeatable)")
-    sp.add_argument("--variant", choices=(CORRECTED, AS_PRINTED), default=None,
-                    help="threshold convention (default corrected)")
-    sp.set_defaults(func=cmd_bound)
+    def add_common(sp, typ=float, defaults=(None,) * 4, etas=None, eta_help=""):
+        """The four class parameters; with ``etas``, also --eta and --variant."""
+        what = "range START:STOP:COUNT or single value" if typ is str else "value"
+        for (name, dest, domain), default in zip(_PARAMS, defaults):
+            sp.add_argument(f"--{name}", dest=dest, type=typ, default=default,
+                            help=f"{name} {what} ({domain})")
+        if etas is not None:
+            sp.add_argument("--eta", action=_Repeatable, type=float, default=etas,
+                            help=f"Fekete-Szego eta (repeatable{eta_help})")
+            sp.add_argument("--variant", choices=(CORRECTED, AS_PRINTED), default=CORRECTED,
+                            help="threshold convention (default %(default)s)")
 
-    sp = sub.add_parser("sweep", help="bounds over a parameter grid, CSV or JSON")
-    add_common(sp, ranges=True)
-    sp.add_argument("--eta", action="append", type=float, default=None,
-                    help="Fekete-Szego eta column (repeatable)")
-    sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)
+    sp = add_command("bound", cmd_bound, "closed-form bounds at one parameter point")
+    add_common(sp, etas=())
+
+    sp = add_command("sweep", cmd_sweep, "bounds over a parameter grid, CSV or JSON")
+    add_common(sp, typ=str, etas=())
+    sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", help="output path (default: standard output)")
-    sp.add_argument("--variant", choices=(CORRECTED, AS_PRINTED), default=None)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="run the self-verification suites")
-    add_common(sp, ranges=True)
-    sp.add_argument("--eta", action="append", type=float, default=None,
-                    help="oracle Fekete-Szego eta (repeatable; default 0 1 2)")
-    sp.add_argument("--samples", type=int, default=None,
-                    help=f"oracle samples per point (default {DEFAULT_SAMPLES})")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"oracle seed (default {DEFAULT_SEED})")
-    sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=None)
-    sp.add_argument("--variant", choices=(CORRECTED, AS_PRINTED), default=None)
-    sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=None,
+    sp = add_command("verify", cmd_verify, "run the self-verification suites")
+    add_common(sp, typ=str, defaults=("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"),
+               etas=(0.0, 1.0, 2.0), eta_help="; default 0 1 2")
+    sp.add_argument("--samples", type=int, default=10_000,
+                    help="oracle samples per point (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=1729, help="oracle seed (default %(default)s)")
+    sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
+    sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                     help="local refinement around the incumbent (default on)")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("cheb", help="second-kind Chebyshev values, two routes")
-    sp.add_argument("--t", type=float, default=None, help="evaluation point in [-1, 1]")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None,
-                    help="largest degree (default 10)")
-    sp.add_argument("--config", help="key = value file; flags override it")
-    sp.set_defaults(func=cmd_cheb)
+    sp = add_command("cheb", cmd_cheb, "second-kind Chebyshev values, two routes")
+    sp.add_argument("--t", type=float, help="evaluation point in [-1, 1]")
+    sp.add_argument("--n-max", dest="n_max", type=int, default=10,
+                    help="largest degree (default %(default)s)")
 
-    sp = sub.add_parser("series", help="inverse-series and operator demo")
-    sp.add_argument("--coeffs", type=_parse_coeffs, default=None,
+    sp = add_command("series", cmd_series, "inverse-series and operator demo")
+    sp.add_argument("--coeffs", type=_parse_coeffs,
                     help="comma-separated a2,a3,... (complex allowed)")
-    sp.add_argument("--order", type=int, default=None,
-                    help=f"truncation order (default {DEFAULT_ORDER})")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--config", help="key = value file; flags override it")
-    sp.set_defaults(func=cmd_series)
+    sp.add_argument("--order", type=int,
+                    help=f"truncation order (default {DEFAULT_ORDER}, or more to fit --coeffs)")
+    add_common(sp)
 
     return parser
 
@@ -673,11 +614,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:        # argparse already printed its message
-        code = exc.code if exc.code is not None else 0
-        return int(code)
-    try:
+        if args.config:
+            _merge_config(args.command_parser, read_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:        # argparse already printed its message
+        return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

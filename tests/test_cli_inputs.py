@@ -106,3 +106,32 @@ def test_series_config_rejects_non_finite_coeffs(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert out == ""
     assert "coefficients must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "coeffs, reason",
+    [("nan,0.1", "coefficients must be finite"), ("0.1,abc", "malformed string")],
+)
+def test_series_flag_conversion_error_gives_reason(capsys, coeffs, reason):
+    code, out, err = run(capsys, ["series", "--coeffs", coeffs])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "argument --coeffs: " in err and reason in err
+    assert "_parse_coeffs" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text, key, reason",
+    [
+        ("verify", "samples = abc\n", "samples", "invalid literal for int()"),
+        ("series", "coeffs = 0.1,nan\n", "coeffs", "coefficients must be finite"),
+        ("bound", "lambda = 1\nmu = 1\ndelta = 0\nt = x\n", "t", "could not convert"),
+    ],
+)
+def test_config_conversion_error_names_key(capsys, tmp_path, command, text, key, reason):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"config key {key}: " in err and reason in err
