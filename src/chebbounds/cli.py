@@ -179,17 +179,30 @@ def _flag_value(action: argparse.Action, text: str):
     return value
 
 
-def _merge_config(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
-    """Make the config values the parser's defaults, so that flags still win.
+def _option_key(action: argparse.Action) -> str:
+    return action.option_strings[0].lstrip("-").replace("-", "_")
+
+
+def _merge_config(parser: argparse.ArgumentParser, command: str, cfg: dict[str, str]) -> None:
+    """Make the config values the command's parser defaults, so that flags
+    still win.
 
     The key of an option is its long flag name.  A value is converted and
     checked with the flag's own type and choices; a repeatable flag takes a
     comma list and a boolean flag true or false.  Keys the command does not
-    take are ignored.
+    take are ignored, so one file serves every command; a key that no
+    command takes is an error.
     """
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {_option_key(a) for sp in commands.choices.values() for a in sp._actions
+             if a.dest != "help"}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"config key {unknown[0]}: no command takes this key")
+    command_parser = commands.choices[command]
     defaults = {}
-    for action in parser._actions:
-        key = action.option_strings[0].lstrip("-").replace("-", "_")
+    for action in command_parser._actions:
+        key = _option_key(action)
         if key not in cfg or action.dest in ("help", "config"):
             continue
         text = cfg[key]
@@ -203,7 +216,7 @@ def _merge_config(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
                 defaults[action.dest] = _flag_value(action, text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key}: {exc}") from None
-    parser.set_defaults(**defaults)
+    command_parser.set_defaults(**defaults)
 
 
 def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
@@ -561,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, func, helptext):
         sp = sub.add_parser(name, help=helptext)
-        sp.set_defaults(func=func, command_parser=sp)
+        sp.set_defaults(func=func)
         sp.add_argument("--config", help="key = value file; flags override it")
         return sp
 
@@ -615,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _merge_config(args.command_parser, read_config(args.config))
+            _merge_config(parser, args.command, read_config(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:        # argparse already printed its message

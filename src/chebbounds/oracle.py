@@ -23,11 +23,14 @@ rules, which also fixes the disk columns drawn.  They are summed (from
 the summed degree-2 relation), linear (from the linear relations), free
 (a2 drawn directly on a singular point's c2 + d2 = 0 slice) and pinned
 (a2 = 0 on that slice).  One evaluator and one witness builder serve all.
+Each rule's samples are drawn once per (seed, sample count) and shared
+by every point, with results equal to those of a per-point draw.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,44 +196,54 @@ def _case(quantity: Quantity, mode: str, p: ClassParams) -> _Case | None:
     )
 
 
-def _evaluate(case: _Case, cols):
-    """(a2^2, a3, value, feasible) for column arrays or one point's scalars.
-
-    With r = u1 (c2 - d2) / (2F): a3 = a2^2 + r, and the value is
-    sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r|.  Only the full system's
-    summed rule can break |c1| <= 1, i.e. A |a2^2| <= u1^2.
-    """
-    u1 = case.u1
+def _terms(cols):
+    """(q, c2 - d2), the point-free parts of a2^2 and r, for disk columns or
+    one point's scalars: q is c2 + d2 (summed and pinned columns),
+    c1^2 + d1^2 (linear) or a2^2 (free, d2 = -c2)."""
     c2 = cols["c2"]
-    d2 = -c2 if case.rule == "free" else cols["d2"]
+    if "a2" in cols:
+        return cols["a2"] * cols["a2"], c2 - -c2
+    d2 = cols["d2"]
+    q = cols["c1"] * cols["c1"] + cols["d1"] * cols["d1"] if "c1" in cols else c2 + d2
+    return q, c2 - d2
+
+
+def _evaluate(case: _Case, terms):
+    """(a2^2, r) from the case's terms; r = u1 (c2 - d2) / (2F), a3 = a2^2 + r."""
+    q, diff = terms
+    u1 = case.u1
     if case.rule == "summed":
-        a2sq = u1 * (c2 + d2) / case.prefactor
+        a2sq = u1 * q / case.prefactor
     elif case.rule == "linear":
-        c1, d1 = cols["c1"], cols["d1"]
-        a2sq = u1 * u1 * (c1 * c1 + d1 * d1) / (2.0 * case.a)
+        a2sq = u1 * u1 * q / (2.0 * case.a)
     elif case.rule == "free":
-        a2sq = cols["a2"] * cols["a2"]
+        a2sq = q
     else:
         a2sq = 0.0
-    r = (u1 * (c2 - d2)) / case.two_f
-    a3 = a2sq + r
+    return a2sq, (u1 * diff) / case.two_f
+
+
+def _scores(case: _Case, terms) -> tuple[np.ndarray, int]:
+    """sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r| per sample, -inf where
+    infeasible, and the infeasible count.  Only the full system's summed
+    rule can break |c1| <= 1, i.e. A |a2^2| <= u1^2."""
+    a2sq, r = _evaluate(case, terms)
     kind = case.quantity.kind
     if kind == "a2":
         value = np.sqrt(np.abs(a2sq))
     elif kind == "a3":
-        value = np.abs(a3)
+        value = np.abs(a2sq + r)
     else:
         value = np.abs((1.0 - case.quantity.eta) * a2sq + r)
     if case.mode == FULL_SYSTEM and case.rule == "summed":
-        feasible = case.a * np.abs(a2sq) <= u1 * u1
-    else:
-        feasible = np.ones(np.shape(value), dtype=bool)
-    return a2sq, a3, value, feasible
+        feasible = case.a * np.abs(a2sq) <= case.u1 * case.u1
+        return np.where(feasible, value, -np.inf), int(np.count_nonzero(~feasible))
+    return value, 0
 
 
 def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
     """The Schwarz data and (a2, a3) of one point of the case's columns."""
-    a2sq, a3, _, _ = _evaluate(case, pt)
+    a2sq, r = _evaluate(case, _terms(pt))
     c2 = pt["c2"]
     if case.rule == "free":
         a2, d2 = pt["a2"], -c2
@@ -241,7 +254,7 @@ def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
     else:
         c1 = case.lin * a2 / case.u1
         d1 = -c1
-    return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a3)
+    return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a2sq + r)
 
 
 def solve_member_coeffs(
@@ -300,37 +313,61 @@ def _closed_form_bound(quantity: Quantity, p: ClassParams) -> float:
     return fekete_szego_bound(p, quantity.eta, CORRECTED).bound
 
 
-def _disk_samples(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    r = np.sqrt(rng.random(n)) * radius
-    theta = rng.random(n) * (2.0 * math.pi)
-    return r * np.exp(1j * theta)
-
-
 def _extreme_product(columns) -> dict[str, np.ndarray]:
     sets = [np.array([0.0, r, -r, 1j * r, -1j * r], dtype=complex) for _, r in columns]
     mesh = np.meshgrid(*sets, indexing="ij")
     return {name: grid.ravel() for (name, _), grid in zip(columns, mesh)}
 
 
-def _search(case: _Case, rng, cfg: OracleConfig):
+class _Draws(NamedTuple):
+    cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
+    terms: tuple | None          # _terms(cols); None for the free rule
+    a2: tuple | None             # free rule: the a2 draw as (sqrt(u), phase)
+    state: dict                  # the generator's state just after the draw
+
+
+@functools.lru_cache(maxsize=4)
+def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
+    """One rule's samples, drawn once per (seed, n) and shared by every point
+    searched.  The columns ``names`` come from ``default_rng(seed)`` in
+    order, each as sqrt(u) and exp(i theta) scaled to (sqrt(u) R) exp(i
+    theta) on a disk of radius R.  The free rule's a2 radius u1/lin varies
+    per point, so its draw is kept unscaled.  The arrays are read-only."""
+    rng = np.random.default_rng(seed)
+    extremes = _extreme_product([(name, 1.0) for name in names])
+    cols, a2 = {}, None
+    for name in names:
+        s = np.sqrt(rng.random(n))
+        phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
+        if name == "a2":
+            a2 = (s, phase)
+        else:
+            cols[name] = np.concatenate([extremes[name], s * phase])
+    terms = None if a2 else _terms(cols)
+    for arr in [*cols.values(), *(terms or ()), *(a2 or ())]:
+        arr.flags.writeable = False
+    return _Draws(cols, terms, a2, rng.bit_generator.state)
+
+
+def _search(case: _Case, cfg: OracleConfig):
+    names = _RULE_COLUMNS[case.rule]
     # (name, disk radius) per column; |a2| is capped by |c1| <= 1
-    columns = [
-        (name, case.u1 / case.lin if name == "a2" else 1.0)
-        for name in _RULE_COLUMNS[case.rule]
-    ]
-    extremes = _extreme_product(columns)
-    cols = {
-        name: np.concatenate([extremes[name], _disk_samples(rng, cfg.n_samples, r)])
-        for name, r in columns
-    }
-    _, _, vals, feas = _evaluate(case, cols)
+    columns = [(name, case.u1 / case.lin if name == "a2" else 1.0) for name in names]
+    draws = _draws(names, cfg.seed, cfg.n_samples)
+    cols = draws.cols
+    if draws.a2 is not None:
+        radius, (s, phase) = dict(columns)["a2"], draws.a2
+        a2 = np.concatenate([_extreme_product(columns)["a2"], (s * radius) * phase])
+        cols = {**cols, "a2": a2}
+    vals, n_infeasible = _scores(case, draws.terms or _terms(cols))
     n_eval = int(vals.size)
-    n_infeasible = int(np.count_nonzero(~feas))
-    masked = np.where(feas, vals, -np.inf)
-    idx = int(np.argmax(masked))
-    sup = float(masked[idx])
+    idx = int(np.argmax(vals))
+    sup = float(vals[idx])
     best = {name: complex(cols[name][idx]) for name, _ in columns}
     if cfg.grid_refine:
+        # continue the generator where the draw left it
+        rng = np.random.default_rng()
+        rng.bit_generator.state = draws.state
         for frac in _REFINE_FRACTIONS:
             pert = {}
             for name, radius in columns:
@@ -342,10 +379,9 @@ def _search(case: _Case, rng, cfg: OracleConfig):
                 mag = np.abs(cand)
                 scale = np.where(mag > radius, radius / np.where(mag == 0.0, 1.0, mag), 1.0)
                 pert[name] = cand * scale
-            _, _, v, f = _evaluate(case, pert)
-            n_eval += int(v.size)
-            n_infeasible += int(np.count_nonzero(~f))
-            vm = np.where(f, v, -np.inf)
+            vm, infeasible = _scores(case, _terms(pert))
+            n_eval += int(vm.size)
+            n_infeasible += infeasible
             j = int(np.argmax(vm))
             if vm[j] > sup:
                 sup = float(vm[j])
@@ -373,8 +409,7 @@ def empirical_sup(
         # is genuinely unbounded over the relaxed set
         sup, wit, n_eval, n_infeasible = math.inf, None, 0, 0
     else:
-        rng = np.random.default_rng(cfg.seed)
-        sup, wit, n_eval, n_infeasible = _search(case, rng, cfg)
+        sup, wit, n_eval, n_infeasible = _search(case, cfg)
     if case is None or math.isinf(closed):
         verdict = SKIPPED
     elif sup <= closed + VERDICT_TOL:

@@ -208,3 +208,24 @@ def test_keys_a_command_does_not_take_are_ignored(capsys, tmp_path):
     code, out, _ = run(capsys, ["cheb", "--config", path])
     assert code == EXIT_OK
     assert len(out.splitlines()) == 2 + 5
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(["bound", *BASE], "varient"), (["verify", "--samples", "5"], "sample"),
+     (["cheb", "--t", "0.3"], "n_maxx")],
+)
+def test_key_no_command_takes_exits_two(capsys, tmp_path, command, key):
+    path = config(tmp_path, f"variant = as-printed\n{key} = as-printed\n")
+    code, out, err = run(capsys, [*command, "--config", path])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"config key {key}:" in err
+
+
+def test_key_another_command_takes_is_ignored(capsys, tmp_path):
+    # mode, samples and seed are verify's, format is sweep's, n_max is cheb's
+    path = config(tmp_path, "mode = full-system\nsamples = 5\nseed = 3\nformat = json\nn_max = 2\n")
+    code, out, _ = run(capsys, ["bound", *BASE, "--config", path])
+    assert code == EXIT_OK
+    assert out == run(capsys, ["bound", *BASE])[1]

@@ -1,0 +1,239 @@
+"""Oracle results pinned bit for bit: sup, sample counts and witness of
+every search rule, both modes, refinement on and off.  Also checks that
+the results do not depend on which searches ran before (seed, sample
+count and rule change between calls) or on the route, standalone
+``empirical_sup`` or ``sweep_verify``."""
+
+import math
+
+import pytest
+
+from chebbounds.classop import ClassParams
+from chebbounds.oracle import (
+    A2,
+    A3,
+    FULL_SYSTEM,
+    PROOF_SET,
+    OracleConfig,
+    empirical_sup,
+    fs_quantity,
+    sweep_verify,
+)
+
+POINTS = {"P0": ClassParams(1.0, 1.0, 0.0, 0.6),
+          "P_SING": ClassParams(2.0, 0.0, 0.0, math.sqrt(0.5))}
+QUANTITIES = {q.label: q for q in [A2, A3] + [fs_quantity(eta) for eta in (0.0, 1.0, 2.5)]}
+
+# (point, mode, quantity, refine) -> (sup_value.hex(), n_samples, n_infeasible,
+# repr(witness)) at n_samples=400, seed=5
+PINS = {
+    ('P0', 'proof-set', 'a2', True): (
+        '0x1.a4a6a2f74c6abp-1', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'proof-set', 'a2', False): (
+        '0x1.a4a6a2f74c6abp-1', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'proof-set', 'a3', True): (
+        '0x1.851eb851eb852p-1', 1125, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.6+0j), a3=(0.76+0j))',
+    ),
+    ('P0', 'proof-set', 'a3', False): (
+        '0x1.851eb851eb852p-1', 1025, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.6+0j), a3=(0.76+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@0', True): (
+        '0x1.5999999999999p-1', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@0', False): (
+        '0x1.5999999999999p-1', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@1', True): (
+        '0x1.9999999999999p-2', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@1', False): (
+        '0x1.9999999999999p-2', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@2.5', True): (
+        '0x1.0333333333333p+0', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'proof-set', 'fs@2.5', False): (
+        '0x1.0333333333333p+0', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
+    ),
+    ('P0', 'full-system', 'a2', True): (
+        '0x1.32e8fca3f6afcp-1', 525, 207,
+        'Witness(schwarz=SchwarzPair(c1=(0.21189446756357103-0.976326936946697j), c2=(-0.8781731635495175+0.2610966481088306j), d1=(-0.21189446756357103+0.976326936946697j), d2=(-0.09069619370239804-0.7024369712497214j), admissible=True), a2=(0.12713668053814262-0.5857961621680182j), a3=(-0.48448880204194533+0.04375436481165976j))',
+    ),
+    ('P0', 'full-system', 'a2', False): (
+        '0x1.32cb07c5a6c9fp-1', 425, 156,
+        'Witness(schwarz=SchwarzPair(c1=(0.21436123100731422-0.9753983013211875j), c2=(-0.8641747599073686+0.2654611367953319j), d1=(-0.21436123100731422+0.9753983013211875j), d2=(-0.1016397562113376-0.7115146420617916j), admissible=True), a2=(0.12861673860438852-0.5852389807927125j), a3=(-0.4784693999292695+0.044852097743994596j))',
+    ),
+    ('P0', 'full-system', 'a3', True): (
+        '0x1.1778c180f656bp-1', 525, 186,
+        'Witness(schwarz=SchwarzPair(c1=(0.9948899422597424-0.09877010739092473j), c2=(0.9968881543685695-0.07882897741076701j), d1=(-0.9948899422597424+0.09877010739092473j), d2=(0.04849900626671463-0.13080384699274378j), admissible=True), a2=(0.5969339653558454-0.05926206443455484j), a3=(0.5424959963347793-0.06035610431978952j))',
+    ),
+    ('P0', 'full-system', 'a3', False): (
+        '0x1.1333333333333p-1', 425, 156,
+        'Witness(schwarz=SchwarzPair(c1=(0.9682458365518543+0j), c2=(1+0j), d1=(-0.9682458365518543-0j), d2=0j, admissible=True), a2=(0.5809475019311126+0j), a3=(0.5375+0j))',
+    ),
+    ('P0', 'full-system', 'fs@0', True): (
+        '0x1.1778c180f656bp-1', 525, 186,
+        'Witness(schwarz=SchwarzPair(c1=(0.9948899422597424-0.09877010739092473j), c2=(0.9968881543685695-0.07882897741076701j), d1=(-0.9948899422597424+0.09877010739092473j), d2=(0.04849900626671463-0.13080384699274378j), admissible=True), a2=(0.5969339653558454-0.05926206443455484j), a3=(0.5424959963347793-0.06035610431978952j))',
+    ),
+    ('P0', 'full-system', 'fs@0', False): (
+        '0x1.1333333333333p-1', 425, 156,
+        'Witness(schwarz=SchwarzPair(c1=(0.9682458365518543+0j), c2=(1+0j), d1=(-0.9682458365518543-0j), d2=0j, admissible=True), a2=(0.5809475019311126+0j), a3=(0.5375+0j))',
+    ),
+    ('P0', 'full-system', 'fs@1', True): (
+        '0x1.9999999999999p-2', 525, 156,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
+    ),
+    ('P0', 'full-system', 'fs@1', False): (
+        '0x1.9999999999999p-2', 425, 156,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
+    ),
+    ('P0', 'full-system', 'fs@2.5', True): (
+        '0x1.73816ad447e63p-1', 525, 179,
+        'Witness(schwarz=SchwarzPair(c1=(0.9996583574614653-0.02520581659549127j), c2=(0.07783005518898653+0.10430158760769656j), d1=(-0.9996583574614653+0.02520581659549127j), d2=(0.98743020982681-0.15805562540252055j), admissible=True), a2=(0.5997950144768791-0.015123489957294761j), a3=(0.1776053085152666+0.034329454846290325j))',
+    ),
+    ('P0', 'full-system', 'fs@2.5', False): (
+        '0x1.6999999999999p-1', 425, 156,
+        'Witness(schwarz=SchwarzPair(c1=(0.9682458365518543+0j), c2=0j, d1=(-0.9682458365518543-0j), d2=(1+0j), admissible=True), a2=(0.5809475019311126+0j), a3=(0.13749999999999998+0j))',
+    ),
+    ('P_SING', 'proof-set', 'a2', True): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'proof-set', 'a2', False): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'proof-set', 'a3', True): (
+        '0x1.b504f333f9de8p-1', 1125, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'proof-set', 'a3', False): (
+        '0x1.b504f333f9de8p-1', 1025, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'proof-set', 'fs@0', True): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'proof-set', 'fs@0', False): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'proof-set', 'fs@1', True): (
+        '0x1.6a09e667f3bcdp-2', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
+    ),
+    ('P_SING', 'proof-set', 'fs@1', False): (
+        '0x1.6a09e667f3bcdp-2', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
+    ),
+    ('P_SING', 'proof-set', 'fs@2.5', True): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'proof-set', 'fs@2.5', False): (
+        'inf', 0, 0,
+        'None',
+    ),
+    ('P_SING', 'full-system', 'a2', True): (
+        '0x1.6a09e667f3bcfp-1', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(0.9988055116109531-0.0488625621062052j), c2=(0.1151140317911021-0.10269264364556376j), d1=(-0.9988055116109531+0.0488625621062052j), d2=(-0.1151140317911021+0.10269264364556376j), admissible=True), a2=(0.7062621503466039-0.03455104901144653j), a3=(0.5383114062690235-0.08511152869298613j))',
+    ),
+    ('P_SING', 'full-system', 'a2', False): (
+        '0x1.6a09e667f3bcdp-1', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=0j, d1=(-1-0j), d2=(-0-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.5000000000000001+0j))',
+    ),
+    ('P_SING', 'full-system', 'a3', True): (
+        '0x1.b504f333f9de8p-1', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'full-system', 'a3', False): (
+        '0x1.b504f333f9de8p-1', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'full-system', 'fs@0', True): (
+        '0x1.b504f333f9de8p-1', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'full-system', 'fs@0', False): (
+        '0x1.b504f333f9de8p-1', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
+    ),
+    ('P_SING', 'full-system', 'fs@1', True): (
+        '0x1.6a09e667f3bcfp-2', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=(-0.0005306772115223346-0.06243844578249852j), c2=(0.9967465114624435-0.08060019781271659j), d1=(0.0005306772115223346+0.06243844578249852j), d2=(-0.9967465114624435+0.08060019781271659j), admissible=True), a2=(-0.0003752454548886107-0.044150648419553296j), a3=(0.35045396974284876-0.028463338558874875j))',
+    ),
+    ('P_SING', 'full-system', 'fs@1', False): (
+        '0x1.6a09e667f3bcdp-2', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1-0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
+    ),
+    ('P_SING', 'full-system', 'fs@2.5', True): (
+        '0x1.1a827999fcef4p+0', 525, 0,
+        'Witness(schwarz=SchwarzPair(c1=1j, c2=(1+0j), d1=(-0-1j), d2=(-1-0j), admissible=True), a2=0.7071067811865476j, a3=(-0.14644660940672632+0j))',
+    ),
+    ('P_SING', 'full-system', 'fs@2.5', False): (
+        '0x1.1a827999fcef4p+0', 425, 0,
+        'Witness(schwarz=SchwarzPair(c1=1j, c2=(1+0j), d1=(-0-1j), d2=(-1-0j), admissible=True), a2=0.7071067811865476j, a3=(-0.14644660940672632+0j))',
+    ),
+}
+
+# full-system |a2| at P0, whose sup and infeasible count rest on the random
+# draws: (seed, n_samples) -> (sup_value.hex(), n_samples, n_infeasible)
+ALTERNATING = {
+    (5, 400): ('0x1.32e8fca3f6afcp-1', 525, 207),
+    (6, 400): ('0x1.33299d5ec258fp-1', 525, 209),
+    (5, 401): ('0x1.3318d5a2582c9p-1', 526, 194),
+}
+
+
+def pinned(res):
+    return (res.sup_value.hex(), res.n_samples, res.n_infeasible, repr(res.witness))
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=lambda k: "-".join(map(str, k)))
+def test_result_pinned(key):
+    point, mode, label, refine = key
+    cfg = OracleConfig(mode=mode, n_samples=400, seed=5, grid_refine=refine)
+    assert pinned(empirical_sup(QUANTITIES[label], POINTS[point], cfg)) == PINS[key]
+
+
+def test_alternating_seeds_and_sample_counts():
+    def search(seed, n):
+        return empirical_sup(
+            A2, POINTS["P0"], OracleConfig(mode=FULL_SYSTEM, n_samples=n, seed=seed)
+        )
+
+    first = search(5, 400)
+    for seed, n in [(6, 400), (5, 400), (5, 401), (5, 400)]:
+        res = search(seed, n)
+        assert pinned(res)[:3] == ALTERNATING[(seed, n)]
+        if (seed, n) == (5, 400):
+            assert res == first
+    assert pinned(first)[:3] == ALTERNATING[(5, 400)]
+
+
+@pytest.mark.parametrize("mode", [PROOF_SET, FULL_SYSTEM])
+def test_standalone_equals_sweep_entry(mode):
+    grid = list(POINTS.values())
+    etas = [0.0, 1.0, 2.5]
+    cfg = OracleConfig(mode=mode, n_samples=300, seed=9)
+    # a standalone search first, with another seed's draws in between
+    before = empirical_sup(A3, POINTS["P0"], cfg)
+    empirical_sup(A2, POINTS["P0"], OracleConfig(mode=mode, n_samples=300, seed=10))
+    results = sweep_verify(grid, etas, cfg)
+    assert results[1] == before
+    quantities = [A2, A3] + [fs_quantity(eta) for eta in etas]
+    standalone = [empirical_sup(q, p, cfg) for p in reversed(grid) for q in quantities]
+    assert results == standalone[len(quantities):] + standalone[:len(quantities)]
