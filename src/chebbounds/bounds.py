@@ -19,16 +19,17 @@ uses 2 xi delta in place of 6 xi delta ("as-printed") and is kept,
 switchable, for regression comparison.  Its branches disagree at the
 threshold whenever delta > 0.
 
-The reduction registry at the bottom holds the printed specializations
-of the bounds on pinned parameter slices; ``reduction_check`` confirms
-each against the general formulas on a grid.
+The reduction table at the bottom holds the printed specializations of
+the bounds on parameter slices, one row per slice: its formula and the
+axes of its verification grid, where a one-value axis is a pin.
+``reduction_check`` confirms each against the general formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -328,102 +329,61 @@ _E9 = np.linspace(-2.0, 4.0, 9).tolist()
 _E5 = [-2.0, 0.0, 1.0, 2.0, 4.0]
 _E3 = [0.0, 1.0, 3.0]
 
-
-@dataclass(frozen=True)
-class _Reduction:
-    cid: str
-    kind: str                                    # "coef" | "fs"
-    pins: tuple[tuple[str, float], ...]
-    evaluate: Callable[[ClassParams, float | None], dict[str, float]]
-    grid: Callable[[], tuple[list[ClassParams], list[float] | None]]
-
-
-_REGISTRY: dict[str, _Reduction] = {}
-
-
-def _register(entry: _Reduction) -> None:
-    _REGISTRY[entry.cid] = entry
-
-
-_register(_Reduction(
-    "coef-basic", "coef", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0)),
-    _coef_basic, lambda: (param_points([1.0], [1.0], [0.0], _T81), None)))
-_register(_Reduction(
-    "coef-lambda", "coef", (("mu", 1.0), ("delta", 0.0)),
-    _coef_on(_slice_lambda), lambda: (param_points(_L9, [1.0], [0.0], _T9), None)))
-_register(_Reduction(
-    "coef-mu", "coef", (("delta", 0.0),),
-    _coef_on(_slice_mu), lambda: (param_points(_L5, _M5, [0.0], _T5), None)))
-_register(_Reduction(
-    "coef-delta", "coef", (("mu", 1.0),),
-    _coef_on(_slice_delta), lambda: (param_points(_L5, [1.0], _D5, _T5), None)))
-_register(_Reduction(
-    "fs-eta1", "fs", (("eta", 1.0),),
-    _fs_eta1, lambda: (param_points(_L3, _M3, _D3, _T3), None)))
-_register(_Reduction(
-    "fs-basic", "fs", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0)),
-    _fs_basic, lambda: (param_points([1.0], [1.0], [0.0], _T9), _E9)))
-_register(_Reduction(
-    "fs-basic-eta1", "fs", (("lambda", 1.0), ("mu", 1.0), ("delta", 0.0), ("eta", 1.0)),
-    _fs_basic_eta1, lambda: (param_points([1.0], [1.0], [0.0], _T81), None)))
-_register(_Reduction(
-    "fs-lambda", "fs", (("mu", 1.0), ("delta", 0.0)),
-    _fs_on(_slice_lambda), lambda: (param_points(_L5, [1.0], [0.0], _T5), _E5)))
-_register(_Reduction(
-    "fs-lambda-eta1", "fs", (("mu", 1.0), ("delta", 0.0), ("eta", 1.0)),
-    _fs_lambda_eta1, lambda: (param_points(_L9, [1.0], [0.0], _T9), None)))
-_register(_Reduction(
-    "fs-mu", "fs", (("delta", 0.0),),
-    _fs_on(_slice_mu), lambda: (param_points(_L3, _M3, [0.0], _T3), _E3)))
-_register(_Reduction(
-    "fs-delta", "fs", (("mu", 1.0),),
-    _fs_on(_slice_delta), lambda: (param_points(_L3, [1.0], _D3, _T3), _E3)))
-_register(_Reduction(
-    "fs-delta-eta1", "fs", (("mu", 1.0), ("eta", 1.0)),
-    _fs_delta_eta1, lambda: (param_points(_L5, [1.0], _D5, _T5), None)))
+# id -> (printed formula, lambda, mu, delta and t axes, eta axis).  The axes
+# span the slice's verification grid, and a one-value axis is a pin.  A
+# coefficient slice has no eta axis (None).
+_SLICES = {
+    "coef-basic": (_coef_basic, [1.0], [1.0], [0.0], _T81, None),
+    "coef-lambda": (_coef_on(_slice_lambda), _L9, [1.0], [0.0], _T9, None),
+    "coef-mu": (_coef_on(_slice_mu), _L5, _M5, [0.0], _T5, None),
+    "coef-delta": (_coef_on(_slice_delta), _L5, [1.0], _D5, _T5, None),
+    "fs-eta1": (_fs_eta1, _L3, _M3, _D3, _T3, [1.0]),
+    "fs-basic": (_fs_basic, [1.0], [1.0], [0.0], _T9, _E9),
+    "fs-basic-eta1": (_fs_basic_eta1, [1.0], [1.0], [0.0], _T81, [1.0]),
+    "fs-lambda": (_fs_on(_slice_lambda), _L5, [1.0], [0.0], _T5, _E5),
+    "fs-lambda-eta1": (_fs_lambda_eta1, _L9, [1.0], [0.0], _T9, [1.0]),
+    "fs-mu": (_fs_on(_slice_mu), _L3, _M3, [0.0], _T3, _E3),
+    "fs-delta": (_fs_on(_slice_delta), _L3, [1.0], _D3, _T3, _E3),
+    "fs-delta-eta1": (_fs_delta_eta1, _L5, [1.0], _D5, _T5, [1.0]),
+}
 
 
 def corollary_ids() -> list[str]:
-    """Registered reduction identifiers, in registry order."""
-    return list(_REGISTRY)
+    """Reduction identifiers, in table order."""
+    return list(_SLICES)
 
 
-def _entry(cid: str) -> _Reduction:
+def _entry(cid: str) -> tuple:
     try:
-        return _REGISTRY[cid]
+        return _SLICES[cid]
     except KeyError:
         raise ValueError(
-            f"unknown corollary id {cid!r}; valid ids: {', '.join(_REGISTRY)}"
+            f"unknown corollary id {cid!r}; valid ids: {', '.join(_SLICES)}"
         ) from None
 
 
-def _pin_value(entry: _Reduction, name: str) -> float | None:
-    for pin_name, pin_val in entry.pins:
-        if pin_name == name:
-            return pin_val
-    return None
+def _require_pin(cid: str, name: str, axis, value: float) -> None:
+    if len(axis) == 1 and abs(value - axis[0]) > 1e-12:
+        raise ValueError(f"corollary {cid!r} pins {name} = {axis[0]:g}, got {value:g}")
 
 
-def _check_pins(entry: _Reduction, p: ClassParams, eta: float | None) -> float | None:
-    attr = {"lambda": "lam", "mu": "mu", "delta": "delta"}
-    for name, val in entry.pins:
-        actual = eta if name == "eta" else getattr(p, attr[name])
-        if actual is None:
-            continue                     # eta omitted: the pinned value applies
-        if abs(actual - val) > 1e-12:
-            raise ValueError(
-                f"corollary {entry.cid!r} pins {name} = {val:g}, got {actual:g}"
-            )
-    eta_pin = _pin_value(entry, "eta")
-    if eta_pin is not None:
-        return eta_pin if eta is None else eta
-    if entry.kind == "fs":
-        if eta is None:
-            raise ValueError(f"corollary {entry.cid!r} needs an eta value")
-        return eta
-    if eta is not None:
-        raise ValueError(f"corollary {entry.cid!r} takes no eta")
-    return None
+def _slice_etas(
+    cid: str, etas: list[float] | None, needs: str = "an eta value"
+) -> list[float | None]:
+    """The eta values a slice is evaluated at: [None] for a coefficient
+    slice, the pin when an eta-pinned slice is given none, else ``etas``."""
+    eta_axis = _entry(cid)[-1]
+    if eta_axis is None:
+        if etas:
+            raise ValueError(f"corollary {cid!r} takes no eta")
+        return [None]
+    for eta in etas or ():
+        _require_pin(cid, "eta", eta_axis, eta)
+    if etas:
+        return list(etas)
+    if len(eta_axis) == 1:
+        return list(eta_axis)
+    raise ValueError(f"corollary {cid!r} needs {needs}")
 
 
 def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[str, float]:
@@ -432,9 +392,12 @@ def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[
     Returns {"a2": ..., "a3": ...} for the coefficient corollaries and
     {"fs": ...} for the Fekete-Szego ones.
     """
-    entry = _entry(cid)
-    eta_eff = _check_pins(entry, p, eta)
-    return entry.evaluate(p, eta_eff)
+    formula, *axes, _ = _entry(cid)
+    values = (p.lam, p.mu, p.delta, p.t)
+    for name, axis, value in zip(("lambda", "mu", "delta", "t"), axes, values):
+        _require_pin(cid, name, axis, value)
+    (eta,) = _slice_etas(cid, None if eta is None else [eta])
+    return formula(p, eta)
 
 
 @dataclass(frozen=True)
@@ -460,34 +423,25 @@ def reduction_check(
     grid: list[ClassParams] | None = None,
     etas: list[float] | None = None,
     variant: str = CORRECTED,
-    tol: float = REDUCTION_TOL,
 ) -> ReductionResult:
-    """Compare a registered specialization against the general bounds.
+    """Compare a printed specialization against the general bounds.
 
     Every point of the grid (crossed with the eta values for the
-    Fekete-Szego entries) must agree within ``tol``.
+    Fekete-Szego entries) must agree within REDUCTION_TOL.
     """
-    entry = _entry(cid)
     if grid is None:
-        grid, default_etas = entry.grid()
+        grid, default_etas = default_reduction_grid(cid)
         if etas is None:
             etas = default_etas
-    eta_pin = _pin_value(entry, "eta")
-    if entry.kind == "coef":
-        eta_values: list[float | None] = [None]
-    elif eta_pin is not None:
-        eta_values = [eta_pin]
-    elif etas:
-        eta_values = list(etas)
-    else:
-        raise ValueError(f"corollary {cid!r} needs eta values to sweep")
+    eta_values = _slice_etas(cid, etas, "eta values to sweep")
+    if not grid:
+        raise ValueError("empty parameter grid")
     lam, mu, delta, t = (
         np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")
     )
     worst = 0.0
-    n = 0
     for eta in eta_values:
-        if entry.kind == "coef":
+        if eta is None:
             cf = closed_form(lam, mu, delta, t)
             general = {"a2": cf.a2, "a3": cf.a3}
         else:
@@ -495,12 +449,11 @@ def reduction_check(
         for i, p in enumerate(grid):
             for key, val in corollary_bound(cid, p, eta).items():
                 worst = max(worst, _deviation(val, float(general[key][i])))
-            n += 1
-    return ReductionResult(
-        corollary=cid, n_points=n, max_deviation=worst, passed=worst <= tol
-    )
+    return ReductionResult(cid, len(grid) * len(eta_values), worst, worst <= REDUCTION_TOL)
 
 
 def default_reduction_grid(cid: str) -> tuple[list[ClassParams], list[float] | None]:
-    """The built-in verification grid for one registered reduction."""
-    return _entry(cid).grid()
+    """The built-in verification grid of one reduction, and its eta values
+    (None for a coefficient or an eta-pinned slice)."""
+    _, *axes, eta_axis = _entry(cid)
+    return param_points(*axes), (list(eta_axis) if eta_axis and len(eta_axis) > 1 else None)

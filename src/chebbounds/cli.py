@@ -164,6 +164,17 @@ def _parse_coeffs(text: str) -> list[complex]:
     return vals
 
 
+def _int_at_least(floor: int):
+    """An argparse type: an integer no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+    parse.__name__ = "int"           # argparse's "invalid int value" message
+    return parse
+
+
 class _Repeatable(argparse.Action):
     """A repeatable flag whose first use replaces the default, never extends it."""
 
@@ -362,13 +373,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_cheb(args: argparse.Namespace) -> int:
     _require(args, {"--t": "t"})
-    n_max = args.n_max
-    if n_max < 0:
-        raise ValueError(f"--n-max must be >= 0, got {n_max}")
-    series_vals = gen_fun_coeffs(args.t, n_max)
+    series_vals = gen_fun_coeffs(args.t, args.n_max)
     print(f"t = {fmt(args.t)}")
     print(f"{'n':>3}  {'recurrence':>18}  {'series':>18}  {'abs_diff':>9}")
-    for n in range(n_max + 1):
+    for n in range(args.n_max + 1):
         rec = cheb_u(n, args.t)
         ser = series_vals[n]
         print(f"{n:>3}  {fmt(rec):>18}  {fmt(ser):>18}  {abs(rec - ser):>9.2e}")
@@ -536,8 +544,6 @@ def _suite_oracle(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be positive, got {args.samples}")
     grid = grid_points(SweepSpec(**_ranges(args)))
     etas = list(_check_etas(args.eta))
     cfg = OracleConfig(
@@ -601,16 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("verify", cmd_verify, "run the self-verification suites")
     add_common(sp, typ=str, defaults=("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"),
                etas=(0.0, 1.0, 2.0), eta_help="; default 0 1 2")
-    sp.add_argument("--samples", type=int, default=10_000,
+    sp.add_argument("--samples", type=_int_at_least(1), default=10_000,
                     help="oracle samples per point (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=1729, help="oracle seed (default %(default)s)")
+    sp.add_argument("--seed", type=_int_at_least(0), default=1729,
+                    help="oracle seed (default %(default)s)")
     sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                     help="local refinement around the incumbent (default on)")
 
     sp = add_command("cheb", cmd_cheb, "second-kind Chebyshev values, two routes")
     sp.add_argument("--t", type=float, help="evaluation point in [-1, 1]")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=10,
+    sp.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=10,
                     help="largest degree (default %(default)s)")
 
     sp = add_command("series", cmd_series, "inverse-series and operator demo")

@@ -300,6 +300,19 @@ def test_verify_zero_samples_usage_error(capsys):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+     (["verify", "--samples", "-3"], "argument --samples: must be >= 1, got -3"),
+     (["cheb", "--t", "0.6", "--n-max", "-2"], "argument --n-max: must be >= 0, got -2")],
+)
+def test_integer_floor_error_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
 def test_verify_restricted_grid(capsys):
     code, out, _ = run(
         capsys,

@@ -229,3 +229,16 @@ def test_key_another_command_takes_is_ignored(capsys, tmp_path):
     code, out, _ = run(capsys, ["bound", *BASE, "--config", path])
     assert code == EXIT_OK
     assert out == run(capsys, ["bound", *BASE])[1]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [(["verify"], "seed = -1\n", "config key seed: must be >= 0, got -1"),
+     (["verify"], "samples = 0\n", "config key samples: must be >= 1, got 0"),
+     (["cheb", "--t", "0.3"], "n_max = -1\n", "config key n_max: must be >= 0, got -1")],
+)
+def test_integer_floor_error_names_the_key(capsys, tmp_path, command, text, message):
+    code, out, err = run(capsys, [*command, "--config", config(tmp_path, text)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
