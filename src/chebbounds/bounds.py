@@ -371,13 +371,16 @@ def _slice_etas(
     cid: str, etas: list[float] | None, needs: str = "an eta value"
 ) -> list[float | None]:
     """The eta values a slice is evaluated at: [None] for a coefficient
-    slice, the pin when an eta-pinned slice is given none, else ``etas``."""
+    slice, the pin when an eta-pinned slice is given none, else ``etas``,
+    each of which must be finite."""
     eta_axis = _entry(cid)[-1]
     if eta_axis is None:
         if etas:
             raise ValueError(f"corollary {cid!r} takes no eta")
         return [None]
     for eta in etas or ():
+        if not math.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta}")
         _require_pin(cid, "eta", eta_axis, eta)
     if etas:
         return list(etas)
@@ -410,12 +413,11 @@ class ReductionResult:
 
 def _deviation(special: float, general: float) -> float:
     # the slice formulas go singular exactly where the general one does;
-    # two matched infinities are agreement, a mismatch is a failure
+    # two matched infinities are agreement, a mismatch or a nan is a failure
     if math.isinf(special) and math.isinf(general):
         return 0.0
-    if math.isinf(special) or math.isinf(general):
-        return math.inf
-    return abs(special - general)
+    dev = abs(special - general)
+    return math.inf if math.isnan(dev) else dev
 
 
 def reduction_check(

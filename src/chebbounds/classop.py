@@ -112,8 +112,8 @@ class ClassParams:
         return self.factors.fs_printed_denom
 
 
-def param_grid(lams, mus, deltas, ts) -> list[np.ndarray]:
-    """Lexicographic grid in (lambda, mu, delta, t) as four flat arrays.
+def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
+    """The four axes of a grid in (lambda, mu, delta, t) as float arrays.
 
     Every value of every axis passes through ClassParams once; its checks
     are per parameter, so this fails exactly when some grid point would.
@@ -121,12 +121,20 @@ def param_grid(lams, mus, deltas, ts) -> list[np.ndarray]:
     axes = [np.asarray(axis, dtype=float) for axis in (lams, mus, deltas, ts)]
     for i in range(max(len(axis) for axis in axes)):
         ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
-    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    return axes
+
+
+def param_grid(axes, start: int = 0, stop: int | None = None) -> list[np.ndarray]:
+    """Points [start, stop) of the lexicographic grid over ``param_axes``,
+    as four flat arrays; only those points are built."""
+    shape = [len(axis) for axis in axes]
+    rows = np.arange(start, math.prod(shape) if stop is None else stop)
+    return [axis[i] for axis, i in zip(axes, np.unravel_index(rows, shape))]
 
 
 def param_points(lams, mus, deltas, ts) -> list[ClassParams]:
-    """The grid of ``param_grid``, one ClassParams per point."""
-    grid = param_grid(lams, mus, deltas, ts)
+    """The whole grid over the given axes, one ClassParams per point."""
+    grid = param_grid(param_axes(lams, mus, deltas, ts))
     return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid))]
 
 

@@ -34,6 +34,7 @@ from .classop import (
     apply_operator,
     extract_schwarz,
     membership_feasibility,
+    param_axes,
     param_grid,
     param_points,
 )
@@ -52,7 +53,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# sweep rows rendered per write: bounds the CSV text held in memory
+# sweep rows computed, rendered and written at a time: bounds a sweep's memory
 CSV_CHUNK_ROWS = 4096
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
@@ -263,11 +264,6 @@ def _axes(spec: SweepSpec) -> list[np.ndarray]:
     return [np.linspace(*rng) for rng in (spec.lam, spec.mu, spec.delta, spec.t)]
 
 
-def grid_arrays(spec: SweepSpec) -> list[np.ndarray]:
-    """The sweep's grid as four flat arrays; see ``classop.param_grid``."""
-    return param_grid(*_axes(spec))
-
-
 def grid_points(spec: SweepSpec) -> list[ClassParams]:
     """The sweep's grid, one ClassParams per point."""
     return param_points(*_axes(spec))
@@ -281,54 +277,46 @@ def sweep_header(spec: SweepSpec) -> list[str]:
     )
 
 
-def sweep_rows(spec: SweepSpec) -> dict[str, np.ndarray]:
-    """The sweep's rows, held as one array per column of ``sweep_header``."""
-    lam, mu, delta, t = grid_arrays(spec)
+def sweep_rows(spec: SweepSpec, axes: list[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
+    """Rows [start, stop) of the sweep over the checked ``axes``, held as
+    one array per column of ``sweep_header``, in its order."""
+    lam, mu, delta, t = param_grid(axes, start, stop)
     cf = closed_form(lam, mu, delta, t, spec.etas, spec.variant)
-    rows = {
-        "lambda": lam,
-        "mu": mu,
-        "delta": delta,
-        "t": t,
-        "xi": cf.xi,
-        "a2_bound": cf.a2,
-        "a3_bound": cf.a3,
-    }
-    rows.update((_fs_label(eta), fs.bound) for eta, fs in zip(spec.etas, cf.fs))
-    rows["denom"] = np.abs(cf.d)
-    rows["singular_flag"] = cf.singular
-    return rows
+    fs = [f.bound for f in cf.fs]
+    return [lam, mu, delta, t, cf.xi, cf.a2, cf.a3, *fs, np.abs(cf.d), cf.singular]
 
 
-def render_csv(
-    header: list[str], rows: dict[str, np.ndarray], start: int = 0, stop: int | None = None
-) -> str:
-    """CSV lines of rows [start, stop); the header line leads at row 0."""
-    cells = [rows[col][start:stop].tolist() for col in header]
-    formats = []
-    for i, col in enumerate(header):
-        if rows[col].dtype == bool:
-            cells[i] = ["true" if flag else "false" for flag in cells[i]]
-            formats.append("%s")
-        else:
-            formats.append(_NUMBER)
-    line = ",".join(formats) + "\n"
-    text = "".join([line % row for row in zip(*cells)])
-    return ",".join(header) + "\n" + text if start == 0 else text
+def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV lines of one chunk of rows; the header line is the writer's, and
+    ``header`` is taken only so that both renderers are called alike."""
+    flags = [col.dtype == bool for col in columns]
+    cells = [["true" if v else "false" for v in col.tolist()] if flag else col.tolist()
+             for col, flag in zip(columns, flags)]
+    line = ",".join("%s" if flag else _NUMBER for flag in flags) + "\n"
+    return "".join([line % row for row in zip(*cells)])
 
 
-def render_json(header: list[str], rows: dict[str, np.ndarray]) -> str:
-    cells = [[_jsonable(v) for v in rows[col].tolist()] for col in header]
-    objs = [dict(zip(header, row)) for row in zip(*cells)]
-    return json.dumps(objs, indent=2) + "\n"
+def render_json(header: list[str], columns: list[np.ndarray]) -> str:
+    """One chunk of rows as the items of an indented JSON list, without
+    the brackets and the newlines that join them to the list."""
+    cells = [[_jsonable(v) for v in col.tolist()] for col in columns]
+    return json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=2)[2:-2]
 
 
-def _write_sweep(fh, out_format: str, header: list[str], rows: dict[str, np.ndarray]) -> None:
-    if out_format == "json":
-        fh.write(render_json(header, rows))
-        return
-    for start in range(0, len(rows["lambda"]), CSV_CHUNK_ROWS):
-        fh.write(render_csv(header, rows, start, start + CSV_CHUNK_ROWS))
+def _write_sweep(fh, spec: SweepSpec, axes: list[np.ndarray]) -> None:
+    """Compute, render and write the sweep one chunk of rows at a time;
+    the output is the same for every chunk size."""
+    header = sweep_header(spec)
+    if spec.out_format == "json":
+        render, head, between, tail = render_json, "[\n", ",\n", "\n]\n"
+    else:
+        render, head, between, tail = render_csv, ",".join(header) + "\n", "", ""
+    n_rows = math.prod(len(axis) for axis in axes)
+    fh.write(head)
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        columns = sweep_rows(spec, axes, start, min(start + CSV_CHUNK_ROWS, n_rows))
+        fh.write((between if start else "") + render(header, columns))
+    fh.write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +349,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(**_ranges(args), etas=_check_etas(args.eta), out_format=args.out_format,
                      output=args.output, variant=args.variant)
-    header = sweep_header(spec)
-    rows = sweep_rows(spec)
+    axes = param_axes(*_axes(spec))          # every value checked before any output
     if spec.output:
         with open(spec.output, "w", encoding="utf-8", newline="") as fh:
-            _write_sweep(fh, spec.out_format, header, rows)
+            _write_sweep(fh, spec, axes)
     else:
-        _write_sweep(sys.stdout, spec.out_format, header, rows)
+        _write_sweep(sys.stdout, spec, axes)
     return EXIT_OK
 
 

@@ -1,10 +1,13 @@
 """The corollary reductions: each slice's pins, default grid and eta rule."""
 
 import dataclasses
+import math
 
 import pytest
 
 from chebbounds.bounds import (
+    REDUCTION_TOL,
+    _deviation,
     corollary_bound,
     corollary_ids,
     default_reduction_grid,
@@ -90,3 +93,22 @@ def test_reduction_check_eta_values():
         reduction_check("fs-basic", grid=[ClassParams(1.0, 1.0, 0.0, 0.6)])
     assert reduction_check("fs-eta1", etas=[1.0]).n_points == 81
     assert reduction_check("fs-lambda", etas=[0.0]).n_points == 25
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_non_finite_eta_is_rejected(eta):
+    # a nan or inf eta gives nan or inf on both sides, which would pass vacuously
+    p = default_reduction_grid("fs-basic")[0][0]
+    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+        corollary_bound("fs-basic", p, eta)
+    for cid in ("fs-basic", "fs-lambda", "fs-eta1"):
+        with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+            reduction_check(cid, etas=[eta])
+
+
+@pytest.mark.parametrize("special, general", [
+    (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, math.nan),
+])
+def test_nan_deviation_is_a_failure(special, general):
+    # reduction_check folds deviations with max, which skips a nan
+    assert max(0.0, _deviation(special, general)) > REDUCTION_TOL

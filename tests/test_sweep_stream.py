@@ -1,6 +1,10 @@
-"""Chunked sweep CSV against a row-by-row rendering from the one-point API."""
+"""Chunked sweep CSV and JSON against a row-by-row rendering from the
+one-point API, and the sweep's memory against the grid size."""
 
 import itertools
+import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ CROSSING = {"lambda": "1:3:25", "mu": "0:1:3", "delta": "0:0.5:3", "t": "0.55:0.
 # every axis of count 1, at the exactly singular point
 SINGLE = {"lambda": "2", "mu": "0", "delta": "0", "t": "0.70710678118654752440"}
 ETAS = ("0", "1", "2.5")
+GRIDS = {"crossing": CROSSING, "single": SINGLE}
+# CSV_CHUNK_ROWS values; None leaves the default
+CHUNKS = [1, 7, 4096, None]
 
 
 def _argv(ranges, out):
@@ -27,19 +34,38 @@ def _argv(ranges, out):
     return argv + ["--output", str(out)]
 
 
-def _row_by_row(ranges) -> str:
+def _cells(ranges) -> tuple[list[str], list[list]]:
+    """The sweep's header and rows, one point at a time."""
     axes = [np.linspace(*cli.parse_range(text)).tolist() for text in ranges.values()]
     etas = [float(e) for e in ETAS]
     header = ["lambda", "mu", "delta", "t", "xi", "a2_bound", "a3_bound"]
     header += [f"fs_bound@{e:g}" for e in etas] + ["denom", "singular_flag"]
-    lines = [",".join(header)]
+    rows = []
     for point in itertools.product(*axes):
         p = ClassParams(*point)
         rep = bound_report(p)
         cells = [p.lam, p.mu, p.delta, p.t, p.xi, rep.a2_bound, rep.a3_bound]
-        cells += [fekete_szego_bound(p, e).bound for e in etas] + [rep.denom, rep.singular]
-        lines.append(",".join(cli.fmt(c) for c in cells))
+        rows.append(cells + [fekete_szego_bound(p, e).bound for e in etas]
+                    + [rep.denom, rep.singular])
+    return header, rows
+
+
+def _row_by_row(ranges) -> str:
+    header, rows = _cells(ranges)
+    lines = [",".join(header)] + [",".join(cli.fmt(c) for c in cells) for cells in rows]
     return "\n".join(lines) + "\n"
+
+
+def _json_value(cell):
+    if isinstance(cell, bool):
+        return cell
+    return "unbounded" if math.isinf(cell) else float(cli.fmt(cell))
+
+
+def _row_by_row_json(ranges) -> str:
+    header, rows = _cells(ranges)
+    objs = [dict(zip(header, map(_json_value, cells))) for cells in rows]
+    return json.dumps(objs, indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +79,7 @@ def test_crossing_grid_changes_sign():
     assert d.min() < 0.0 < d.max()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_csv_matches_row_by_row(chunk, crossing_reference, tmp_path, monkeypatch, capsys):
     if chunk is not None:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
@@ -78,3 +104,57 @@ def test_single_point_sweep(chunk, tmp_path, monkeypatch, capsys):
     assert text == _row_by_row(SINGLE)
     assert text.count("\n") == 2
     assert text.rstrip().endswith(",true")
+
+
+@pytest.fixture(scope="module")
+def json_reference():
+    return {name: _row_by_row_json(ranges) for name, ranges in GRIDS.items()}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_streamed_json_matches_row_by_row(grid, chunk, json_reference, tmp_path, monkeypatch,
+                                          capsys):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    out = tmp_path / "sweep.json"
+    assert cli.main(_argv(GRIDS[grid], out) + ["--format", "json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    text = out.read_text()
+    assert text == json_reference[grid]
+    if grid == "single":
+        (row,) = json.loads(text)
+        assert row["a2_bound"] == "unbounded" and row["singular_flag"] is True
+
+
+def _sweep_peak(argv) -> int:
+    """Peak traced allocation, in bytes, of one sweep."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_memory_does_not_grow_with_the_grid(out_format, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 256)
+
+    def argv(n_lambda):
+        ranges = dict(CROSSING, **{"lambda": f"1:3:{n_lambda}", "delta": "0"})
+        return _argv(ranges, tmp_path / "sweep.out") + ["--format", out_format]
+
+    _sweep_peak(argv(1))            # first-use imports and caches
+    small, large = _sweep_peak(argv(4)), _sweep_peak(argv(32))   # 492 and 3936 rows
+    assert large < 1.2 * small, (small, large)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_rejected_sweep_leaves_no_file(out_format, tmp_path, capsys):
+    # every axis value is checked before the output file is opened
+    out = tmp_path / "sweep.out"
+    ranges = dict(SINGLE, t="0.4:0.9:5")
+    assert cli.main(_argv(ranges, out) + ["--format", out_format]) == cli.EXIT_USAGE
+    assert "t must lie in the open interval (1/2, 1)" in capsys.readouterr().err
+    assert not out.exists()
