@@ -27,6 +27,9 @@ from .powerseries import NormalizedSeries, TruncatedSeries
 # admissibility is a closed-disk condition; the tolerance keeps witnesses
 # constructed at |c| = 1 admissible after a float round trip
 ADMISSIBLE_TOL = 1e-9
+# largest lambda, mu and delta: up to it A = lin^2 <= 4.5e299, so no bound
+# overflows float64 (overflow starts between 1e77 and 1e78)
+PARAM_MAX = 1e75
 
 
 class ParamFactors(NamedTuple):
@@ -52,13 +55,21 @@ def param_factors(lam, mu, delta) -> ParamFactors:
     )
 
 
+def _checked(label: str, value, low: float) -> float:
+    """lambda, mu or delta as a float in [low, PARAM_MAX]; the error names it."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    if not value >= low:
+        raise ValueError(f"{label} must be >= {low:g}, got {value}")
+    if value > PARAM_MAX:
+        raise ValueError(f"{label} must be <= {PARAM_MAX:g}, got {value}")
+    return value
+
+
 def xi_of(lam: float, mu: float) -> float:
     """xi = (2 lam + mu) / (2 lam + 1)."""
-    if not lam >= 1.0:
-        raise ValueError(f"lambda must be >= 1, got {lam}")
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    return param_factors(lam, mu, 0.0).xi
+    return param_factors(_checked("lambda", lam, 1.0), _checked("mu", mu, 0.0), 0.0).xi
 
 
 @dataclass(frozen=True)
@@ -71,19 +82,15 @@ class ClassParams:
     t: float
 
     def __post_init__(self) -> None:
-        for name, label in (("lam", "lambda"), ("mu", "mu"), ("delta", "delta"), ("t", "t")):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if not self.lam >= 1.0:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.delta >= 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if not 0.5 < self.t < 1.0:
-            raise ValueError(f"t must lie in the open interval (1/2, 1), got {self.t}")
+        scales = (("lam", "lambda", 1.0), ("mu", "mu", 0.0), ("delta", "delta", 0.0))
+        for name, label, low in scales:
+            object.__setattr__(self, name, _checked(label, getattr(self, name), low))
+        t = float(self.t)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if not 0.5 < t < 1.0:
+            raise ValueError(f"t must lie in the open interval (1/2, 1), got {t}")
+        object.__setattr__(self, "t", t)
 
     @property
     def factors(self) -> ParamFactors:

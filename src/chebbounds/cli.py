@@ -377,25 +377,27 @@ def cmd_series(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else max(DEFAULT_ORDER, len(tail) + 1)
     f = NormalizedSeries.from_tail(tail, order=order)
     g = invert_compositional(f)
-    print(f"order = {order}")
-    for k in range(2, order + 1):
-        print(f"f[{k}] = {fmt_complex(f.coeffs[k])}")
-    for k in range(2, order + 1):
-        print(f"inverse[{k}] = {fmt_complex(g.coeffs[k])}")
-    print(f"compose_residual = {_compose_residual(f, g):.2e}")
+    values = {f"f[{k}]": f.coeffs[k] for k in range(2, order + 1)}
+    values.update({f"inverse[{k}]": g.coeffs[k] for k in range(2, order + 1)})
+    values["compose_residual"] = _compose_residual(f, g)
     given = [v is not None for v in (args.lam, args.mu, args.delta, args.t)]
     if any(given):
         if not all(given):
             raise ValueError("operator demo needs all of --lambda, --mu, --delta, --t")
         p = ClassParams(args.lam, args.mu, args.delta, args.t)
         op = apply_operator(f, p)
-        for k, c in enumerate(op.coeffs):
-            print(f"operator[{k}] = {fmt_complex(c)}")
-        c1, c2 = extract_schwarz(op, p.t)
-        print(f"c1 = {fmt_complex(c1)}")
-        print(f"c2 = {fmt_complex(c2)}")
+        values.update({f"operator[{k}]": c for k, c in enumerate(op.coeffs)})
+        values["c1"], values["c2"] = extract_schwarz(op, p.t)
         pair = membership_feasibility(f.coeffs[2], f.coeffs[3], p)
-        print(f"membership_d2 = {fmt_complex(pair.d2)}")
+        values["membership_d2"] = pair.d2
+    # every value is computed before any is printed
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} overflows float64: {fmt_complex(value)}")
+    print(f"order = {order}")
+    for name, value in values.items():
+        print(f"{name} = {f'{value:.2e}' if name == 'compose_residual' else fmt_complex(value)}")
+    if any(given):
         print(f"admissible = {fmt(pair.admissible)}")
     return EXIT_OK
 

@@ -23,8 +23,8 @@ rules, which also fixes the disk columns drawn.  They are summed (from
 the summed degree-2 relation), linear (from the linear relations), free
 (a2 drawn directly on a singular point's c2 + d2 = 0 slice) and pinned
 (a2 = 0 on that slice).  One evaluator and one witness builder serve all.
-Each rule's samples are drawn once per (seed, sample count) and shared
-by every point, with results equal to those of a per-point draw.
+Each rule's samples and refinement steps are drawn once per (seed,
+sample count) and shared by every point; results equal a per-point draw's.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
     terms: tuple | None          # _terms(cols); None for the free rule
     a2: tuple | None             # free rule: the a2 draw as (sqrt(u), phase)
-    state: dict                  # the generator's state just after the draw
+    steps: np.ndarray            # unit refinement steps u + 1j v, [round, column, batch]
 
 
 @functools.lru_cache(maxsize=4)
@@ -332,7 +332,8 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     searched.  The columns ``names`` come from ``default_rng(seed)`` in
     order, each as sqrt(u) and exp(i theta) scaled to (sqrt(u) R) exp(i
     theta) on a disk of radius R.  The free rule's a2 radius u1/lin varies
-    per point, so its draw is kept unscaled.  The arrays are read-only."""
+    per point, so its draw is kept unscaled.  The unit refinement steps
+    follow, per round and column.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
     extremes = _extreme_product([(name, 1.0) for name in names])
     cols, a2 = {}, None
@@ -344,9 +345,11 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
         else:
             cols[name] = np.concatenate([extremes[name], s * phase])
     terms = None if a2 else _terms(cols)
-    for arr in [*cols.values(), *(terms or ()), *(a2 or ())]:
+    uniform = functools.partial(rng.uniform, -1.0, 1.0, _REFINE_BATCH)
+    steps = np.array([[uniform() + 1j * uniform() for _ in names] for _ in _REFINE_FRACTIONS])
+    for arr in [*cols.values(), *(terms or ()), *(a2 or ()), steps]:
         arr.flags.writeable = False
-    return _Draws(cols, terms, a2, rng.bit_generator.state)
+    return _Draws(cols, terms, a2, steps)
 
 
 def _search(case: _Case, cfg: OracleConfig):
@@ -365,17 +368,10 @@ def _search(case: _Case, cfg: OracleConfig):
     sup = float(vals[idx])
     best = {name: complex(cols[name][idx]) for name, _ in columns}
     if cfg.grid_refine:
-        # continue the generator where the draw left it
-        rng = np.random.default_rng()
-        rng.bit_generator.state = draws.state
-        for frac in _REFINE_FRACTIONS:
+        for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
             pert = {}
-            for name, radius in columns:
-                step = (
-                    rng.uniform(-1.0, 1.0, _REFINE_BATCH)
-                    + 1j * rng.uniform(-1.0, 1.0, _REFINE_BATCH)
-                ) * (frac * radius)
-                cand = best[name] + step
+            for (name, radius), unit in zip(columns, units):
+                cand = best[name] + unit * (frac * radius)
                 mag = np.abs(cand)
                 scale = np.where(mag > radius, radius / np.where(mag == 0.0, 1.0, mag), 1.0)
                 pert[name] = cand * scale

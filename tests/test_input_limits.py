@@ -1,0 +1,77 @@
+"""Inputs whose values would overflow float64 exit with code 2 and name
+what overflowed, before anything is printed or written."""
+
+import math
+import warnings
+
+import pytest
+
+from chebbounds.classop import PARAM_MAX, ClassParams, xi_of
+from chebbounds.cli import EXIT_USAGE, main
+
+VALUES = {"lambda": "1", "mu": "1", "delta": "1", "t": "0.6"}
+
+
+def run(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def params(**override) -> list[str]:
+    return [arg for name, value in {**VALUES, **override}.items()
+            for arg in (f"--{name}", value)]
+
+
+@pytest.mark.parametrize("name", ["lambda", "mu", "delta"])
+@pytest.mark.parametrize("command", ["bound", "sweep", "verify"])
+def test_parameter_above_the_limit_is_rejected(capsys, tmp_path, command, name):
+    out_file = tmp_path / "sweep.csv"
+    argv = [command, *params(**{name: "1e308"})]
+    if command == "sweep":
+        argv += ["--output", str(out_file)]
+    elif command == "verify":
+        argv += ["--samples", "10"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: {name} must be <= 1e+75, got 1e+308" in err
+    assert not out_file.exists()
+
+
+def test_class_params_limit():
+    at_limit = ClassParams(PARAM_MAX, PARAM_MAX, PARAM_MAX, 0.6)
+    assert (at_limit.lam, at_limit.mu, at_limit.delta) == (PARAM_MAX,) * 3
+    above = math.nextafter(PARAM_MAX, math.inf)
+    for args, name in [((above, 0.0, 0.0, 0.6), "lambda"), ((1.0, above, 0.0, 0.6), "mu"),
+                       ((1.0, 0.0, above, 0.6), "delta")]:
+        with pytest.raises(ValueError, match=f"^{name} must be <= 1e\\+75"):
+            ClassParams(*args)
+    with pytest.raises(ValueError, match="^mu must be <= 1e\\+75"):
+        xi_of(1.0, above)
+
+
+def test_bound_at_the_limit_is_finite(capsys):
+    limit = repr(PARAM_MAX)
+    argv = ["bound", *params(**{"lambda": limit, "mu": limit, "delta": limit})]
+    code, out, _ = run(capsys, [*argv, "--eta", "0", "--eta", "1"])
+    assert code == 0
+    values = [line.split(" = ")[1].split()[0] for line in out.splitlines()]
+    assert all(math.isfinite(float(v)) for v in values if v not in ("true", "false"))
+    assert "singular_flag = false" in out
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--coeffs", "1e100"], "inverse[5]"),
+     (["--coeffs", "0.5", "--lambda", "1", "--mu", "1e70", "--delta", "0", "--t", "0.6"],
+      "operator[5]")],
+    ids=["inverse", "operator"],
+)
+def test_series_overflow_is_rejected(capsys, argv, name):
+    code, out, err = run(capsys, ["series", *argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: {name} overflows float64" in err

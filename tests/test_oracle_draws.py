@@ -6,6 +6,7 @@ count and rule change between calls) or on the route, standalone
 
 import math
 
+import numpy as np
 import pytest
 
 from chebbounds.classop import ClassParams
@@ -237,3 +238,23 @@ def test_standalone_equals_sweep_entry(mode):
     quantities = [A2, A3] + [fs_quantity(eta) for eta in etas]
     standalone = [empirical_sup(q, p, cfg) for p in reversed(grid) for q in quantities]
     assert results == standalone[len(quantities):] + standalone[:len(quantities)]
+
+
+@pytest.mark.parametrize(
+    "warm, key",
+    [((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2", True)),
+     ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5", True)),
+     ((A3, POINTS["P_SING"]), ("P_SING", "full-system", "a2", True))],
+    ids=["summed", "summed-fs", "free"],
+)
+def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
+    point, mode, label, refine = key
+    cfg = OracleConfig(mode=mode, n_samples=400, seed=5, grid_refine=refine)
+    # draws the rule's samples and refinement steps for (mode, seed, n)
+    empirical_sup(*warm, cfg)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a search built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert pinned(empirical_sup(QUANTITIES[label], POINTS[point], cfg)) == PINS[key]
