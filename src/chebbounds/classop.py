@@ -180,6 +180,9 @@ def apply_operator(f: NormalizedSeries, p: ClassParams) -> TruncatedSeries:
         raise TypeError("apply_operator needs a normalized series (z + a2 z^2 + ...)")
     if f.order < 3:
         raise ValueError(f"operator needs order >= 3 to expose a2 and a3, got {f.order}")
+    # the constant term (1 - lam) + lam stays 1 in float64 only up to 2^53
+    if p.lam > 2.0 ** 53:
+        raise ValueError(f"lambda must be <= 2**53 for the operator series, got {p.lam:g}")
     base = TruncatedSeries(f.coeffs[1:])            # f/z, constant term exactly 1
     fprime = f.differentiate()
     z_fsecond = fprime.differentiate().times_z()    # z f'', order f.order - 1

@@ -313,16 +313,17 @@ def _closed_form_bound(quantity: Quantity, p: ClassParams) -> float:
     return fekete_szego_bound(p, quantity.eta, CORRECTED).bound
 
 
-def _extreme_product(columns) -> dict[str, np.ndarray]:
-    sets = [np.array([0.0, r, -r, 1j * r, -1j * r], dtype=complex) for _, r in columns]
-    mesh = np.meshgrid(*sets, indexing="ij")
-    return {name: grid.ravel() for (name, _), grid in zip(columns, mesh)}
+def _extreme_product(names) -> dict[str, np.ndarray]:
+    """Every combination of {0, +-1, +-i} over the columns ``names``."""
+    unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])   # the literal -1j has real part -0.0
+    mesh = np.meshgrid(*[unit] * len(names), indexing="ij")
+    return {name: grid.ravel() for name, grid in zip(names, mesh)}
 
 
 class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
     terms: tuple | None          # _terms(cols); None for the free rule
-    a2: tuple | None             # free rule: the a2 draw as (sqrt(u), phase)
+    a2: tuple | None             # free rule: the a2 draw as (extremes, sqrt(u), phase)
     steps: np.ndarray            # unit refinement steps u + 1j v, [round, column, batch]
 
 
@@ -332,16 +333,17 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     searched.  The columns ``names`` come from ``default_rng(seed)`` in
     order, each as sqrt(u) and exp(i theta) scaled to (sqrt(u) R) exp(i
     theta) on a disk of radius R.  The free rule's a2 radius u1/lin varies
-    per point, so its draw is kept unscaled.  The unit refinement steps
-    follow, per round and column.  The arrays are read-only."""
+    per point, so its draw is kept unscaled; {0, +-1, +-i} R gives the same
+    bits as {0, +-R, +-iR}.  The unit refinement steps follow, per round
+    and column.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
-    extremes = _extreme_product([(name, 1.0) for name in names])
+    extremes = _extreme_product(names)
     cols, a2 = {}, None
     for name in names:
         s = np.sqrt(rng.random(n))
         phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
         if name == "a2":
-            a2 = (s, phase)
+            a2 = (extremes[name], s, phase)
         else:
             cols[name] = np.concatenate([extremes[name], s * phase])
     terms = None if a2 else _terms(cols)
@@ -354,35 +356,32 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
 
 def _search(case: _Case, cfg: OracleConfig):
     names = _RULE_COLUMNS[case.rule]
-    # (name, disk radius) per column; |a2| is capped by |c1| <= 1
-    columns = [(name, case.u1 / case.lin if name == "a2" else 1.0) for name in names]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     cols = draws.cols
+    radius = case.u1 / case.lin          # |a2| is capped by |c1| <= 1
+    # disk radius per column, as a column vector
+    radii = np.array([[radius if name == "a2" else 1.0] for name in names])
     if draws.a2 is not None:
-        radius, (s, phase) = dict(columns)["a2"], draws.a2
-        a2 = np.concatenate([_extreme_product(columns)["a2"], (s * radius) * phase])
-        cols = {**cols, "a2": a2}
+        extremes, s, phase = draws.a2
+        cols = {**cols, "a2": np.concatenate([extremes * radius, (s * radius) * phase])}
     vals, n_infeasible = _scores(case, draws.terms or _terms(cols))
     n_eval = int(vals.size)
     idx = int(np.argmax(vals))
     sup = float(vals[idx])
-    best = {name: complex(cols[name][idx]) for name, _ in columns}
+    best = np.array([[cols[name][idx]] for name in names])
     if cfg.grid_refine:
         for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
-            pert = {}
-            for (name, radius), unit in zip(columns, units):
-                cand = best[name] + unit * (frac * radius)
-                mag = np.abs(cand)
-                scale = np.where(mag > radius, radius / np.where(mag == 0.0, 1.0, mag), 1.0)
-                pert[name] = cand * scale
-            vm, infeasible = _scores(case, _terms(pert))
+            cand = best + units * (frac * radii)
+            mag = np.abs(cand)
+            pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
+            vm, infeasible = _scores(case, _terms(dict(zip(names, pert))))
             n_eval += int(vm.size)
             n_infeasible += infeasible
             j = int(np.argmax(vm))
             if vm[j] > sup:
                 sup = float(vm[j])
-                best = {name: complex(pert[name][j]) for name, _ in columns}
-    return sup, _witness(case, best), n_eval, n_infeasible
+                best = pert[:, j:j + 1]
+    return sup, _witness(case, dict(zip(names, best[:, 0].tolist()))), n_eval, n_infeasible
 
 
 def empirical_sup(

@@ -102,3 +102,12 @@ def test_sweep_json_golden(capsys):
 def test_verify_full_system_golden(capsys):
     argv = ["verify", "--samples", "300", "--seed", "99", "--mode", "full-system"]
     assert run(capsys, argv) == VERIFY_FULL
+
+
+@pytest.mark.parametrize("seed, gap", [(1729, "2.053e-01"), (7, "1.925e-01")])
+def test_verify_as_printed_continuity_golden(capsys, seed, gap):
+    argv = ["verify", "--variant", "as-printed", "--samples", "10", "--seed", str(seed),
+            "--lambda", "1", "--mu", "0", "--delta", "0", "--t", "0.6"]
+    line = (f"[INFO] fs branch continuity (as-printed): 500 draws, max gap at threshold {gap}"
+            " (discontinuity expected for delta > 0; informational)\n")
+    assert line in run(capsys, argv)

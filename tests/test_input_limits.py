@@ -75,3 +75,14 @@ def test_series_overflow_is_rejected(capsys, argv, name):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"error: {name} overflows float64" in err
+
+
+def test_series_lambda_past_2_53_is_rejected(capsys):
+    argv = ["series", "--coeffs", "0.1", "--mu", "0.5", "--delta", "0", "--t", "0.6"]
+    code, out, err = run(capsys, [*argv, "--lambda", "1e16"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: lambda must be <= 2**53" in err
+    code, out, _ = run(capsys, [*argv, "--lambda", repr(2.0 ** 53)])
+    assert code == 0
+    assert "operator[0] = 1\n" in out

@@ -16,6 +16,7 @@ from chebbounds.oracle import (
     FULL_SYSTEM,
     PROOF_SET,
     OracleConfig,
+    _draws,
     empirical_sup,
     fs_quantity,
     sweep_verify,
@@ -258,3 +259,16 @@ def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     assert pinned(empirical_sup(QUANTITIES[label], POINTS[point], cfg)) == PINS[key]
+
+
+@pytest.mark.parametrize("label", ["a2", "a3", "fs@2.5"])
+def test_free_rule_at_another_radius_is_cache_independent(label):
+    # singular like P_SING, but its a2 disk has radius u1/lin = 2t/3, not 2t/2
+    p = ClassParams(3.0, 0.0, 0.0, math.sqrt(0.375))
+    cfg = OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=5)
+    _draws.cache_clear()
+    cold = empirical_sup(QUANTITIES[label], p, cfg)
+    _draws.cache_clear()
+    empirical_sup(QUANTITIES[label], POINTS["P_SING"], cfg)
+    assert empirical_sup(QUANTITIES[label], p, cfg) == cold
+    assert math.isfinite(cold.sup_value) and cold.n_samples == 525
