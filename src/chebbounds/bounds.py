@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .classop import ClassParams, param_factors, param_points
+from .classop import ClassParams, check_eta, param_factors, param_points
 
 CORRECTED = "corrected"
 AS_PRINTED = "as-printed"
@@ -372,18 +372,17 @@ def _slice_etas(
 ) -> list[float | None]:
     """The eta values a slice is evaluated at: [None] for a coefficient
     slice, the pin when an eta-pinned slice is given none, else ``etas``,
-    each of which must be finite."""
+    each of which must pass ``check_eta``."""
     eta_axis = _entry(cid)[-1]
     if eta_axis is None:
         if etas:
             raise ValueError(f"corollary {cid!r} takes no eta")
         return [None]
-    for eta in etas or ():
-        if not math.isfinite(eta):
-            raise ValueError(f"eta must be finite, got {eta}")
+    etas = [check_eta(eta) for eta in etas or ()]
+    for eta in etas:
         _require_pin(cid, "eta", eta_axis, eta)
     if etas:
-        return list(etas)
+        return etas
     if len(eta_axis) == 1:
         return list(eta_axis)
     raise ValueError(f"corollary {cid!r} needs {needs}")

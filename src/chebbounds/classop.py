@@ -67,6 +67,12 @@ def _checked(label: str, value, low: float) -> float:
     return value
 
 
+def check_eta(eta) -> float:
+    """A Fekete-Szego eta as a float with |eta| <= PARAM_MAX, which keeps
+    the sloped bound finite on every regular point."""
+    return _checked("eta", eta, -PARAM_MAX)
+
+
 def xi_of(lam: float, mu: float) -> float:
     """xi = (2 lam + mu) / (2 lam + 1)."""
     return param_factors(_checked("lambda", lam, 1.0), _checked("mu", mu, 0.0), 0.0).xi

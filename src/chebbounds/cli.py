@@ -29,6 +29,7 @@ from .chebyshev import cheb_u, gen_fun_coeffs
 from .classop import (
     ClassParams,
     apply_operator,
+    check_eta,
     extract_schwarz,
     membership_feasibility,
     param_axes,
@@ -118,18 +119,16 @@ def _fs_label(eta: float) -> str:
 
 
 def _check_etas(etas) -> tuple[float, ...]:
-    """Reject non-finite etas and etas whose fs_bound@ labels collide."""
+    """Reject etas out of range and etas whose fs_bound@ labels collide."""
     seen: dict[str, float] = {}
-    for eta in etas:
-        if not math.isfinite(eta):
-            raise ValueError(f"eta must be finite, got {eta}")
+    for eta in map(check_eta, etas):
         label = _fs_label(eta)
         if label in seen:
             raise ValueError(
                 f"eta {seen[label]!r} and eta {eta!r} would share the column {label}"
             )
         seen[label] = eta
-    return tuple(etas)
+    return tuple(seen.values())
 
 
 def _parse_bool(text: str) -> bool:

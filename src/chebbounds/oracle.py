@@ -23,30 +23,30 @@ rules, which also fixes the disk columns drawn.  They are summed (from
 the summed degree-2 relation), linear (from the linear relations), free
 (a2 drawn directly on a singular point's c2 + d2 = 0 slice) and pinned
 (a2 = 0 on that slice).  One evaluator and one witness builder serve all.
-Each rule's samples and refinement steps are drawn once per (seed,
-sample count) and shared by every point; results equal a per-point draw's.
+One search serves a whole grid (``empirical_sup`` is a one-point grid),
+with its bounds and case constants from one ``closed_form`` call.  Each
+rule's samples and refinement steps are drawn once per (seed, sample
+count) and scored against chunks of points; a chunk's a2^2, r and
+feasibility serve all of the rule's quantities, and a refinement round
+moves every incumbent of the chunk at once.  Results equal a per-point
+search's bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    CORRECTED,
-    bound_a2,
-    bound_a3,
-    fekete_szego_bound,
-    is_singular_denom,
-    theorem_denominator,
-)
-from .chebyshev import cheb_u
-from .classop import ADMISSIBLE_TOL, ClassParams, SchwarzPair
+# perfbench wraps bound_a2, bound_a3, fekete_szego_bound and cheb_u here by name
+from .bounds import CORRECTED, bound_a2, bound_a3, closed_form, fekete_szego_bound  # noqa: F401
+from .chebyshev import cheb_u  # noqa: F401
+from .classop import ADMISSIBLE_TOL, ClassParams, SchwarzPair, check_eta, param_factors
 
 PROOF_SET = "proof-set"
 FULL_SYSTEM = "full-system"
@@ -60,6 +60,10 @@ VERDICT_TOL = 1e-9
 
 _REFINE_FRACTIONS = (0.25, 0.1, 0.04, 0.016, 0.0064)
 _REFINE_BATCH = 20
+
+# samples scored at a time, points x (samples + extremes), at least one
+# point: bounds the search's memory whatever the grid size
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,7 @@ class Quantity:
         if self.kind != "fs" and self.eta is not None:
             raise ValueError(f"{self.kind} quantity takes no eta")
         if self.eta is not None:
-            eta = float(self.eta)
-            if not math.isfinite(eta):
-                raise ValueError(f"eta must be finite, got {eta}")
-            object.__setattr__(self, "eta", eta)
+            object.__setattr__(self, "eta", check_eta(self.eta))
 
     @property
     def label(self) -> str:
@@ -148,9 +149,8 @@ _RULE_COLUMNS = {
 
 
 class _Case(NamedTuple):
-    """One search: the quantity, its a2^2 rule and the point's constants."""
+    """One rule's constants at one point, or per point of a chunk as columns."""
 
-    quantity: Quantity
     mode: str
     rule: str
     u1: float
@@ -160,40 +160,34 @@ class _Case(NamedTuple):
     two_f: float
 
 
-def _case(quantity: Quantity, mode: str, p: ClassParams) -> _Case | None:
-    """The search case of one quantity at one point: its a2^2 rule is picked
-    here.  None where the quantity carries no finite constraint at the
-    point (unbounded; the caller skips it)."""
-    u1 = cheb_u(1, p.t)
-    a, _, d = theorem_denominator(p)
-    singular = is_singular_denom(d, a)
+def _rule(quantity: Quantity, mode: str, singular: bool) -> str | None:
+    """The a2^2 rule of one quantity at a point.  None where the quantity
+    carries no finite constraint there (unbounded; the search skips it)."""
     if mode == FULL_SYSTEM:
         # on a singular point the summed relation degenerates to c2 + d2 = 0
         # with a2 free on |a2| <= u1/lin
-        rule = "free" if singular else "summed"
-    elif quantity.kind == "a3":
+        return "free" if singular else "summed"
+    if quantity.kind == "a3":
         # a2^2 is bounded through the linear relations (|c1|, |d1| <= 1),
         # not through the summed quadratic one, so the search stays finite
         # even on singular points
-        rule = "linear"
-    elif not singular:
-        rule = "summed"
-    elif quantity.kind == "fs" and quantity.eta == 1.0:
+        return "linear"
+    if not singular:
+        return "summed"
+    if quantity.kind == "fs" and quantity.eta == 1.0:
         # fs at eta = 1 does not see a2^2; its maximum lives on the
         # c2 + d2 = 0 slice, where a2 is pinned to 0
-        rule = "pinned"
-    else:
-        return None
-    return _Case(
-        quantity=quantity,
-        mode=mode,
-        rule=rule,
-        u1=u1,
-        lin=p.op_linear_factor,
-        a=a,
-        prefactor=d / (2.0 * p.t * p.t),
-        two_f=2.0 * p.fs_flat_denom,
-    )
+        return "pinned"
+    return None
+
+
+def _grid_cases(p_grid: list[ClassParams], etas=()):
+    """The grid's closed form (corrected, one Fekete-Szego column per eta)
+    and the _Case constants (u1, lin, A, prefactor, 2F), one array each."""
+    lam, mu, delta, t = np.array([(p.lam, p.mu, p.delta, p.t) for p in p_grid]).T
+    cf = closed_form(lam, mu, delta, t, etas, CORRECTED)
+    f = param_factors(lam, mu, delta)
+    return cf, (2.0 * t, f.op_linear_factor, cf.A, cf.d / (2.0 * t * t), 2.0 * f.fs_flat_denom)
 
 
 def _terms(cols):
@@ -223,22 +217,25 @@ def _evaluate(case: _Case, terms):
     return a2sq, (u1 * diff) / case.two_f
 
 
-def _scores(case: _Case, terms) -> tuple[np.ndarray, int]:
-    """sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r| per sample, -inf where
-    infeasible, and the infeasible count.  Only the full system's summed
-    rule can break |c1| <= 1, i.e. A |a2^2| <= u1^2."""
-    a2sq, r = _evaluate(case, terms)
-    kind = case.quantity.kind
-    if kind == "a2":
-        value = np.sqrt(np.abs(a2sq))
-    elif kind == "a3":
-        value = np.abs(a2sq + r)
-    else:
-        value = np.abs((1.0 - case.quantity.eta) * a2sq + r)
+def _feasible(case: _Case, a2sq):
+    """Where |c1| <= 1 (A |a2^2| <= u1^2), and the infeasible count per
+    point; only the full system's summed rule can break it (else None)."""
     if case.mode == FULL_SYSTEM and case.rule == "summed":
         feasible = case.a * np.abs(a2sq) <= case.u1 * case.u1
-        return np.where(feasible, value, -np.inf), int(np.count_nonzero(~feasible))
-    return value, 0
+        return feasible, np.count_nonzero(~feasible, axis=1)
+    return None, np.zeros(len(case.u1), int)
+
+
+def _scores(quantity: Quantity, a2sq, r, feasible):
+    """sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r| per sample, -inf where
+    infeasible."""
+    if quantity.kind == "a2":
+        value = np.sqrt(np.abs(a2sq))
+    elif quantity.kind == "a3":
+        value = np.abs(a2sq + r)
+    else:
+        value = np.abs((1.0 - quantity.eta) * a2sq + r)
+    return value if feasible is None else np.where(feasible, value, -np.inf)
 
 
 def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
@@ -285,7 +282,9 @@ def solve_member_coeffs(
             raise ValueError(f"{name} must lie in the closed unit disk, got |{name}| = {abs(c):g}")
     # the full system's case is exactly this route: the summed relation,
     # or a free a2 where it degenerates
-    case = _case(A3, FULL_SYSTEM, p)
+    cf, consts = _grid_cases([p])
+    rule = _rule(A3, FULL_SYSTEM, bool(cf.singular[0]))
+    case = _Case(FULL_SYSTEM, rule, *(float(c[0]) for c in consts))
     if case.rule == "free":
         if abs(c2 + d2) > 1e-12:
             return MemberSolution("singular")
@@ -305,21 +304,6 @@ def solve_member_coeffs(
 # sampling engine
 
 
-def _closed_form_bound(quantity: Quantity, p: ClassParams) -> float:
-    if quantity.kind == "a2":
-        return bound_a2(p)
-    if quantity.kind == "a3":
-        return bound_a3(p)
-    return fekete_szego_bound(p, quantity.eta, CORRECTED).bound
-
-
-def _extreme_product(names) -> dict[str, np.ndarray]:
-    """Every combination of {0, +-1, +-i} over the columns ``names``."""
-    unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])   # the literal -1j has real part -0.0
-    mesh = np.meshgrid(*[unit] * len(names), indexing="ij")
-    return {name: grid.ravel() for name, grid in zip(names, mesh)}
-
-
 class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
     terms: tuple | None          # _terms(cols); None for the free rule
@@ -337,15 +321,17 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     bits as {0, +-R, +-iR}.  The unit refinement steps follow, per round
     and column.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
-    extremes = _extreme_product(names)
+    # every combination of {0, +-1, +-i}; the literal -1j has real part -0.0
+    unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])
+    extremes = dict(zip(names, np.meshgrid(*[unit] * len(names), indexing="ij")))
     cols, a2 = {}, None
     for name in names:
         s = np.sqrt(rng.random(n))
         phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
         if name == "a2":
-            a2 = (extremes[name], s, phase)
+            a2 = (extremes[name].ravel(), s, phase)
         else:
-            cols[name] = np.concatenate([extremes[name], s * phase])
+            cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
     terms = None if a2 else _terms(cols)
     uniform = functools.partial(rng.uniform, -1.0, 1.0, _REFINE_BATCH)
     steps = np.array([[uniform() + 1j * uniform() for _ in names] for _ in _REFINE_FRACTIONS])
@@ -354,34 +340,79 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     return _Draws(cols, terms, a2, steps)
 
 
-def _search(case: _Case, cfg: OracleConfig):
-    names = _RULE_COLUMNS[case.rule]
+def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
+    """Search one rule at the grid indices ``points`` for each (position,
+    quantity) of ``quantities``, a chunk of points at a time.  Yields
+    ((point index, position), (sup, witness, n_samples, n_infeasible))."""
+    names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
-    cols = draws.cols
-    radius = case.u1 / case.lin          # |a2| is capped by |c1| <= 1
-    # disk radius per column, as a column vector
-    radii = np.array([[radius if name == "a2" else 1.0] for name in names])
-    if draws.a2 is not None:
-        extremes, s, phase = draws.a2
-        cols = {**cols, "a2": np.concatenate([extremes * radius, (s * radius) * phase])}
-    vals, n_infeasible = _scores(case, draws.terms or _terms(cols))
-    n_eval = int(vals.size)
-    idx = int(np.argmax(vals))
-    sup = float(vals[idx])
-    best = np.array([[cols[name][idx]] for name in names])
-    if cfg.grid_refine:
-        for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
-            cand = best + units * (frac * radii)
-            mag = np.abs(cand)
-            pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
-            vm, infeasible = _scores(case, _terms(dict(zip(names, pert))))
-            n_eval += int(vm.size)
-            n_infeasible += infeasible
-            j = int(np.argmax(vm))
-            if vm[j] > sup:
-                sup = float(vm[j])
-                best = pert[:, j:j + 1]
-    return sup, _witness(case, dict(zip(names, best[:, 0].tolist()))), n_eval, n_infeasible
+    width = draws.cols["c2"].size
+    n_eval = width + (len(_REFINE_FRACTIONS) * _REFINE_BATCH if cfg.grid_refine else 0)
+    per_chunk = max(1, CHUNK_ELEMENTS // width)
+    for start in range(0, points.size, per_chunk):
+        chunk = points[start:start + per_chunk]
+        rows = np.arange(chunk.size)
+        case = _Case(cfg.mode, rule, *(c[chunk, None] for c in consts))
+        radius = case.u1 / case.lin          # |a2| is capped by |c1| <= 1
+        radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names], axis=1)
+        cols = dict(draws.cols)
+        if draws.a2 is not None:
+            extremes, s, phase = draws.a2
+            cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
+        a2sq, r = _evaluate(case, draws.terms or _terms(cols))
+        feasible, drawn_infeasible = _feasible(case, a2sq)
+        for pos, quantity in quantities:
+            vals = _scores(quantity, a2sq, r, feasible)
+            idx = np.argmax(vals, axis=1)
+            sup = vals[rows, idx]
+            best = np.stack([np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names], 1)
+            n_infeasible = drawn_infeasible
+            if cfg.grid_refine:
+                for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
+                    cand = best[:, :, None] + units * (frac * radii)
+                    mag = np.abs(cand)
+                    pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
+                    a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert.swapaxes(0, 1)))))
+                    feasible_k, infeasible_k = _feasible(case, a2sq_k)
+                    vm = _scores(quantity, a2sq_k, r_k, feasible_k)
+                    n_infeasible = n_infeasible + infeasible_k
+                    j = np.argmax(vm, axis=1)
+                    better = vm[rows, j] > sup
+                    sup = np.where(better, vm[rows, j], sup)
+                    best = np.where(better[:, None], pert[rows, :, j], best)
+            for row, i in enumerate(chunk.tolist()):
+                at = _Case(cfg.mode, rule, *(float(c[i]) for c in consts))
+                wit = _witness(at, dict(zip(names, best[row].tolist())))
+                yield (i, pos), (float(sup[row]), wit, n_eval, int(n_infeasible[row]))
+
+
+def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
+    """The result of every (point, quantity), points outermost: the one
+    search behind empirical_sup and sweep_verify."""
+    if cfg.mode not in (PROOF_SET, FULL_SYSTEM):
+        raise ValueError(f"unknown mode {cfg.mode!r}")
+    if cfg.n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {cfg.n_samples}")
+    cf, consts = _grid_cases(p_grid, [q.eta for q in quantities if q.kind == "fs"])
+    fs = iter(cf.fs)
+    closed = [next(fs).bound if q.kind == "fs" else getattr(cf, q.kind) for q in quantities]
+    found = {}
+    for singular, rule in itertools.product((False, True), _RULE_COLUMNS):
+        points = np.flatnonzero(cf.singular == singular)
+        picked = [(k, q) for k, q in enumerate(quantities) if _rule(q, cfg.mode, singular) == rule]
+        if points.size and picked:
+            found.update(_search_rule(rule, points, picked, consts, cfg))
+    results = []
+    for i, p in enumerate(p_grid):
+        for k, quantity in enumerate(quantities):
+            # unsearched: no finite constraint, the quantity is unbounded
+            sup, wit, n_eval, n_infeasible = found.get((i, k), (math.inf, None, 0, 0))
+            bound = float(closed[k][i])
+            verdict = (SKIPPED if wit is None or math.isinf(bound)
+                       else WITHIN_BOUND if sup <= bound + VERDICT_TOL else VIOLATION)
+            results.append(OracleResult(quantity, p, cfg.mode, sup, wit, n_eval, n_infeasible,
+                                        cfg.seed, bound, verdict))
+    return results
 
 
 def empirical_sup(
@@ -393,36 +424,7 @@ def empirical_sup(
     stays under the closed-form bound plus 1e-9; points whose closed form
     is unbounded are verdict "skipped" (nothing to violate).
     """
-    if cfg.mode not in (PROOF_SET, FULL_SYSTEM):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    if cfg.n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {cfg.n_samples}")
-    closed = _closed_form_bound(quantity, p)
-    case = _case(quantity, cfg.mode, p)
-    if case is None:
-        # no finite constraint at this point: |a2| (or the sloped branch)
-        # is genuinely unbounded over the relaxed set
-        sup, wit, n_eval, n_infeasible = math.inf, None, 0, 0
-    else:
-        sup, wit, n_eval, n_infeasible = _search(case, cfg)
-    if case is None or math.isinf(closed):
-        verdict = SKIPPED
-    elif sup <= closed + VERDICT_TOL:
-        verdict = WITHIN_BOUND
-    else:
-        verdict = VIOLATION
-    return OracleResult(
-        quantity=quantity,
-        params=p,
-        mode=cfg.mode,
-        sup_value=sup,
-        witness=wit,
-        n_samples=n_eval,
-        n_infeasible=n_infeasible,
-        seed=cfg.seed,
-        closed_form_bound=closed,
-        verdict=verdict,
-    )
+    return _search([p], [quantity], cfg)[0]
 
 
 def sweep_verify(
@@ -436,10 +438,8 @@ def sweep_verify(
     """
     if not p_grid:
         raise ValueError("empty parameter grid")
-    quantities = [A2, A3] + [fs_quantity(e) for e in eta_list]
-    return [empirical_sup(q, p, cfg) for p in p_grid for q in quantities]
+    return _search(p_grid, [A2, A3] + [fs_quantity(e) for e in eta_list], cfg)
 
 
 def violations(results: list[OracleResult]) -> list[OracleResult]:
     return [r for r in results if r.verdict == VIOLATION]
-

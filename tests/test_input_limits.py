@@ -6,10 +6,14 @@ import warnings
 
 import pytest
 
-from chebbounds.classop import PARAM_MAX, ClassParams, xi_of
+from chebbounds.bounds import corollary_bound, default_reduction_grid, reduction_check
+from chebbounds.classop import PARAM_MAX, ClassParams, check_eta, xi_of
 from chebbounds.cli import EXIT_USAGE, main
+from chebbounds.oracle import fs_quantity
 
 VALUES = {"lambda": "1", "mu": "1", "delta": "1", "t": "0.6"}
+# a regular point where eta = 1e308 once printed an infinite sloped bound
+SLOPED = {"lambda": "1", "mu": "0", "delta": "0", "t": "0.875"}
 
 
 def run(capsys, argv):
@@ -86,3 +90,41 @@ def test_series_lambda_past_2_53_is_rejected(capsys):
     code, out, _ = run(capsys, [*argv, "--lambda", repr(2.0 ** 53)])
     assert code == 0
     assert "operator[0] = 1\n" in out
+
+
+@pytest.mark.parametrize("eta, message", [("1e308", "<= 1e+75, got 1e+308"),
+                                          ("-1e76", ">= -1e+75, got -1e+76")])
+@pytest.mark.parametrize("command", ["bound", "sweep", "verify"])
+def test_eta_beyond_the_limit_is_rejected(capsys, tmp_path, command, eta, message):
+    out_file = tmp_path / "sweep.csv"
+    argv = [command, *params(**SLOPED), f"--eta={eta}"]
+    if command == "sweep":
+        argv += ["--output", str(out_file)]
+    elif command == "verify":
+        argv += ["--samples", "10"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: eta must be {message}" in err
+    assert not out_file.exists()
+
+
+def test_eta_limit_is_one_check():
+    above = math.nextafter(PARAM_MAX, math.inf)
+    assert check_eta(PARAM_MAX) == PARAM_MAX and check_eta(-PARAM_MAX) == -PARAM_MAX
+    assert fs_quantity(-PARAM_MAX).eta == -PARAM_MAX
+    p = default_reduction_grid("fs-basic")[0][0]
+    for eta, message in [(above, "^eta must be <= 1e\\+75"), (-above, "^eta must be >= -1e\\+75")]:
+        for reject in (check_eta, fs_quantity, lambda e: corollary_bound("fs-basic", p, e),
+                       lambda e: reduction_check("fs-lambda", etas=[e])):
+            with pytest.raises(ValueError, match=message):
+                reject(eta)
+
+
+def test_bound_at_the_eta_limit_is_finite(capsys):
+    argv = ["bound", *params(**SLOPED)]
+    code, out, _ = run(capsys, [*argv, f"--eta={PARAM_MAX!r}", f"--eta={-PARAM_MAX!r}"])
+    assert code == 0
+    fs = [line.split(" = ")[1].split()[0] for line in out.splitlines() if "fs_bound" in line]
+    assert len(fs) == 2 and all(math.isfinite(float(v)) for v in fs)
+    assert "singular_flag = false" in out

@@ -1,6 +1,6 @@
 """The one-point bound functions equal a row of the array closed form bit
-for bit, over the whole parameter domain: t next to 1/2 and 1, and
-lambda, mu and delta up to PARAM_MAX."""
+for bit, over the whole parameter domain: t next to 1/2 and 1, lambda,
+mu and delta up to PARAM_MAX and |eta| up to the same limit."""
 
 import math
 
@@ -22,9 +22,8 @@ points = st.tuples(
     st.floats(0.0, PARAM_MAX),
     st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
 )
-# past about 1e295 in size, eta overflows the sloped bound to inf on a
-# regular point; that is an input limit, apart from this property
-etas = st.floats(-1e290, 1e290)
+# the whole accepted eta range, |eta| <= PARAM_MAX (classop.check_eta)
+etas = st.floats(-PARAM_MAX, PARAM_MAX)
 
 
 def bits(x) -> str:
@@ -41,6 +40,8 @@ def bits(x) -> str:
                      (2.0, 0.0, 0.0, math.sqrt(0.5))], [1.0, 0.0, 2.0], CORRECTED)
 @hypothesis.example([(PARAM_MAX, 0.0, PARAM_MAX, T_LOW), (1.0, PARAM_MAX, 0.0, T_HIGH)],
                     [-1e290, 1e290], AS_PRINTED)
+@hypothesis.example([(1.0, 0.0, 0.0, 0.875), (1.0, 0.0, 0.0, T_LOW)],
+                    [-PARAM_MAX, PARAM_MAX], CORRECTED)
 def test_scalar_path_equals_grid_row(grid, eta_list, variant):
     lam, mu, delta, t = (np.array(axis) for axis in zip(*grid))
     cf = closed_form(lam, mu, delta, t, eta_list, variant)
@@ -57,3 +58,6 @@ def test_scalar_path_equals_grid_row(grid, eta_list, variant):
                     bits(fr.h_eta)] == [
                 bits(fs.bound[i]), bool(fs.flat[i]), bits(fs.threshold_m[i]),
                 bits(fs.h_eta[i])]
+            # an accepted eta keeps both branches finite on a regular point
+            if abs(eta) <= PARAM_MAX and not rep.singular:
+                assert math.isfinite(fr.bound) and math.isfinite(fr.h_eta)
