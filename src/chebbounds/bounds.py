@@ -88,9 +88,9 @@ def is_singular_denom(d_signed, scale):
 def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
     """(xi, A, B, signed d, flat denominator, threshold denominator).
 
-    Products are spelled out (``t * t``, never ``t ** 2``): Python's ``**``
-    calls libm ``pow`` while numpy squares exactly, so only multiplication
-    gives the same bits for floats and for arrays.
+    Products are spelled out (``t * t``, never a power): Python's power
+    operator calls libm ``pow`` while numpy squares exactly, so only
+    multiplication gives the same bits for floats and for arrays.
     """
     f = param_factors(lam, mu, delta)
     if variant == CORRECTED:
@@ -241,77 +241,56 @@ def fekete_szego_bound(
 #
 # Each slice spells out its own d, the scale of d and the flat denominator,
 # deliberately apart from the general formulas they are checked against.
+# Each formula takes (lam, mu, delta, t, eta) as floats or arrays, like closed_form.
 
 
-def _slice_lambda(p: ClassParams) -> tuple[float, float, float]:
-    lam, t = p.lam, p.t
-    return (1.0 + lam) ** 2 - 4.0 * lam * lam * t * t, (1.0 + lam) ** 2, 2.0 * lam + 1.0
+def _slice_lambda(lam, mu, delta, t):
+    w = 1.0 + lam
+    return w * w - 4.0 * lam * lam * t * t, w * w, 2.0 * lam + 1.0
 
 
-def _slice_mu(p: ClassParams) -> tuple[float, float, float]:
-    lam, mu, t = p.lam, p.mu, p.t
+def _slice_mu(lam, mu, delta, t):
     s = lam + mu
     d = s * s - 2.0 * (2.0 * s * s - (2.0 * lam + mu) * (mu + 1.0)) * t * t
     return d, s * s, 2.0 * lam + mu
 
 
-def _slice_delta(p: ClassParams) -> tuple[float, float, float]:
-    lam, delta, t = p.lam, p.delta, p.t
-    w = 1.0 + lam + 2.0 * delta
-    d = w * w - 4.0 * ((lam + 2.0 * delta) ** 2 - 2.0 * delta) * t * t
+def _slice_delta(lam, mu, delta, t):
+    w, v = 1.0 + lam + 2.0 * delta, lam + 2.0 * delta
+    d = w * w - 4.0 * (v * v - 2.0 * delta) * t * t
     return d, w * w, 1.0 + 2.0 * lam + 6.0 * delta
 
 
 def _coef_on(slice_fn):
-    def evaluate(p: ClassParams, eta: float | None) -> dict[str, float]:
-        d, scale, flat_den = slice_fn(p)
-        t = p.t
+    def evaluate(lam, mu, delta, t, eta):
+        d, scale, flat_den = slice_fn(lam, mu, delta, t)
         return {
-            "a2": float(bounds_from_denominator(t, d, scale, flat_den).a2),
+            "a2": bounds_from_denominator(t, d, scale, flat_den).a2,
             "a3": 4.0 * t * t / scale + 2.0 * t / flat_den,
         }
     return evaluate
 
 
 def _fs_on(slice_fn):
-    def evaluate(p: ClassParams, eta: float | None) -> dict[str, float]:
-        d, scale, flat_den = slice_fn(p)
-        (fs,) = bounds_from_denominator(p.t, d, scale, flat_den, (float(eta),)).fs
-        return {"fs": float(fs.bound)}
+    def evaluate(lam, mu, delta, t, eta):
+        d, scale, flat_den = slice_fn(lam, mu, delta, t)
+        (fs,) = bounds_from_denominator(t, d, scale, flat_den, (eta,)).fs
+        return {"fs": fs.bound}
     return evaluate
 
 
-def _coef_basic(p: ClassParams, eta: float | None) -> dict[str, float]:
-    t = p.t
-    return {
-        "a2": t * math.sqrt(2.0 * t) / math.sqrt(1.0 - t * t),
-        "a3": t * t + 2.0 * t / 3.0,
-    }
+def _coef_basic(lam, mu, delta, t, eta):
+    return {"a2": t * np.sqrt(2.0 * t) / np.sqrt(1.0 - t * t), "a3": t * t + 2.0 * t / 3.0}
 
 
-def _fs_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
-    return {"fs": 2.0 * p.t / p.fs_flat_denom}
+def _fs_eta1(lam, mu, delta, t, eta):
+    return {"fs": 2.0 * t / param_factors(lam, mu, delta).fs_flat_denom}
 
 
-def _fs_basic(p: ClassParams, eta: float | None) -> dict[str, float]:
-    t = p.t
-    dev = abs(float(eta) - 1.0)
+def _fs_basic(lam, mu, delta, t, eta):
+    dev = abs(eta - 1.0)
     m = (1.0 - t * t) / (3.0 * t * t)
-    if dev <= m:
-        return {"fs": 2.0 * t / 3.0}
-    return {"fs": 2.0 * dev * (t * t * t) / (1.0 - t * t)}
-
-
-def _fs_basic_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
-    return {"fs": 2.0 * p.t / 3.0}
-
-
-def _fs_lambda_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
-    return {"fs": 2.0 * p.t / (2.0 * p.lam + 1.0)}
-
-
-def _fs_delta_eta1(p: ClassParams, eta: float | None) -> dict[str, float]:
-    return {"fs": 2.0 * p.t / (1.0 + 2.0 * p.lam + 6.0 * p.delta)}
+    return {"fs": np.where(dev <= m, 2.0 * t / 3.0, 2.0 * dev * (t * t * t) / (1.0 - t * t))}
 
 
 _T81 = np.linspace(0.505, 0.995, 81)
@@ -339,12 +318,12 @@ _SLICES = {
     "coef-delta": (_coef_on(_slice_delta), _L5, [1.0], _D5, _T5, None),
     "fs-eta1": (_fs_eta1, _L3, _M3, _D3, _T3, [1.0]),
     "fs-basic": (_fs_basic, [1.0], [1.0], [0.0], _T9, _E9),
-    "fs-basic-eta1": (_fs_basic_eta1, [1.0], [1.0], [0.0], _T81, [1.0]),
+    "fs-basic-eta1": (_fs_basic, [1.0], [1.0], [0.0], _T81, [1.0]),
     "fs-lambda": (_fs_on(_slice_lambda), _L5, [1.0], [0.0], _T5, _E5),
-    "fs-lambda-eta1": (_fs_lambda_eta1, _L9, [1.0], [0.0], _T9, [1.0]),
+    "fs-lambda-eta1": (_fs_on(_slice_lambda), _L9, [1.0], [0.0], _T9, [1.0]),
     "fs-mu": (_fs_on(_slice_mu), _L3, _M3, [0.0], _T3, _E3),
     "fs-delta": (_fs_on(_slice_delta), _L3, [1.0], _D3, _T3, _E3),
-    "fs-delta-eta1": (_fs_delta_eta1, _L5, [1.0], _D5, _T5, [1.0]),
+    "fs-delta-eta1": (_fs_on(_slice_delta), _L5, [1.0], _D5, _T5, [1.0]),
 }
 
 
@@ -362,9 +341,13 @@ def _entry(cid: str) -> tuple:
         ) from None
 
 
-def _require_pin(cid: str, name: str, axis, value: float) -> None:
-    if len(axis) == 1 and abs(value - axis[0]) > 1e-12:
-        raise ValueError(f"corollary {cid!r} pins {name} = {axis[0]:g}, got {value:g}")
+def _require_pins(cid: str, axes, columns, names=("lambda", "mu", "delta", "t")) -> None:
+    """Reject the first value of a column (a float or an array) off its pin."""
+    for name, axis, values in zip(names, axes, columns):
+        values = np.atleast_1d(values)
+        off = values[np.abs(values - axis[0]) > 1e-12] if len(axis) == 1 else ()
+        if len(off):
+            raise ValueError(f"corollary {cid!r} pins {name} = {axis[0]:g}, got {off[0]:g}")
 
 
 def _slice_etas(
@@ -379,8 +362,7 @@ def _slice_etas(
             raise ValueError(f"corollary {cid!r} takes no eta")
         return [None]
     etas = [check_eta(eta) for eta in etas or ()]
-    for eta in etas:
-        _require_pin(cid, "eta", eta_axis, eta)
+    _require_pins(cid, [eta_axis], [etas], ["eta"])
     if etas:
         return etas
     if len(eta_axis) == 1:
@@ -396,10 +378,9 @@ def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[
     """
     formula, *axes, _ = _entry(cid)
     values = (p.lam, p.mu, p.delta, p.t)
-    for name, axis, value in zip(("lambda", "mu", "delta", "t"), axes, values):
-        _require_pin(cid, name, axis, value)
+    _require_pins(cid, axes, values)
     (eta,) = _slice_etas(cid, None if eta is None else [eta])
-    return formula(p, eta)
+    return {key: float(value) for key, value in formula(*values, eta).items()}
 
 
 @dataclass(frozen=True)
@@ -410,13 +391,13 @@ class ReductionResult:
     passed: bool
 
 
-def _deviation(special: float, general: float) -> float:
-    # the slice formulas go singular exactly where the general one does;
-    # two matched infinities are agreement, a mismatch or a nan is a failure
-    if math.isinf(special) and math.isinf(general):
-        return 0.0
-    dev = abs(special - general)
-    return math.inf if math.isnan(dev) else dev
+def _deviation(special, general):
+    # elementwise; the slice formulas go singular exactly where the general one
+    # does, so two matched infinities agree and a mismatch or a nan fails
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(special - general)
+    dev = np.where(np.isnan(dev), math.inf, dev)
+    return np.where(np.isinf(special) & np.isinf(general), 0.0, dev)
 
 
 def reduction_check(
@@ -428,7 +409,8 @@ def reduction_check(
     """Compare a printed specialization against the general bounds.
 
     Every point of the grid (crossed with the eta values for the
-    Fekete-Szego entries) must agree within REDUCTION_TOL.
+    Fekete-Szego entries) must agree within REDUCTION_TOL; each side is
+    evaluated once per eta over the whole grid.
     """
     if grid is None:
         grid, default_etas = default_reduction_grid(cid)
@@ -437,19 +419,14 @@ def reduction_check(
     eta_values = _slice_etas(cid, etas, "eta values to sweep")
     if not grid:
         raise ValueError("empty parameter grid")
-    lam, mu, delta, t = (
-        np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")
-    )
-    worst = 0.0
-    for eta in eta_values:
-        if eta is None:
-            cf = closed_form(lam, mu, delta, t)
-            general = {"a2": cf.a2, "a3": cf.a3}
-        else:
-            general = {"fs": closed_form(lam, mu, delta, t, (eta,), variant).fs[0].bound}
-        for i, p in enumerate(grid):
-            for key, val in corollary_bound(cid, p, eta).items():
-                worst = max(worst, _deviation(val, float(general[key][i])))
+    columns = [np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")]
+    formula, *axes, _ = _entry(cid)
+    _require_pins(cid, axes, columns)
+    fs_etas = [eta for eta in eta_values if eta is not None]
+    cf = closed_form(*columns, fs_etas, variant)
+    general = [{"fs": fs.bound} for fs in cf.fs] or [{"a2": cf.a2, "a3": cf.a3}]
+    worst = float(np.max([_deviation(special, side[key]) for eta, side in zip(eta_values, general)
+                          for key, special in formula(*columns, eta).items()]))
     return ReductionResult(cid, len(grid) * len(eta_values), worst, worst <= REDUCTION_TOL)
 
 

@@ -167,16 +167,9 @@ class SchwarzPair:
     admissible: bool
 
     @classmethod
-    def from_coeffs(
-        cls,
-        c1: complex,
-        c2: complex,
-        d1: complex,
-        d2: complex,
-        tol: float = ADMISSIBLE_TOL,
-    ) -> "SchwarzPair":
+    def from_coeffs(cls, c1: complex, c2: complex, d1: complex, d2: complex) -> "SchwarzPair":
         c1, c2, d1, d2 = complex(c1), complex(c2), complex(d1), complex(d2)
-        ok = all(abs(c) <= 1.0 + tol for c in (c1, c2, d1, d2))
+        ok = all(abs(c) <= 1.0 + ADMISSIBLE_TOL for c in (c1, c2, d1, d2))
         return cls(c1, c2, d1, d2, ok)
 
 
@@ -218,9 +211,7 @@ def quad_coeff_inverse(p: ClassParams, a2: complex, a3: complex) -> complex:
     )
 
 
-def extract_schwarz(
-    op_series: TruncatedSeries, t: float, tol: float = ADMISSIBLE_TOL
-) -> tuple[complex, complex]:
+def extract_schwarz(op_series: TruncatedSeries, t: float) -> tuple[complex, complex]:
     """Invert the subordination triangle: recover (c1, c2) from L[f].
 
     With s(z) = c1 z + c2 z^2 + ... the subordination forces
@@ -232,7 +223,7 @@ def extract_schwarz(
         raise ValueError(f"t must lie in the open interval (1/2, 1), got {t}")
     if op_series.order < 2:
         raise ValueError(f"need order >= 2 to extract two coefficients, got {op_series.order}")
-    if abs(op_series.coeffs[0] - 1.0) > tol:
+    if abs(op_series.coeffs[0] - 1.0) > ADMISSIBLE_TOL:
         raise ValueError(
             f"malformed operator series: constant term {op_series.coeffs[0]!r}, expected 1"
         )
@@ -243,9 +234,7 @@ def extract_schwarz(
     return c1, c2
 
 
-def membership_feasibility(
-    a2: complex, a3: complex, p: ClassParams, tol: float = ADMISSIBLE_TOL
-) -> SchwarzPair:
+def membership_feasibility(a2: complex, a3: complex, p: ClassParams) -> SchwarzPair:
     """Necessary order-3 membership condition for coefficients (a2, a3).
 
     Solves the four coefficient relations for the Schwarz coefficients
@@ -260,4 +249,4 @@ def membership_feasibility(
     d1 = -c1
     c2 = (quad_coeff_direct(p, a2, a3) - u2 * c1 * c1) / u1
     d2 = (quad_coeff_inverse(p, a2, a3) - u2 * d1 * d1) / u1
-    return SchwarzPair.from_coeffs(c1, c2, d1, d2, tol=tol)
+    return SchwarzPair.from_coeffs(c1, c2, d1, d2)

@@ -54,6 +54,9 @@ EXIT_IO = 3
 
 # sweep rows computed, rendered and written at a time: bounds a sweep's memory
 CSV_CHUNK_ROWS = 4096
+# largest truncation order from the command line (cheb --n-max, series --order
+# or the length of --coeffs): the series arithmetic grows with its square or cube
+_MAX_ORDER = 256
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
            ("t", "t", "in (1/2, 1)"))
@@ -154,12 +157,14 @@ def _parse_coeffs(text: str) -> list[complex]:
     return vals
 
 
-def _int_at_least(floor: int):
-    """An argparse type: an integer no smaller than ``floor``."""
+def _int_in(floor: int | None, ceiling: int | None = None):
+    """An argparse type: an integer in [floor, ceiling], where None is no limit."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < floor:
+        if floor is not None and value < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
         return value
     parse.__name__ = "int"           # argparse's "invalid int value" message
     return parse
@@ -369,6 +374,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     tail = args.coeffs
     # the one default that depends on another option: room for every coefficient
     order = args.order if args.order is not None else max(DEFAULT_ORDER, len(tail) + 1)
+    if order > _MAX_ORDER:
+        raise ValueError(f"--coeffs takes at most {_MAX_ORDER - 1} values, got {len(tail)}")
     f = NormalizedSeries.from_tail(tail, order=order)
     g = invert_compositional(f)
     values = {f"f[{k}]": f.coeffs[k] for k in range(2, order + 1)}
@@ -432,9 +439,9 @@ def _suite_chebyshev() -> tuple[bool, list[str]]:
         for t in np.linspace(-1.0, 1.0, 50)
     )
     dev_series = max(
-        abs(gen_fun_coeffs(t, 30)[n] - cheb_u(n, t))
+        abs(ser - cheb_u(n, t))
         for t in (0.55, 0.75, 0.95)
-        for n in range(31)
+        for n, ser in enumerate(gen_fun_coeffs(t, 30))
     )
     ok = dev_closed <= 1e-13 and dev_series <= 1e-10
     return ok, [
@@ -581,9 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("verify", cmd_verify, "run the self-verification suites")
     add_common(sp, typ=str, defaults=("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"),
                etas=(0.0, 1.0, 2.0), eta_help="; default 0 1 2")
-    sp.add_argument("--samples", type=_int_at_least(1), default=10_000,
+    sp.add_argument("--samples", type=_int_in(1), default=10_000,
                     help="oracle samples per point (default %(default)s)")
-    sp.add_argument("--seed", type=_int_at_least(0), default=1729,
+    sp.add_argument("--seed", type=_int_in(0), default=1729,
                     help="oracle seed (default %(default)s)")
     sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
@@ -591,14 +598,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("cheb", cmd_cheb, "second-kind Chebyshev values, two routes")
     sp.add_argument("--t", type=float, help="evaluation point in [-1, 1]")
-    sp.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=10,
-                    help="largest degree (default %(default)s)")
+    sp.add_argument("--n-max", dest="n_max", type=_int_in(0, _MAX_ORDER), default=10,
+                    help=f"largest degree (default %(default)s, at most {_MAX_ORDER})")
 
     sp = add_command("series", cmd_series, "inverse-series and operator demo")
     sp.add_argument("--coeffs", type=_parse_coeffs,
                     help="comma-separated a2,a3,... (complex allowed)")
-    sp.add_argument("--order", type=int,
-                    help=f"truncation order (default {DEFAULT_ORDER}, or more to fit --coeffs)")
+    sp.add_argument("--order", type=_int_in(None, _MAX_ORDER),
+                    help=f"truncation order (default {DEFAULT_ORDER}, or more to fit --coeffs; "
+                    f"at most {_MAX_ORDER})")
     add_common(sp)
 
     return parser
