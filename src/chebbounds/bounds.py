@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .classop import ClassParams, check_eta, param_factors, param_points
+from .classop import ClassParams, ParamFactors, check_eta, param_factors, param_points
 
 CORRECTED = "corrected"
 AS_PRINTED = "as-printed"
@@ -61,13 +61,14 @@ class DenominatorBounds(NamedTuple):
 
     singular: np.ndarray
     a2: np.ndarray           # +inf where d vanishes
+    a3: np.ndarray
     fs: tuple[FeketeSzegoColumns, ...]
 
 
 class ClosedForm(NamedTuple):
     """Every closed-form quantity, at one point or elementwise over arrays."""
 
-    xi: np.ndarray
+    factors: ParamFactors    # the parameter combinations the bounds were built from
     A: np.ndarray
     B: np.ndarray
     d: np.ndarray            # signed A - 2 (2A - B) t^2
@@ -86,7 +87,7 @@ def is_singular_denom(d_signed, scale):
 
 
 def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
-    """(xi, A, B, signed d, flat denominator, threshold denominator).
+    """(parameter factors, A, B, signed d, threshold denominator).
 
     Products are spelled out (``t * t``, never a power): Python's power
     operator calls libm ``pow`` while numpy squares exactly, so only
@@ -101,20 +102,20 @@ def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
         raise ValueError(f"unknown variant {variant!r}; use {CORRECTED!r} or {AS_PRINTED!r}")
     a = f.op_linear_factor * f.op_linear_factor
     b = f.quad_sum_factor
-    return f.xi, a, b, a - 2.0 * (2.0 * a - b) * t * t, f.fs_flat_denom, m_den
+    return f, a, b, a - 2.0 * (2.0 * a - b) * t * t, m_den
 
 
 def bounds_from_denominator(
     t, d, scale, flat_den, etas: Iterable[float] = (), m_den=None
 ) -> DenominatorBounds:
-    """Singular flag, |a2| bound and Fekete-Szego columns from d.
+    """Singular flag, |a2| and |a3| bounds and Fekete-Szego columns from d.
 
-    |a2| <= 2t sqrt(2t) / sqrt(|d|).  The Fekete-Szego bound is flat,
-    2t / flat_den, inside |eta - 1| <= M and sloped, 8 |eta - 1| t^3 / |d|,
-    outside, with M = |d| / (4 m_den t^2) (m_den defaults to flat_den, the
-    corrected convention).  Where d vanishes relative to ``scale`` the
-    |a2| bound and the sloped branch are +inf and M is 0.  Each eta may be
-    a float or an array broadcasting against t.
+    |a2| <= 2t sqrt(2t) / sqrt(|d|), |a3| <= 4t^2 / scale + 2t / flat_den.
+    The Fekete-Szego bound is flat, 2t / flat_den, inside |eta - 1| <= M and
+    sloped, 8 |eta - 1| t^3 / |d|, outside, with M = |d| / (4 m_den t^2)
+    (m_den defaults to flat_den, the corrected convention).  Where d vanishes
+    relative to ``scale`` (A for the theorem) the |a2| bound and the sloped
+    branch are +inf and M is 0.  Each eta may be an array broadcasting with t.
     """
     m_den = flat_den if m_den is None else m_den
     singular = is_singular_denom(d, scale)
@@ -123,6 +124,7 @@ def bounds_from_denominator(
     d = np.where(singular, 0.0, d)
     absd = np.abs(d)
     flat_bound = 2.0 * t / flat_den
+    a3 = 4.0 * t * t / scale + flat_bound
     t3 = t * t * t
     fs = []
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,7 +139,7 @@ def bounds_from_denominator(
                 threshold_m=m,
                 h_eta=np.where(eta == 1.0, 0.0, 2.0 * t * t * (1.0 - eta) / d),
             ))
-    return DenominatorBounds(singular, a2, tuple(fs))
+    return DenominatorBounds(singular, a2, a3, tuple(fs))
 
 
 def closed_form(
@@ -150,15 +152,13 @@ def closed_form(
     than one-element arrays.  ``variant`` picks the threshold convention
     of the Fekete-Szego columns, one per eta.
     """
-    xi, a, b, d, flat_den, m_den = _theorem_factors(lam, mu, delta, t, variant)
-    singular, a2, fs = bounds_from_denominator(t, d, a, flat_den, etas, m_den)
-    a3 = 4.0 * t * t / a + 2.0 * t / flat_den
-    return ClosedForm(xi, a, b, d, singular, a2, a3, fs)
+    f, a, b, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
+    return ClosedForm(f, a, b, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
 
 
 def theorem_denominator(p: ClassParams) -> tuple[float, float, float]:
     """(A, B, signed denominator A - 2 (2A - B) t^2)."""
-    _, a, b, d, _, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
+    _, a, b, d, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
     return a, b, d
 
 
@@ -240,7 +240,8 @@ def fekete_szego_bound(
 # printed specializations on pinned parameter slices
 #
 # Each slice spells out its own d, the scale of d and the flat denominator,
-# deliberately apart from the general formulas they are checked against.
+# apart from the general formulas, for the theorem's kernel to bound; the basic
+# slices write their bounds out by hand, so a fault in the kernel still fails.
 # Each formula takes (lam, mu, delta, t, eta) as floats or arrays, like closed_form.
 
 
@@ -261,21 +262,11 @@ def _slice_delta(lam, mu, delta, t):
     return d, w * w, 1.0 + 2.0 * lam + 6.0 * delta
 
 
-def _coef_on(slice_fn):
+def _kernel_on(slice_fn):
     def evaluate(lam, mu, delta, t, eta):
         d, scale, flat_den = slice_fn(lam, mu, delta, t)
-        return {
-            "a2": bounds_from_denominator(t, d, scale, flat_den).a2,
-            "a3": 4.0 * t * t / scale + 2.0 * t / flat_den,
-        }
-    return evaluate
-
-
-def _fs_on(slice_fn):
-    def evaluate(lam, mu, delta, t, eta):
-        d, scale, flat_den = slice_fn(lam, mu, delta, t)
-        (fs,) = bounds_from_denominator(t, d, scale, flat_den, (eta,)).fs
-        return {"fs": fs.bound}
+        k = bounds_from_denominator(t, d, scale, flat_den, () if eta is None else (eta,))
+        return {"a2": k.a2, "a3": k.a3} if eta is None else {"fs": k.fs[0].bound}
     return evaluate
 
 
@@ -313,17 +304,17 @@ _E3 = [0.0, 1.0, 3.0]
 # coefficient slice has no eta axis (None).
 _SLICES = {
     "coef-basic": (_coef_basic, [1.0], [1.0], [0.0], _T81, None),
-    "coef-lambda": (_coef_on(_slice_lambda), _L9, [1.0], [0.0], _T9, None),
-    "coef-mu": (_coef_on(_slice_mu), _L5, _M5, [0.0], _T5, None),
-    "coef-delta": (_coef_on(_slice_delta), _L5, [1.0], _D5, _T5, None),
+    "coef-lambda": (_kernel_on(_slice_lambda), _L9, [1.0], [0.0], _T9, None),
+    "coef-mu": (_kernel_on(_slice_mu), _L5, _M5, [0.0], _T5, None),
+    "coef-delta": (_kernel_on(_slice_delta), _L5, [1.0], _D5, _T5, None),
     "fs-eta1": (_fs_eta1, _L3, _M3, _D3, _T3, [1.0]),
     "fs-basic": (_fs_basic, [1.0], [1.0], [0.0], _T9, _E9),
     "fs-basic-eta1": (_fs_basic, [1.0], [1.0], [0.0], _T81, [1.0]),
-    "fs-lambda": (_fs_on(_slice_lambda), _L5, [1.0], [0.0], _T5, _E5),
-    "fs-lambda-eta1": (_fs_on(_slice_lambda), _L9, [1.0], [0.0], _T9, [1.0]),
-    "fs-mu": (_fs_on(_slice_mu), _L3, _M3, [0.0], _T3, _E3),
-    "fs-delta": (_fs_on(_slice_delta), _L3, [1.0], _D3, _T3, _E3),
-    "fs-delta-eta1": (_fs_on(_slice_delta), _L5, [1.0], _D5, _T5, [1.0]),
+    "fs-lambda": (_kernel_on(_slice_lambda), _L5, [1.0], [0.0], _T5, _E5),
+    "fs-lambda-eta1": (_kernel_on(_slice_lambda), _L9, [1.0], [0.0], _T9, [1.0]),
+    "fs-mu": (_kernel_on(_slice_mu), _L3, _M3, [0.0], _T3, _E3),
+    "fs-delta": (_kernel_on(_slice_delta), _L3, [1.0], _D3, _T3, _E3),
+    "fs-delta-eta1": (_kernel_on(_slice_delta), _L5, [1.0], _D5, _T5, [1.0]),
 }
 
 

@@ -33,7 +33,6 @@ from .classop import (
     extract_schwarz,
     membership_feasibility,
     param_axes,
-    param_factors,
     param_grid,
     param_points,
 )
@@ -57,6 +56,8 @@ CSV_CHUNK_ROWS = 4096
 # largest truncation order from the command line (cheb --n-max, series --order
 # or the length of --coeffs): the series arithmetic grows with its square or cube
 _MAX_ORDER = 256
+# largest verify --samples: the oracle holds about 230 bytes per sample of a point
+_MAX_SAMPLES = 1_000_000
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
            ("t", "t", "in (1/2, 1)"))
@@ -102,16 +103,20 @@ def read_config(path: str) -> dict[str, str]:
 def parse_range(text: str, name: str = "range") -> tuple[float, float, int]:
     """VALUE or START:STOP:COUNT with finite ends; ``name`` labels errors."""
     parts = str(text).split(":")
-    if len(parts) == 1:
-        start = stop = float(parts[0])
-        count = 1
-    elif len(parts) == 3:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+    try:
+        if len(parts) not in (1, 3):
+            raise ValueError
+        start, stop = float(parts[0]), float(parts[len(parts) // 2])   # VALUE is both ends
+    except ValueError:
+        raise ValueError(f"{name} must be VALUE or START:STOP:COUNT, got {text!r}") from None
+    count = 1
+    if len(parts) == 3:
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"{name} count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise ValueError(f"{name} count must be >= 1, got {count}")
-    else:
-        raise ValueError(f"{name} must be VALUE or START:STOP:COUNT, got {text!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{name} must be finite, got {text!r}")
     return (start, stop, count)
@@ -157,11 +162,11 @@ def _parse_coeffs(text: str) -> list[complex]:
     return vals
 
 
-def _int_in(floor: int | None, ceiling: int | None = None):
-    """An argparse type: an integer in [floor, ceiling], where None is no limit."""
+def _int_in(floor: int, ceiling: int | None = None):
+    """An argparse type: an integer in [floor, ceiling], where None is no ceiling."""
     def parse(text: str) -> int:
         value = int(text)
-        if floor is not None and value < floor:
+        if value < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
         if ceiling is not None and value > ceiling:
             raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
@@ -277,7 +282,7 @@ def sweep_rows(spec: SweepSpec, axes: list[np.ndarray], start: int, stop: int) -
     lam, mu, delta, t = param_grid(axes, start, stop)
     cf = closed_form(lam, mu, delta, t, spec.etas, spec.variant)
     fs = [f.bound for f in cf.fs]
-    return [lam, mu, delta, t, cf.xi, cf.a2, cf.a3, *fs, np.abs(cf.d), cf.singular]
+    return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, np.abs(cf.d), cf.singular]
 
 
 def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
@@ -430,8 +435,8 @@ def _suite_reductions() -> tuple[bool, list[str]]:
 def _suite_chebyshev() -> tuple[bool, list[str]]:
     closed = {
         2: lambda t: 4.0 * t * t - 1.0,
-        3: lambda t: 8.0 * t ** 3 - 4.0 * t,
-        4: lambda t: 16.0 * t ** 4 - 12.0 * t * t + 1.0,
+        3: lambda t: 8.0 * (t * t * t) - 4.0 * t,
+        4: lambda t: 16.0 * (t * t * t * t) - 12.0 * t * t + 1.0,
     }
     dev_closed = max(
         abs(cheb_u(n, t) - form(t))
@@ -464,7 +469,7 @@ def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
         expected = {
             2: -a2,
             3: 2.0 * a2 * a2 - a3,
-            4: -(5.0 * a2 ** 3 - 5.0 * a2 * a3 + a4),
+            4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4),
         }
         worst_coeff = max(
             worst_coeff, max(abs(g.coeffs[k] - v) for k, v in expected.items())
@@ -483,11 +488,9 @@ def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
     lam, mu, delta, t = 1.0 + 2.0 * u[:, 0], 2.0 * u[:, 1], u[:, 2], 0.55 + 0.4 * u[:, 3]
     cf = closed_form(lam, mu, delta, t, (1.0,), variant)
     regular = ~cf.singular
-    flat = (2.0 * t / param_factors(lam, mu, delta).fs_flat_denom)[regular]
+    flat = (2.0 * t / cf.factors.fs_flat_denom)[regular]
     t, d, m = t[regular], cf.d[regular], cf.fs[0].threshold_m[regular]
-    # Python's pow: numpy's vectorised one may round t^3 to the other neighbour
-    t3 = np.array([x ** 3 for x in t.tolist()])
-    worst = float(np.max(np.abs(flat - 8.0 * m * t3 / np.abs(d)), initial=0.0))
+    worst = float(np.max(np.abs(flat - 8.0 * m * (t * t * t) / np.abs(d)), initial=0.0))
     line = f"fs branch continuity ({variant}): {len(t)} draws, max gap at threshold {worst:.3e}"
     if variant == CORRECTED:
         return worst <= 1e-10, [line]
@@ -588,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("verify", cmd_verify, "run the self-verification suites")
     add_common(sp, typ=str, defaults=("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"),
                etas=(0.0, 1.0, 2.0), eta_help="; default 0 1 2")
-    sp.add_argument("--samples", type=_int_in(1), default=10_000,
-                    help="oracle samples per point (default %(default)s)")
+    sp.add_argument("--samples", type=_int_in(1, _MAX_SAMPLES), default=10_000,
+                    help=f"oracle samples per point (default %(default)s, at most {_MAX_SAMPLES})")
     sp.add_argument("--seed", type=_int_in(0), default=1729,
                     help="oracle seed (default %(default)s)")
     sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
@@ -604,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("series", cmd_series, "inverse-series and operator demo")
     sp.add_argument("--coeffs", type=_parse_coeffs,
                     help="comma-separated a2,a3,... (complex allowed)")
-    sp.add_argument("--order", type=_int_in(None, _MAX_ORDER),
+    sp.add_argument("--order", type=_int_in(2, _MAX_ORDER),
                     help=f"truncation order (default {DEFAULT_ORDER}, or more to fit --coeffs; "
                     f"at most {_MAX_ORDER})")
     add_common(sp)

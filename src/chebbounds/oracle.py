@@ -46,7 +46,7 @@ import numpy as np
 # perfbench wraps bound_a2, bound_a3, fekete_szego_bound and cheb_u here by name
 from .bounds import CORRECTED, bound_a2, bound_a3, closed_form, fekete_szego_bound  # noqa: F401
 from .chebyshev import cheb_u  # noqa: F401
-from .classop import ADMISSIBLE_TOL, ClassParams, SchwarzPair, check_eta, param_factors
+from .classop import ADMISSIBLE_TOL, ClassParams, SchwarzPair, check_eta
 
 PROOF_SET = "proof-set"
 FULL_SYSTEM = "full-system"
@@ -186,7 +186,7 @@ def _grid_cases(p_grid: list[ClassParams], etas=()):
     and the _Case constants (u1, lin, A, prefactor, 2F), one array each."""
     lam, mu, delta, t = np.array([(p.lam, p.mu, p.delta, p.t) for p in p_grid]).T
     cf = closed_form(lam, mu, delta, t, etas, CORRECTED)
-    f = param_factors(lam, mu, delta)
+    f = cf.factors
     return cf, (2.0 * t, f.op_linear_factor, cf.A, cf.d / (2.0 * t * t), 2.0 * f.fs_flat_denom)
 
 
@@ -295,7 +295,7 @@ def solve_member_coeffs(
     else:
         w = _witness(case, {"c2": c2, "d2": d2})
         a2v, c1 = (w.a2, w.schwarz.c1) if sign == 1 else (-w.a2, -w.schwarz.c1)
-    if mode == FULL_SYSTEM and abs(c1) > 1.0 + ADMISSIBLE_TOL:
+    if mode == FULL_SYSTEM and not w.schwarz.admissible:
         return MemberSolution("infeasible")
     return MemberSolution("ok", a2v, w.a3, c1)
 
