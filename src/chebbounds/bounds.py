@@ -70,8 +70,7 @@ class ClosedForm(NamedTuple):
 
     factors: ParamFactors    # the parameter combinations the bounds were built from
     A: np.ndarray
-    B: np.ndarray
-    d: np.ndarray            # signed A - 2 (2A - B) t^2
+    d: np.ndarray            # signed A - 2 (2A - B) t^2, B = factors.quad_sum_factor
     singular: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
@@ -152,8 +151,8 @@ def closed_form(
     than one-element arrays.  ``variant`` picks the threshold convention
     of the Fekete-Szego columns, one per eta.
     """
-    f, a, b, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
-    return ClosedForm(f, a, b, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
+    f, a, _, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
+    return ClosedForm(f, a, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
 
 
 def theorem_denominator(p: ClassParams) -> tuple[float, float, float]:
@@ -208,7 +207,7 @@ def bound_report(p: ClassParams) -> BoundReport:
         a2_bound=float(cf.a2),
         a3_bound=float(cf.a3),
         A=float(cf.A),
-        B=float(cf.B),
+        B=float(cf.factors.quad_sum_factor),
         denom=float(abs(cf.d)),
     )
 

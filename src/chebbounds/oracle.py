@@ -26,10 +26,10 @@ the summed degree-2 relation), linear (from the linear relations), free
 One search serves a whole grid (``empirical_sup`` is a one-point grid),
 with its bounds and case constants from one ``closed_form`` call.  Each
 rule's samples and refinement steps are drawn once per (seed, sample
-count) and scored against chunks of points; a chunk's a2^2, r and
-feasibility serve all of the rule's quantities, and a refinement round
-moves every incumbent of the chunk at once.  Results equal a per-point
-search's bit for bit.
+count).  A sampling pass scores them against chunks of points, whose
+a2^2, r and feasibility serve all of the rule's quantities; a refinement
+pass then moves the incumbents of many points per round, in chunks of
+no more elements.  Results equal a per-point search's bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ VERDICT_TOL = 1e-9
 _REFINE_FRACTIONS = (0.25, 0.1, 0.04, 0.016, 0.0064)
 _REFINE_BATCH = 20
 
-# samples scored at a time, points x (samples + extremes), at least one
-# point: bounds the search's memory whatever the grid size
+# elements per working array of the search, whatever the grid size: points x
+# (samples + extremes), or points x columns x refinement batch; at least a point
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -342,48 +342,58 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
 
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
     """Search one rule at the grid indices ``points`` for each (position,
-    quantity) of ``quantities``, a chunk of points at a time.  Yields
-    ((point index, position), (sup, witness, n_samples, n_infeasible))."""
+    quantity) of ``quantities``: a sampling pass, then a refinement pass.
+    Yields ((point index, position), (sup, witness, n_samples, n_infeasible))."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     width = draws.cols["c2"].size
     n_eval = width + (len(_REFINE_FRACTIONS) * _REFINE_BATCH if cfg.grid_refine else 0)
-    per_chunk = max(1, CHUNK_ELEMENTS // width)
-    for start in range(0, points.size, per_chunk):
-        chunk = points[start:start + per_chunk]
-        rows = np.arange(chunk.size)
-        case = _Case(cfg.mode, rule, *(c[chunk, None] for c in consts))
-        radius = case.u1 / case.lin          # |a2| is capped by |c1| <= 1
-        radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names], axis=1)
+    # per (quantity, point): the sup, its incumbent columns and infeasible count
+    sup = np.empty((len(quantities), points.size))
+    best = np.empty((len(quantities), len(names), points.size), complex)
+    n_infeasible = np.empty((len(quantities), points.size), int)
+
+    def chunks(per_point):
+        """(slice, rows, case columns, |a2| cap from |c1| <= 1) per chunk."""
+        per_chunk = max(1, CHUNK_ELEMENTS // per_point)
+        for start in range(0, points.size, per_chunk):
+            span = slice(start, start + per_chunk)
+            case = _Case(cfg.mode, rule, *(c[points[span], None] for c in consts))
+            yield span, np.arange(case.u1.shape[0]), case, case.u1 / case.lin
+
+    for span, rows, case, radius in chunks(width):
         cols = dict(draws.cols)
         if draws.a2 is not None:
             extremes, s, phase = draws.a2
             cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
         a2sq, r = _evaluate(case, draws.terms or _terms(cols))
-        feasible, drawn_infeasible = _feasible(case, a2sq)
-        for pos, quantity in quantities:
+        feasible, n_infeasible[:, span] = _feasible(case, a2sq)
+        for k, (_, quantity) in enumerate(quantities):
             vals = _scores(quantity, a2sq, r, feasible)
             idx = np.argmax(vals, axis=1)
-            sup = vals[rows, idx]
-            best = np.stack([np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names], 1)
-            n_infeasible = drawn_infeasible
-            if cfg.grid_refine:
-                for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
-                    cand = best[:, :, None] + units * (frac * radii)
-                    mag = np.abs(cand)
-                    pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
-                    a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert.swapaxes(0, 1)))))
-                    feasible_k, infeasible_k = _feasible(case, a2sq_k)
-                    vm = _scores(quantity, a2sq_k, r_k, feasible_k)
-                    n_infeasible = n_infeasible + infeasible_k
-                    j = np.argmax(vm, axis=1)
-                    better = vm[rows, j] > sup
-                    sup = np.where(better, vm[rows, j], sup)
-                    best = np.where(better[:, None], pert[rows, :, j], best)
-            for row, i in enumerate(chunk.tolist()):
-                at = _Case(cfg.mode, rule, *(float(c[i]) for c in consts))
-                wit = _witness(at, dict(zip(names, best[row].tolist())))
-                yield (i, pos), (float(sup[row]), wit, n_eval, int(n_infeasible[row]))
+            sup[k, span] = vals[rows, idx]
+            best[k, :, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
+    # a round's candidates are columns x points x batch steps
+    for span, rows, case, radius in chunks(len(names) * _REFINE_BATCH) if cfg.grid_refine else ():
+        radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names])
+        for k, (_, quantity) in enumerate(quantities):
+            for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
+                cand = best[k, :, span, None] + units[:, None] * (frac * radii)
+                mag = np.abs(cand)
+                pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
+                a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert))))
+                feasible_k, infeasible_k = _feasible(case, a2sq_k)
+                vm = _scores(quantity, a2sq_k, r_k, feasible_k)
+                n_infeasible[k, span] += infeasible_k
+                j = np.argmax(vm, axis=1)
+                better = vm[rows, j] > sup[k, span]
+                sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
+                best[k, :, span] = np.where(better, pert[:, rows, j], best[k, :, span])
+    for row, i in enumerate(points.tolist()):
+        at = _Case(cfg.mode, rule, *(float(c[i]) for c in consts))
+        for k, (pos, _) in enumerate(quantities):
+            wit = _witness(at, dict(zip(names, best[k, :, row].tolist())))
+            yield (i, pos), (float(sup[k, row]), wit, n_eval, int(n_infeasible[k, row]))
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):

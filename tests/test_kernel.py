@@ -65,7 +65,7 @@ def test_coefficient_bounds_bit_identical():
     assert _bits(cf.a2) == _bits([r.a2_bound for r in reports])
     assert _bits(cf.a3) == _bits([r.a3_bound for r in reports])
     assert _bits(cf.A) == _bits([r.A for r in reports])
-    assert _bits(cf.B) == _bits([r.B for r in reports])
+    assert _bits(cf.factors.quad_sum_factor) == _bits([r.B for r in reports])
     assert _bits(np.abs(cf.d)) == _bits([r.denom for r in reports])
     assert _bits(cf.d) == _bits([theorem_denominator(p)[2] for p in POINTS])
     assert cf.singular.tolist() == [r.singular for r in reports]

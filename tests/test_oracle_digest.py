@@ -1,8 +1,9 @@
 """Every OracleResult of the default ``verify`` grid and of the full-system
 benchmark grid at seed 5, pinned as one sha256 per grid: sup bits, sample
 and infeasible counts, witness and verdict.  The digest must not depend
-on how many points the search scores at a time, and the search's
-transient memory must not grow with the grid."""
+on how many points the search scores or refines at a time, and the
+search's transient memory must not grow with the grid.  A second pin per
+grid, without refinement, guards the sampling pass on its own."""
 
 import hashlib
 import tracemalloc
@@ -22,6 +23,12 @@ GRIDS = {
                     "16ebb66839fa830285319847c132638bfe8e67b7b29a1774a29215a3b9932d29"),
 }
 
+# name -> digest of the same search with grid_refine=False
+UNREFINED = {
+    "verify": "605d1847fc59c35aeb0e0f86a2f49c25058f4d8882ac9e32d446ed0b58b58697",
+    "verify-full": "d3ca0ed45ccae4336dc477f48b119f8b0dee0f6675ce6119e279ca1bc7d34b79",
+}
+
 
 def digest(results) -> str:
     h = hashlib.sha256()
@@ -36,8 +43,11 @@ def grid_of(ranges):
 
 
 # oracle.CHUNK_ELEMENTS values: one point at a time, seven points of the
-# summed and free rules (samples + 25 extremes each), the default
+# summed and free rules (samples + 25 extremes each), one sampled point
+# with refinement chunks of 7 points (two columns) and 3 points (the
+# linear rule's four), the default
 CHUNKS = {"1-point": lambda samples: 1, "7-points": lambda samples: 7 * (samples + 25),
+          "refine-split": lambda samples: 7 * 2 * oracle._REFINE_BATCH,
           "default": lambda samples: oracle.CHUNK_ELEMENTS}
 
 
@@ -48,6 +58,15 @@ def test_verify_grid_results_pinned(monkeypatch, name, chunk):
     monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
     cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
     assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
+
+
+@pytest.mark.parametrize("chunk", ["1-point", "default"])
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_unrefined_grid_results_pinned(monkeypatch, name, chunk):
+    ranges, mode, samples, _ = GRIDS[name]
+    monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
+    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5, grid_refine=False)
+    assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == UNREFINED[name]
 
 
 def _transient_peak(grid, cfg) -> int:

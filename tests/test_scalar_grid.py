@@ -50,7 +50,7 @@ def test_scalar_path_equals_grid_row(grid, eta_list, variant):
         rep = bound_report(p)
         assert [bits(rep.a2_bound), bits(rep.a3_bound), bits(rep.A), bits(rep.B),
                 bits(rep.denom), rep.singular] == [
-            bits(cf.a2[i]), bits(cf.a3[i]), bits(cf.A[i]), bits(cf.B[i]),
+            bits(cf.a2[i]), bits(cf.a3[i]), bits(cf.A[i]), bits(cf.factors.quad_sum_factor[i]),
             bits(abs(cf.d[i])), bool(cf.singular[i])]
         for eta, fs in zip(eta_list, cf.fs):
             fr = fekete_szego_bound(p, eta, variant)
