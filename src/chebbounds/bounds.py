@@ -86,7 +86,7 @@ def is_singular_denom(d_signed, scale):
 
 
 def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
-    """(parameter factors, A, B, signed d, threshold denominator).
+    """(parameter factors, A, signed d, threshold denominator).
 
     Products are spelled out (``t * t``, never a power): Python's power
     operator calls libm ``pow`` while numpy squares exactly, so only
@@ -100,8 +100,7 @@ def _theorem_factors(lam, mu, delta, t, variant: str = CORRECTED):
     else:
         raise ValueError(f"unknown variant {variant!r}; use {CORRECTED!r} or {AS_PRINTED!r}")
     a = f.op_linear_factor * f.op_linear_factor
-    b = f.quad_sum_factor
-    return f, a, b, a - 2.0 * (2.0 * a - b) * t * t, m_den
+    return f, a, a - 2.0 * (2.0 * a - f.quad_sum_factor) * t * t, m_den
 
 
 def bounds_from_denominator(
@@ -151,14 +150,14 @@ def closed_form(
     than one-element arrays.  ``variant`` picks the threshold convention
     of the Fekete-Szego columns, one per eta.
     """
-    f, a, _, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
+    f, a, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
     return ClosedForm(f, a, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
 
 
 def theorem_denominator(p: ClassParams) -> tuple[float, float, float]:
     """(A, B, signed denominator A - 2 (2A - B) t^2)."""
-    _, a, b, d, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
-    return a, b, d
+    f, a, d, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
+    return a, f.quad_sum_factor, d
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,7 @@ class BoundReport:
     A: float
     B: float
     denom: float             # |A - 2 (2A - B) t^2|
-
-    @property
-    def singular(self) -> bool:
-        return math.isinf(self.a2_bound)
+    singular: bool           # d vanishes relative to A; the a2 bound is then +inf
 
 
 @dataclass(frozen=True)
@@ -209,6 +205,7 @@ def bound_report(p: ClassParams) -> BoundReport:
         A=float(cf.A),
         B=float(cf.factors.quad_sum_factor),
         denom=float(abs(cf.d)),
+        singular=bool(cf.singular),
     )
 
 

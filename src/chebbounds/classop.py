@@ -73,11 +73,6 @@ def check_eta(eta) -> float:
     return _checked("eta", eta, -PARAM_MAX)
 
 
-def xi_of(lam: float, mu: float) -> float:
-    """xi = (2 lam + mu) / (2 lam + 1)."""
-    return param_factors(_checked("lambda", lam, 1.0), _checked("mu", mu, 0.0), 0.0).xi
-
-
 @dataclass(frozen=True)
 class ClassParams:
     """Admissible parameter tuple (lam, mu, delta, t) of the class."""
@@ -100,29 +95,8 @@ class ClassParams:
 
     @property
     def factors(self) -> ParamFactors:
+        """The parameter combinations; see ParamFactors."""
         return param_factors(self.lam, self.mu, self.delta)
-
-    # the combinations one at a time; see ParamFactors
-
-    @property
-    def xi(self) -> float:
-        return self.factors.xi
-
-    @property
-    def op_linear_factor(self) -> float:
-        return self.factors.op_linear_factor
-
-    @property
-    def quad_sum_factor(self) -> float:
-        return self.factors.quad_sum_factor
-
-    @property
-    def fs_flat_denom(self) -> float:
-        return self.factors.fs_flat_denom
-
-    @property
-    def fs_printed_denom(self) -> float:
-        return self.factors.fs_printed_denom
 
 
 def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
@@ -188,7 +162,7 @@ def apply_operator(f: NormalizedSeries, p: ClassParams) -> TruncatedSeries:
     return (
         (1.0 - p.lam) * base.pow_real(p.mu)
         + p.lam * fprime.mul(base.pow_real(p.mu - 1.0))
-        + (p.xi * p.delta) * z_fsecond
+        + (p.factors.xi * p.delta) * z_fsecond
     )
 
 
@@ -245,7 +219,7 @@ def membership_feasibility(a2: complex, a3: complex, p: ClassParams) -> SchwarzP
     a2, a3 = complex(a2), complex(a3)
     u1 = cheb_u(1, p.t)
     u2 = cheb_u(2, p.t)
-    c1 = p.op_linear_factor * a2 / u1
+    c1 = p.factors.op_linear_factor * a2 / u1
     d1 = -c1
     c2 = (quad_coeff_direct(p, a2, a3) - u2 * c1 * c1) / u1
     d2 = (quad_coeff_inverse(p, a2, a3) - u2 * d1 * d1) / u1

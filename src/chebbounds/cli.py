@@ -12,7 +12,6 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,51 +235,37 @@ def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-def _ranges(args: argparse.Namespace) -> dict[str, tuple[float, float, int]]:
-    _require(args, _PARAM_FLAGS)
-    return {dest: parse_range(getattr(args, dest), name) for name, dest, _ in _PARAMS}
-
-
 # ---------------------------------------------------------------------------
 # sweep plumbing
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: four parameter ranges plus rendering."""
-
-    lam: tuple[float, float, int]
-    mu: tuple[float, float, int]
-    delta: tuple[float, float, int]
-    t: tuple[float, float, int]
-    etas: tuple[float, ...] = ()
-    out_format: str = "csv"
-    output: str | None = None
-    variant: str = CORRECTED
+def _axes(args: argparse.Namespace) -> list[np.ndarray]:
+    """The four parameter axes that the range flags ask for, unchecked."""
+    _require(args, _PARAM_FLAGS)
+    ranges = [parse_range(getattr(args, dest), name) for name, dest, _ in _PARAMS]
+    return [np.linspace(*rng) for rng in ranges]
 
 
-def _axes(spec: SweepSpec) -> list[np.ndarray]:
-    return [np.linspace(*rng) for rng in (spec.lam, spec.mu, spec.delta, spec.t)]
+def grid_points(args: argparse.Namespace) -> list[ClassParams]:
+    """The grid of the range flags, one ClassParams per point."""
+    return param_points(*_axes(args))
 
 
-def grid_points(spec: SweepSpec) -> list[ClassParams]:
-    """The sweep's grid, one ClassParams per point."""
-    return param_points(*_axes(spec))
-
-
-def sweep_header(spec: SweepSpec) -> list[str]:
+def sweep_header(etas) -> list[str]:
     return (
         ["lambda", "mu", "delta", "t", "xi", "a2_bound", "a3_bound"]
-        + [_fs_label(eta) for eta in spec.etas]
+        + [_fs_label(eta) for eta in etas]
         + ["denom", "singular_flag"]
     )
 
 
-def sweep_rows(spec: SweepSpec, axes: list[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
+def sweep_rows(
+    axes: list[np.ndarray], start: int, stop: int, etas, variant: str
+) -> list[np.ndarray]:
     """Rows [start, stop) of the sweep over the checked ``axes``, held as
     one array per column of ``sweep_header``, in its order."""
     lam, mu, delta, t = param_grid(axes, start, stop)
-    cf = closed_form(lam, mu, delta, t, spec.etas, spec.variant)
+    cf = closed_form(lam, mu, delta, t, etas, variant)
     fs = [f.bound for f in cf.fs]
     return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, np.abs(cf.d), cf.singular]
 
@@ -307,18 +292,18 @@ def render_json(header: list[str], columns: list[np.ndarray]) -> str:
     return ",\n".join([item % row for row in zip(*cells)])
 
 
-def _write_sweep(fh, spec: SweepSpec, axes: list[np.ndarray]) -> None:
+def _write_sweep(fh, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
     """Compute, render and write the sweep one chunk of rows at a time;
     the output is the same for every chunk size."""
-    header = sweep_header(spec)
-    if spec.out_format == "json":
+    header = sweep_header(etas)
+    if out_format == "json":
         render, head, between, tail = render_json, "[\n", ",\n", "\n]\n"
     else:
         render, head, between, tail = render_csv, ",".join(header) + "\n", "", ""
     n_rows = math.prod(len(axis) for axis in axes)
     fh.write(head)
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
-        columns = sweep_rows(spec, axes, start, min(start + CSV_CHUNK_ROWS, n_rows))
+        columns = sweep_rows(axes, start, min(start + CSV_CHUNK_ROWS, n_rows), etas, variant)
         fh.write((between if start else "") + render(header, columns))
     fh.write(tail)
 
@@ -336,7 +321,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"mu = {fmt(p.mu)}")
     print(f"delta = {fmt(p.delta)}")
     print(f"t = {fmt(p.t)}")
-    print(f"xi = {fmt(p.xi)}")
+    print(f"xi = {fmt(p.factors.xi)}")
     print(f"a2_bound = {fmt(rep.a2_bound)}")
     print(f"a3_bound = {fmt(rep.a3_bound)}")
     for eta in etas:
@@ -351,14 +336,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(**_ranges(args), etas=_check_etas(args.eta), out_format=args.out_format,
-                     output=args.output, variant=args.variant)
-    axes = param_axes(*_axes(spec))          # every value checked before any output
-    if spec.output:
-        with open(spec.output, "w", encoding="utf-8", newline="") as fh:
-            _write_sweep(fh, spec, axes)
+    unchecked = _axes(args)
+    etas = _check_etas(args.eta)
+    axes = param_axes(*unchecked)            # every value checked before any output
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            _write_sweep(fh, axes, etas, args.variant, args.out_format)
     else:
-        _write_sweep(sys.stdout, spec, axes)
+        _write_sweep(sys.stdout, axes, etas, args.variant, args.out_format)
     return EXIT_OK
 
 
@@ -528,7 +513,7 @@ def _suite_oracle(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    grid = grid_points(SweepSpec(**_ranges(args)))
+    grid = grid_points(args)
     etas = list(_check_etas(args.eta))
     cfg = OracleConfig(
         mode=args.mode, n_samples=args.samples, seed=args.seed, grid_refine=args.refine

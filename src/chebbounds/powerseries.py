@@ -17,6 +17,7 @@ in the caller, not a request for coercion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,7 +35,7 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
 
     @classmethod
     def make(cls, coeffs: Iterable[Coefficient], order: int | None = None) -> "TruncatedSeries":
@@ -89,10 +90,7 @@ class TruncatedSeries:
         """Cauchy product, truncated at the shared order."""
         self._check_same_order(other)
         a, b = self.coeffs, other.coeffs
-        out = [
-            sum(a[i] * b[k - i] for i in range(k + 1))
-            for k in range(self.order + 1)
-        ]
+        out = [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(self.order + 1)]
         return TruncatedSeries(tuple(out))
 
     # ------------------------------------------------------------------
@@ -166,11 +164,6 @@ class NormalizedSeries(TruncatedSeries):
         return cls(tuple(cs))
 
 
-def identity_series(order: int) -> NormalizedSeries:
-    """The series z, padded to ``order``."""
-    return NormalizedSeries.from_tail([], order=order)
-
-
 def invert_compositional(f: NormalizedSeries) -> NormalizedSeries:
     """Compositional inverse g with g(f(z)) = z through the shared order.
 
@@ -180,8 +173,8 @@ def invert_compositional(f: NormalizedSeries) -> NormalizedSeries:
     if f.order < 2:
         raise ValueError("inversion needs order >= 2 to carry any information")
     n = f.order
-    powers: list[TruncatedSeries] = [f]          # powers[k] = f^(k+1)
-    for _ in range(n - 1):
+    powers: list[TruncatedSeries] = [f]          # powers[k] = f^(k+1), k <= n - 2
+    for _ in range(n - 2):
         powers.append(powers[-1].mul(f))
     b: list[complex] = [0j, 1.0 + 0j]
     for d in range(2, n + 1):

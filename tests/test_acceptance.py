@@ -114,9 +114,9 @@ def test_criterion_3_operator_coefficient_identities(acceptance_report):
         opg = apply_operator(invert_compositional(f), p)
         worst = max(
             worst,
-            abs(op.coeffs[1] - p.op_linear_factor * a2),
+            abs(op.coeffs[1] - p.factors.op_linear_factor * a2),
             abs(op.coeffs[2] - quad_coeff_direct(p, a2, a3)),
-            abs(opg.coeffs[1] + p.op_linear_factor * a2),
+            abs(opg.coeffs[1] + p.factors.op_linear_factor * a2),
             abs(opg.coeffs[2] - quad_coeff_inverse(p, a2, a3)),
         )
     assert worst <= 1e-12
@@ -162,7 +162,7 @@ def test_criterion_5_branch_continuity_and_misprint(acceptance_report):
         if is_singular_denom(d, a):
             continue
         n_checked += 1
-        flat = 2 * p.t / p.fs_flat_denom
+        flat = 2 * p.t / p.factors.fs_flat_denom
         m_corr = fekete_szego_bound(p, 1.0, CORRECTED).threshold_m
         worst_gap = max(worst_gap, abs(flat - 8 * m_corr * p.t**3 / abs(d)))
         if p.delta > 0:

@@ -92,7 +92,7 @@ def test_fs_branches_meet_at_threshold_corrected():
     for p in (P0, ClassParams(1.5, 1.0, 0.25, 0.9), ClassParams(2.0, 0.5, 1.0, 0.7)):
         m = fekete_szego_bound(p, 1.0).threshold_m
         lo = fekete_szego_bound(p, 1.0 + m).bound
-        flat = 2 * p.t / p.fs_flat_denom
+        flat = 2 * p.t / p.factors.fs_flat_denom
         assert lo == pytest.approx(flat, abs=1e-12)
 
 

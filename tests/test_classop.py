@@ -10,16 +10,15 @@ from chebbounds.classop import (
     membership_feasibility,
     quad_coeff_direct,
     quad_coeff_inverse,
-    xi_of,
 )
 from chebbounds.chebyshev import cheb_u, gen_fun_coeffs
 from chebbounds.powerseries import NormalizedSeries, TruncatedSeries, invert_compositional
 
 
 def test_xi_values():
-    assert xi_of(1.0, 1.0) == 1.0
-    assert xi_of(1.0, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert xi_of(2.0, 3.0) == pytest.approx(1.4, abs=1e-15)
+    assert ClassParams(1.0, 1.0, 0.0, 0.6).factors.xi == 1.0
+    assert ClassParams(1.0, 0.0, 0.0, 0.6).factors.xi == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert ClassParams(2.0, 3.0, 0.0, 0.6).factors.xi == pytest.approx(1.4, abs=1e-15)
 
 
 def test_params_validation_messages():
@@ -37,11 +36,11 @@ def test_params_validation_messages():
 
 def test_derived_factors():
     p = ClassParams(1.5, 1.0, 0.25, 0.9)
-    assert p.xi == 1.0
-    assert p.op_linear_factor == 3.0
-    assert p.quad_sum_factor == 11.0
-    assert p.fs_flat_denom == 5.5
-    assert p.fs_printed_denom == 4.5
+    assert p.factors.xi == 1.0
+    assert p.factors.op_linear_factor == 3.0
+    assert p.factors.quad_sum_factor == 11.0
+    assert p.factors.fs_flat_denom == 5.5
+    assert p.factors.fs_printed_denom == 4.5
 
 
 def test_schwarz_pair_admissibility():
@@ -90,11 +89,11 @@ def test_operator_low_degree_identities():
         f = NormalizedSeries.from_tail([a2, a3], order=5)
         op = apply_operator(f, p)
         assert abs(op.coeffs[0] - 1.0) <= 1e-14
-        assert abs(op.coeffs[1] - p.op_linear_factor * a2) <= 1e-12
+        assert abs(op.coeffs[1] - p.factors.op_linear_factor * a2) <= 1e-12
         assert abs(op.coeffs[2] - quad_coeff_direct(p, a2, a3)) <= 1e-12
         g = invert_compositional(f)
         opg = apply_operator(g, p)
-        assert abs(opg.coeffs[1] + p.op_linear_factor * a2) <= 1e-12
+        assert abs(opg.coeffs[1] + p.factors.op_linear_factor * a2) <= 1e-12
         assert abs(opg.coeffs[2] - quad_coeff_inverse(p, a2, a3)) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,6 @@ from chebbounds.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    SweepSpec,
     grid_points,
     main,
     parse_range,
@@ -57,10 +57,8 @@ def test_read_config_comments_and_normalization(tmp_path):
 
 
 def test_grid_points_order():
-    spec = SweepSpec(
-        lam=(1.0, 2.0, 2), mu=(0.0, 0.0, 1), delta=(0.0, 0.0, 1), t=(0.6, 0.8, 2)
-    )
-    pts = grid_points(spec)
+    args = argparse.Namespace(lam="1:2:2", mu="0", delta="0", t="0.6:0.8:2")
+    pts = grid_points(args)
     assert [(p.lam, p.t) for p in pts] == [(1, 0.6), (1, 0.8), (2, 0.6), (2, 0.8)]
 
 

@@ -88,6 +88,64 @@ VERIFY_FULL = """\
 verify: PASS
 """
 
+SERIES_OPERATOR = """\
+order = 8
+f[2] = 0.3
+f[3] = 0.1
+f[4] = 0
+f[5] = 0
+f[6] = 0
+f[7] = 0
+f[8] = 0
+inverse[2] = -0.3
+inverse[3] = 0.08
+inverse[4] = 0.015
+inverse[5] = -0.0456
+inverse[6] = 0.04074
+inverse[7] = -0.021072
+inverse[8] = 0.0011187
+compose_residual = 2.22e-17
+operator[0] = 1
+operator[1] = 0.6
+operator[2] = 0.3
+operator[3] = 0
+operator[4] = 0
+operator[5] = 0
+operator[6] = 0
+operator[7] = 0
+c1 = 0.5
+c2 = 0.158333333333
+membership_d2 = 0.108333333333
+admissible = true
+"""
+
+SERIES_COMPLEX = """\
+order = 12
+f[2] = 0.1+0.2j
+f[3] = -0.05
+f[4] = 0
+f[5] = 0
+f[6] = 0
+f[7] = 0
+f[8] = 0
+f[9] = 0
+f[10] = 0
+f[11] = 0
+f[12] = 0
+inverse[2] = -0.1-0.2j
+inverse[3] = -0.01+0.08j
+inverse[4] = 0.03-0.04j
+inverse[5] = -0.0338+0.0084j
+inverse[6] = 0.02198+0.01036j
+inverse[7] = -0.008106-0.015792j
+inverse[8] = -0.0024651+0.0133518j
+inverse[9] = 0.00796565-0.0070642j
+inverse[10] = -0.008476897+0.000532246j
+inverse[11] = 0.0056853407+0.0038823824j
+inverse[12] = -0.00172358784-0.00538693688j
+compose_residual = 7.76e-18
+"""
+
 
 def test_sweep_csv_golden(capsys):
     assert run(capsys, SWEEP) == SWEEP_CSV
@@ -111,3 +169,14 @@ def test_verify_as_printed_continuity_golden(capsys, seed, gap):
     line = (f"[INFO] fs branch continuity (as-printed): 500 draws, max gap at threshold {gap}"
             " (discontinuity expected for delta > 0; informational)\n")
     assert line in run(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("series --coeffs 0.3,0.1 --lambda 1 --mu 1 --delta 0 --t 0.6", SERIES_OPERATOR),
+        ("series --coeffs 0.1+0.2j,-0.05 --order 12", SERIES_COMPLEX),
+    ],
+)
+def test_series_golden(capsys, command, expected):
+    assert run(capsys, shlex.split(command)) == expected

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from chebbounds.bounds import corollary_bound, default_reduction_grid, reduction_check
-from chebbounds.classop import PARAM_MAX, ClassParams, check_eta, xi_of
+from chebbounds.classop import PARAM_MAX, ClassParams, check_eta
 from chebbounds.cli import EXIT_USAGE, main
 from chebbounds.oracle import fs_quantity
 
@@ -53,8 +53,6 @@ def test_class_params_limit():
                        ((1.0, 0.0, above, 0.6), "delta")]:
         with pytest.raises(ValueError, match=f"^{name} must be <= 1e\\+75"):
             ClassParams(*args)
-    with pytest.raises(ValueError, match="^mu must be <= 1e\\+75"):
-        xi_of(1.0, above)
 
 
 def test_bound_at_the_limit_is_finite(capsys):

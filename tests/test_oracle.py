@@ -174,7 +174,7 @@ def test_singular_point_full_system_sweeps_free_a2():
     cfg = OracleConfig(mode=FULL_SYSTEM, n_samples=2000, seed=5)
     res = empirical_sup(A2, P_SING, cfg)
     assert res.verdict == SKIPPED
-    cap = 2.0 * P_SING.t / P_SING.op_linear_factor        # U1(t) / lin
+    cap = 2.0 * P_SING.t / P_SING.factors.op_linear_factor  # U1(t) / lin
     assert res.sup_value == pytest.approx(cap, rel=1e-6)
 
 

@@ -25,9 +25,9 @@ TIGHTNESS_FLOOR = 1.0 - 1e-3
 
 def exact_sup_a2(p) -> float | None:
     """The exact full-system sup |a2|; None on a singular point."""
-    lin, t = p.op_linear_factor, p.t
+    lin, t = p.factors.op_linear_factor, p.t
     a = lin * lin
-    d = a - 2.0 * (2.0 * a - p.quad_sum_factor) * t * t
+    d = a - 2.0 * (2.0 * a - p.factors.quad_sum_factor) * t * t
     if is_singular_denom(d, a):
         return None
     u1 = 2.0 * t

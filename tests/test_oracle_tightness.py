@@ -11,7 +11,7 @@ TIGHTNESS_FLOOR = 1.0 - 1e-3
 def test_tightness_floor_on_default_verify_grid(acceptance_report):
     args = cli.build_parser().parse_args(["verify"])
     assert args.mode == PROOF_SET
-    grid = cli.grid_points(cli.SweepSpec(**cli._ranges(args)))
+    grid = cli.grid_points(args)
     cfg = OracleConfig(
         mode=args.mode, n_samples=args.samples, seed=args.seed, grid_refine=args.refine
     )

@@ -44,7 +44,7 @@ def _cells(ranges) -> tuple[list[str], list[list]]:
     for point in itertools.product(*axes):
         p = ClassParams(*point)
         rep = bound_report(p)
-        cells = [p.lam, p.mu, p.delta, p.t, p.xi, rep.a2_bound, rep.a3_bound]
+        cells = [p.lam, p.mu, p.delta, p.t, p.factors.xi, rep.a2_bound, rep.a3_bound]
         rows.append(cells + [fekete_szego_bound(p, e).bound for e in etas]
                     + [rep.denom, rep.singular])
     return header, rows
