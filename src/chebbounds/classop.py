@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .chebyshev import cheb_u
 from .powerseries import NormalizedSeries, TruncatedSeries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # admissibility is a closed-disk condition; the tolerance keeps witnesses
 # constructed at |c| = 1 admissible after a float round trip
@@ -30,6 +31,9 @@ ADMISSIBLE_TOL = 1e-9
 # largest lambda, mu and delta: up to it A = lin^2 <= 4.5e299, so no bound
 # overflows float64 (overflow starts between 1e77 and 1e78)
 PARAM_MAX = 1e75
+# the oracle's two constraint sets (see chebbounds.oracle)
+PROOF_SET = "proof-set"
+FULL_SYSTEM = "full-system"
 
 
 class ParamFactors(NamedTuple):
@@ -105,6 +109,7 @@ def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
     Every value of every axis passes through ClassParams once; its checks
     are per parameter, so this fails exactly when some grid point would.
     """
+    import numpy as np
     axes = [np.asarray(axis, dtype=float) for axis in (lams, mus, deltas, ts)]
     for i in range(max(len(axis) for axis in axes)):
         ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
@@ -114,6 +119,7 @@ def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
 def param_grid(axes, start: int = 0, stop: int | None = None) -> list[np.ndarray]:
     """Points [start, stop) of the lexicographic grid over ``param_axes``,
     as four flat arrays; only those points are built."""
+    import numpy as np
     shape = [len(axis) for axis in axes]
     rows = np.arange(start, math.prod(shape) if stop is None else stop)
     return [axis[i] for axis, i in zip(axes, np.unravel_index(rows, shape))]

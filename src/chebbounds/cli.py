@@ -12,20 +12,13 @@ import argparse
 import cmath
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bounds import (
-    AS_PRINTED,
-    CORRECTED,
-    bound_report,
-    closed_form,
-    corollary_ids,
-    fekete_szego_bound,
-    reduction_check,
-)
+from .bounds import AS_PRINTED, CORRECTED, bound_report, closed_form, fekete_szego_bound
 from .chebyshev import cheb_u, gen_fun_coeffs
 from .classop import (
+    FULL_SYSTEM,
+    PROOF_SET,
     ClassParams,
     apply_operator,
     check_eta,
@@ -35,15 +28,10 @@ from .classop import (
     param_grid,
     param_points,
 )
-from .oracle import (
-    FULL_SYSTEM,
-    PROOF_SET,
-    SKIPPED,
-    OracleConfig,
-    sweep_verify,
-    violations,
-)
 from .powerseries import DEFAULT_ORDER, NormalizedSeries, TruncatedSeries, invert_compositional
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -241,6 +229,7 @@ def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
 
 def _axes(args: argparse.Namespace) -> list[np.ndarray]:
     """The four parameter axes that the range flags ask for, unchecked."""
+    import numpy as np
     _require(args, _PARAM_FLAGS)
     ranges = [parse_range(getattr(args, dest), name) for name, dest, _ in _PARAMS]
     return [np.linspace(*rng) for rng in ranges]
@@ -267,7 +256,7 @@ def sweep_rows(
     lam, mu, delta, t = param_grid(axes, start, stop)
     cf = closed_form(lam, mu, delta, t, etas, variant)
     fs = [f.bound for f in cf.fs]
-    return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, np.abs(cf.d), cf.singular]
+    return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, abs(cf.d), cf.singular]
 
 
 def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
@@ -401,38 +390,44 @@ def _compose_residual(f: NormalizedSeries, g: NormalizedSeries) -> float:
 
 # ---------------------------------------------------------------------------
 # verify suites
+#
+# Only verify imports the oracle and the reductions, and it calls them through
+# these names, so that they stay patchable on this module.
+
+
+def sweep_verify(grid, etas, cfg):
+    from .oracle import sweep_verify
+    return sweep_verify(grid, etas, cfg)
+
+
+def reduction_check(cid: str):
+    from .reductions import reduction_check
+    return reduction_check(cid)
 
 
 def _suite_reductions() -> tuple[bool, list[str]]:
+    from .reductions import corollary_ids
     results = [reduction_check(cid) for cid in corollary_ids()]
     line = (
         f"corollary reductions: {len(results)} slices, {sum(r.n_points for r in results)} "
         f"points, max deviation {max(r.max_deviation for r in results):.3e}"
     )
-    failing = [
-        f"  failing slice: {r.corollary} (max deviation {r.max_deviation:.3e})"
-        for r in results
-        if not r.passed
-    ]
+    failing = [f"  failing slice: {r.corollary} (max deviation {r.max_deviation:.3e})"
+               for r in results if not r.passed]
     return not failing, [line] + failing
 
 
 def _suite_chebyshev() -> tuple[bool, list[str]]:
+    import numpy as np
     closed = {
         2: lambda t: 4.0 * t * t - 1.0,
         3: lambda t: 8.0 * (t * t * t) - 4.0 * t,
         4: lambda t: 16.0 * (t * t * t * t) - 12.0 * t * t + 1.0,
     }
-    dev_closed = max(
-        abs(cheb_u(n, t) - form(t))
-        for n, form in closed.items()
-        for t in np.linspace(-1.0, 1.0, 50)
-    )
-    dev_series = max(
-        abs(ser - cheb_u(n, t))
-        for t in (0.55, 0.75, 0.95)
-        for n, ser in enumerate(gen_fun_coeffs(t, 30))
-    )
+    dev_closed = max(abs(cheb_u(n, t) - form(t))
+                     for n, form in closed.items() for t in np.linspace(-1.0, 1.0, 50))
+    dev_series = max(abs(ser - cheb_u(n, t))
+                     for t in (0.55, 0.75, 0.95) for n, ser in enumerate(gen_fun_coeffs(t, 30)))
     ok = dev_closed <= 1e-13 and dev_series <= 1e-10
     return ok, [
         f"chebyshev cross-validation: closed-form dev {dev_closed:.3e}, "
@@ -441,9 +436,9 @@ def _suite_chebyshev() -> tuple[bool, list[str]]:
 
 
 def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
+    import numpy as np
     rng = np.random.default_rng(seed)
-    worst_coeff = 0.0
-    worst_resid = 0.0
+    worst_coeff = worst_resid = 0.0
     for _ in range(100):
         a2, a3, a4 = (
             0.2 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
@@ -456,9 +451,8 @@ def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
             3: 2.0 * a2 * a2 - a3,
             4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4),
         }
-        worst_coeff = max(
-            worst_coeff, max(abs(g.coeffs[k] - v) for k, v in expected.items())
-        )
+        dev = max(abs(g.coeffs[k] - v) for k, v in expected.items())
+        worst_coeff = max(worst_coeff, dev)
         worst_resid = max(worst_resid, _compose_residual(f, g))
     ok = worst_coeff <= 1e-12 and worst_resid <= 1e-12
     return ok, [
@@ -469,6 +463,7 @@ def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
 
 def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
     """ok is None for the as-printed variant, whose gap is informational."""
+    import numpy as np
     u = np.random.default_rng(seed).random((500, 4))
     lam, mu, delta, t = 1.0 + 2.0 * u[:, 0], 2.0 * u[:, 1], u[:, 2], 0.55 + 0.4 * u[:, 3]
     cf = closed_form(lam, mu, delta, t, (1.0,), variant)
@@ -483,8 +478,11 @@ def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
 
 
 def _suite_oracle(
-    grid: list[ClassParams], etas: list[float], cfg: OracleConfig
+    grid: list[ClassParams], etas: list[float], args: argparse.Namespace
 ) -> tuple[bool, list[str]]:
+    from .oracle import SKIPPED, OracleConfig, violations
+    cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed,
+                       grid_refine=args.refine)
     results = sweep_verify(grid, etas, cfg)
     viols = violations(results)
     n_skipped = sum(1 for r in results if r.verdict == SKIPPED)
@@ -515,16 +513,13 @@ def _suite_oracle(
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = grid_points(args)
     etas = list(_check_etas(args.eta))
-    cfg = OracleConfig(
-        mode=args.mode, n_samples=args.samples, seed=args.seed, grid_refine=args.refine
-    )
 
     suites = [
         _suite_reductions(),
         _suite_chebyshev(),
         _suite_inverse(args.seed),
         _suite_continuity(args.variant, args.seed),
-        _suite_oracle(grid, etas, cfg),
+        _suite_oracle(grid, etas, args),
     ]
     for ok, lines in suites:
         print(f"[{'INFO' if ok is None else 'PASS' if ok else 'FAIL'}]", "\n".join(lines))

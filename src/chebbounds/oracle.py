@@ -46,10 +46,7 @@ import numpy as np
 # perfbench wraps bound_a2, bound_a3, fekete_szego_bound and cheb_u here by name
 from .bounds import CORRECTED, bound_a2, bound_a3, closed_form, fekete_szego_bound  # noqa: F401
 from .chebyshev import cheb_u  # noqa: F401
-from .classop import ADMISSIBLE_TOL, ClassParams, SchwarzPair, check_eta
-
-PROOF_SET = "proof-set"
-FULL_SYSTEM = "full-system"
+from .classop import ADMISSIBLE_TOL, FULL_SYSTEM, PROOF_SET, ClassParams, SchwarzPair, check_eta
 
 WITHIN_BOUND = "within-bound"
 VIOLATION = "violation"

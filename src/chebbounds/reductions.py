@@ -1,0 +1,204 @@
+"""The reduction table: the printed specializations of the bounds on
+parameter slices, which ``reduction_check`` confirms against the general
+formulas.
+
+Each slice spells out its own d, the scale of d and the flat denominator,
+apart from the general formulas, for the theorem's kernel to bound; the
+basic slices write their bounds out by hand, so a fault in the kernel
+still fails.  Each formula takes (lam, mu, delta, t, eta) as floats or
+arrays, like ``closed_form``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bounds import CORRECTED, bounds_from_denominator, closed_form
+from .classop import ClassParams, check_eta, param_factors, param_points
+
+REDUCTION_TOL = 1e-12
+
+
+def _slice_lambda(lam, mu, delta, t):
+    w = 1.0 + lam
+    return w * w - 4.0 * lam * lam * t * t, w * w, 2.0 * lam + 1.0
+
+
+def _slice_mu(lam, mu, delta, t):
+    s = lam + mu
+    d = s * s - 2.0 * (2.0 * s * s - (2.0 * lam + mu) * (mu + 1.0)) * t * t
+    return d, s * s, 2.0 * lam + mu
+
+
+def _slice_delta(lam, mu, delta, t):
+    w, v = 1.0 + lam + 2.0 * delta, lam + 2.0 * delta
+    d = w * w - 4.0 * (v * v - 2.0 * delta) * t * t
+    return d, w * w, 1.0 + 2.0 * lam + 6.0 * delta
+
+
+def _kernel_on(slice_fn):
+    def evaluate(lam, mu, delta, t, eta):
+        d, scale, flat_den = slice_fn(lam, mu, delta, t)
+        k = bounds_from_denominator(t, d, scale, flat_den, () if eta is None else (eta,))
+        return {"a2": k.a2, "a3": k.a3} if eta is None else {"fs": k.fs[0].bound}
+    return evaluate
+
+
+def _coef_basic(lam, mu, delta, t, eta):
+    return {"a2": t * np.sqrt(2.0 * t) / np.sqrt(1.0 - t * t), "a3": t * t + 2.0 * t / 3.0}
+
+
+def _fs_eta1(lam, mu, delta, t, eta):
+    return {"fs": 2.0 * t / param_factors(lam, mu, delta).fs_flat_denom}
+
+
+def _fs_basic(lam, mu, delta, t, eta):
+    dev = abs(eta - 1.0)
+    m = (1.0 - t * t) / (3.0 * t * t)
+    return {"fs": np.where(dev <= m, 2.0 * t / 3.0, 2.0 * dev * (t * t * t) / (1.0 - t * t))}
+
+
+_T81 = np.linspace(0.505, 0.995, 81)
+_T9 = np.linspace(0.55, 0.95, 9)
+_T5 = np.linspace(0.55, 0.95, 5)
+_T3 = [0.55, 0.75, 0.95]
+_L9 = np.linspace(1.0, 3.0, 9)
+_L5 = np.linspace(1.0, 3.0, 5)
+_L3 = [1.0, 2.0, 3.0]
+_M5 = np.linspace(0.0, 2.0, 5)
+_M3 = [0.0, 1.0, 2.0]
+_D5 = np.linspace(0.0, 1.0, 5)
+_D3 = [0.0, 0.5, 1.0]
+_E9 = np.linspace(-2.0, 4.0, 9).tolist()
+_E5 = [-2.0, 0.0, 1.0, 2.0, 4.0]
+_E3 = [0.0, 1.0, 3.0]
+
+# id -> (printed formula, lambda, mu, delta and t axes, eta axis).  The axes
+# span the slice's verification grid, and a one-value axis is a pin.  A
+# coefficient slice has no eta axis (None).
+_SLICES = {
+    "coef-basic": (_coef_basic, [1.0], [1.0], [0.0], _T81, None),
+    "coef-lambda": (_kernel_on(_slice_lambda), _L9, [1.0], [0.0], _T9, None),
+    "coef-mu": (_kernel_on(_slice_mu), _L5, _M5, [0.0], _T5, None),
+    "coef-delta": (_kernel_on(_slice_delta), _L5, [1.0], _D5, _T5, None),
+    "fs-eta1": (_fs_eta1, _L3, _M3, _D3, _T3, [1.0]),
+    "fs-basic": (_fs_basic, [1.0], [1.0], [0.0], _T9, _E9),
+    "fs-basic-eta1": (_fs_basic, [1.0], [1.0], [0.0], _T81, [1.0]),
+    "fs-lambda": (_kernel_on(_slice_lambda), _L5, [1.0], [0.0], _T5, _E5),
+    "fs-lambda-eta1": (_kernel_on(_slice_lambda), _L9, [1.0], [0.0], _T9, [1.0]),
+    "fs-mu": (_kernel_on(_slice_mu), _L3, _M3, [0.0], _T3, _E3),
+    "fs-delta": (_kernel_on(_slice_delta), _L3, [1.0], _D3, _T3, _E3),
+    "fs-delta-eta1": (_kernel_on(_slice_delta), _L5, [1.0], _D5, _T5, [1.0]),
+}
+
+
+def corollary_ids() -> list[str]:
+    """Reduction identifiers, in table order."""
+    return list(_SLICES)
+
+
+def _entry(cid: str) -> tuple:
+    try:
+        return _SLICES[cid]
+    except KeyError:
+        valid = ", ".join(_SLICES)
+        raise ValueError(f"unknown corollary id {cid!r}; valid ids: {valid}") from None
+
+
+def _require_pins(cid: str, axes, columns, names=("lambda", "mu", "delta", "t")) -> None:
+    """Reject the first value of a column (a float or an array) off its pin."""
+    for name, axis, values in zip(names, axes, columns):
+        values = np.atleast_1d(values)
+        off = values[np.abs(values - axis[0]) > 1e-12] if len(axis) == 1 else ()
+        if len(off):
+            raise ValueError(f"corollary {cid!r} pins {name} = {axis[0]:g}, got {off[0]:g}")
+
+
+def _slice_etas(
+    cid: str, etas: list[float] | None, needs: str = "an eta value"
+) -> list[float | None]:
+    """The eta values a slice is evaluated at: [None] for a coefficient
+    slice, the pin when an eta-pinned slice is given none, else ``etas``,
+    each of which must pass ``check_eta``."""
+    eta_axis = _entry(cid)[-1]
+    if eta_axis is None:
+        if etas:
+            raise ValueError(f"corollary {cid!r} takes no eta")
+        return [None]
+    etas = [check_eta(eta) for eta in etas or ()]
+    _require_pins(cid, [eta_axis], [etas], ["eta"])
+    if etas:
+        return etas
+    if len(eta_axis) == 1:
+        return list(eta_axis)
+    raise ValueError(f"corollary {cid!r} needs {needs}")
+
+
+def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[str, float]:
+    """Printed specialized bound(s) at one point of the pinned slice.
+
+    Returns {"a2": ..., "a3": ...} for the coefficient corollaries and
+    {"fs": ...} for the Fekete-Szego ones.
+    """
+    formula, *axes, _ = _entry(cid)
+    values = (p.lam, p.mu, p.delta, p.t)
+    _require_pins(cid, axes, values)
+    (eta,) = _slice_etas(cid, None if eta is None else [eta])
+    return {key: float(value) for key, value in formula(*values, eta).items()}
+
+
+@dataclass(frozen=True)
+class ReductionResult:
+    corollary: str
+    n_points: int
+    max_deviation: float
+    passed: bool
+
+
+def _deviation(special, general):
+    # elementwise; the slice formulas go singular exactly where the general one
+    # does, so two matched infinities agree and a mismatch or a nan fails
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(special - general)
+    dev = np.where(np.isnan(dev), math.inf, dev)
+    return np.where(np.isinf(special) & np.isinf(general), 0.0, dev)
+
+
+def reduction_check(
+    cid: str,
+    grid: list[ClassParams] | None = None,
+    etas: list[float] | None = None,
+    variant: str = CORRECTED,
+) -> ReductionResult:
+    """Compare a printed specialization against the general bounds.
+
+    Every point of the grid (crossed with the eta values for the
+    Fekete-Szego entries) must agree within REDUCTION_TOL; each side is
+    evaluated once per eta over the whole grid.
+    """
+    if grid is None:
+        grid, default_etas = default_reduction_grid(cid)
+        if etas is None:
+            etas = default_etas
+    eta_values = _slice_etas(cid, etas, "eta values to sweep")
+    if not grid:
+        raise ValueError("empty parameter grid")
+    columns = [np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")]
+    formula, *axes, _ = _entry(cid)
+    _require_pins(cid, axes, columns)
+    fs_etas = [eta for eta in eta_values if eta is not None]
+    cf = closed_form(*columns, fs_etas, variant)
+    general = [{"fs": fs.bound} for fs in cf.fs] or [{"a2": cf.a2, "a3": cf.a3}]
+    worst = float(np.max([_deviation(special, side[key]) for eta, side in zip(eta_values, general)
+                          for key, special in formula(*columns, eta).items()]))
+    return ReductionResult(cid, len(grid) * len(eta_values), worst, worst <= REDUCTION_TOL)
+
+
+def default_reduction_grid(cid: str) -> tuple[list[ClassParams], list[float] | None]:
+    """The built-in verification grid of one reduction, and its eta values
+    (None for a coefficient or an eta-pinned slice)."""
+    _, *axes, eta_axis = _entry(cid)
+    return param_points(*axes), (list(eta_axis) if eta_axis and len(eta_axis) > 1 else None)

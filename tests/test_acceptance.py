@@ -16,10 +16,8 @@ from chebbounds.bounds import (
     CORRECTED,
     UNBOUNDED,
     bound_a2,
-    corollary_ids,
     fekete_szego_bound,
     is_singular_denom,
-    reduction_check,
     theorem_denominator,
 )
 from chebbounds.chebyshev import cheb_u, gen_fun_coeffs
@@ -36,6 +34,7 @@ from chebbounds.oracle import (
     violations,
 )
 from chebbounds.powerseries import NormalizedSeries, TruncatedSeries, invert_compositional
+from chebbounds.reductions import corollary_ids, reduction_check
 
 
 def test_criterion_1_chebyshev_cross_validation(acceptance_report):

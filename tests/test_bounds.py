@@ -12,15 +12,17 @@ from chebbounds.bounds import (
     bound_a2,
     bound_a3,
     bound_report,
-    corollary_bound,
-    corollary_ids,
-    default_reduction_grid,
     fekete_szego_bound,
     is_singular_denom,
-    reduction_check,
     theorem_denominator,
 )
 from chebbounds.classop import ClassParams
+from chebbounds.reductions import (
+    corollary_bound,
+    corollary_ids,
+    default_reduction_grid,
+    reduction_check,
+)
 
 P0 = ClassParams(1.0, 1.0, 0.0, 0.6)
 # 2 lam + mu = 4 and t^2 = 1/2 zero the denominator exactly in floats

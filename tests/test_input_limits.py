@@ -6,10 +6,10 @@ import warnings
 
 import pytest
 
-from chebbounds.bounds import corollary_bound, default_reduction_grid, reduction_check
 from chebbounds.classop import PARAM_MAX, ClassParams, check_eta
 from chebbounds.cli import EXIT_USAGE, main
 from chebbounds.oracle import fs_quantity
+from chebbounds.reductions import corollary_bound, default_reduction_grid, reduction_check
 
 VALUES = {"lambda": "1", "mu": "1", "delta": "1", "t": "0.6"}
 # a regular point where eta = 1e308 once printed an infinite sloped bound

@@ -52,7 +52,7 @@ def test_oracle_never_exceeds_the_exact_sup(sups):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: full-system sampling discards infeasible (c2, d2), and "
+    reason="ROADMAP item 1: full-system sampling discards infeasible (c2, d2), and "
            "at 1000 samples the oracle falls short at 215 of the 1122 points",
 )
 def test_oracle_reaches_the_exact_sup(sups):

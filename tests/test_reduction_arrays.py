@@ -5,14 +5,14 @@ array pass."""
 import numpy as np
 import pytest
 
-from chebbounds.bounds import (
+from chebbounds.classop import ClassParams
+from chebbounds.reductions import (
     _SLICES,
     corollary_bound,
     corollary_ids,
     default_reduction_grid,
     reduction_check,
 )
-from chebbounds.classop import ClassParams
 
 
 def columns(grid):

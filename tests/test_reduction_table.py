@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from chebbounds.bounds import (
+from chebbounds.classop import ClassParams
+from chebbounds.reductions import (
     REDUCTION_TOL,
     _deviation,
     corollary_bound,
@@ -13,7 +14,6 @@ from chebbounds.bounds import (
     default_reduction_grid,
     reduction_check,
 )
-from chebbounds.classop import ClassParams
 
 # id -> (pinned values, points reduction_check compares, default eta list)
 SLICES = {
