@@ -60,7 +60,8 @@ def param_factors(lam, mu, delta) -> ParamFactors:
 
 
 def _checked(label: str, value, low: float) -> float:
-    """lambda, mu or delta as a float in [low, PARAM_MAX]; the error names it."""
+    """lambda, mu, delta or eta as a float in [low, PARAM_MAX], with -0.0 as
+    0.0; the error names it."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{label} must be finite, got {value}")
@@ -68,7 +69,7 @@ def _checked(label: str, value, low: float) -> float:
         raise ValueError(f"{label} must be >= {low:g}, got {value}")
     if value > PARAM_MAX:
         raise ValueError(f"{label} must be <= {PARAM_MAX:g}, got {value}")
-    return value
+    return value + 0.0
 
 
 def check_eta(eta) -> float:
@@ -110,7 +111,7 @@ def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
     are per parameter, so this fails exactly when some grid point would.
     """
     import numpy as np
-    axes = [np.asarray(axis, dtype=float) for axis in (lams, mus, deltas, ts)]
+    axes = [np.asarray(axis, dtype=float) + 0.0 for axis in (lams, mus, deltas, ts)]  # -0.0 is 0.0
     for i in range(max(len(axis) for axis in axes)):
         ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
     return axes

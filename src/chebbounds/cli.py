@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -43,7 +44,8 @@ CSV_CHUNK_ROWS = 4096
 # largest truncation order from the command line (cheb --n-max, series --order
 # or the length of --coeffs): the series arithmetic grows with its square or cube
 _MAX_ORDER = 256
-# largest verify --samples: the oracle holds about 230 bytes per sample of a point
+# largest verify --samples: the oracle's draws, shared by every point, peak at
+# under 300 bytes per sample, whatever the grid
 _MAX_SAMPLES = 1_000_000
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
@@ -51,6 +53,12 @@ _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", "
 _PARAM_FLAGS = {f"--{name}": dest for name, dest, _ in _PARAMS}
 # 12 significant digits; inf renders as inf
 _NUMBER = "%.12g"
+# bytes of a CSV field before its separator: the widest _NUMBER text,
+# -1.23456789012e-308, and a NUL
+_FIELD = 20
+# blocks of _digit_words: zero-padded, trailing zeros NUL, leading zeros NUL,
+# and leading zeros NUL with 0 kept as one 0
+_Z, _T, _L, _L0 = 0, 10_000, 20_000, 30_000
 
 
 def fmt(x: float | bool) -> str:
@@ -259,14 +267,85 @@ def sweep_rows(
     return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, abs(cf.d), cf.singular]
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The powers of ten 1 .. 1e15, all exact doubles, and the 4-byte ASCII
+    words of 0 .. 9999 in the four blocks that _Z .. _L0 name."""
+    import numpy as np
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    nonzero = digits != ord("0")
+    trailing = digits * np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    leading = digits * np.logical_or.accumulate(nonzero, axis=1)
+    lone_zero = digits * np.logical_or.accumulate(nonzero | (np.arange(4) == 3), axis=1)
+    words = np.concatenate([digits, trailing, leading, lone_zero]).astype(np.uint8).view("<u4")
+    return np.cumprod(np.full(16, 10.0)) / 10.0, words.ravel()
+
+
+def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """NUL-padded _NUMBER fields of the values whose text is fixed notation
+    with at most 4 * int_words integer and 19 - 4 * int_words fraction
+    digits, and the mask of those values; the other fields are garbage.
+
+    With k = 11 - exponent, s = v * 10^k in [1e11, 1e12) is one rounding,
+    at most 2^-14, from exact, so its nearest integer m holds the digits
+    unless s is within 2.5e-4 of a half.  The words of m // 10^k, leading
+    zeros NUL, and of the fraction m % 10^k, trailing zeros NUL, follow.
+    """
+    import numpy as np
+    pow10, words = _digit_words()
+    low = 12 - 4 * int_words                         # k lies in [low, low + 7]
+    candidate = (values > 0) & (values < 1e12)       # and so no product overflows
+    v = np.where(candidate, values, 1.0)
+    k = np.clip(11.0 - np.floor(np.log10(v)), low, low + 7).astype(np.intp)
+    k = np.clip(k - (v * pow10[k] >= 1e12) + (v * pow10[k] < 1e11), low, low + 7)
+    s = v * pow10[k]
+    fast = candidate & (s >= 1e11) & (s < 1e12 - 0.5) & (np.abs(s - np.floor(s) - 0.5) > 2.5e-4)
+    m = np.rint(np.where(fast, s, 0.0))
+    ip, fp = np.divmod(m, pow10[k])
+    ip, fp = ip.astype(np.int64), (fp * pow10[low + 7 - k]).astype(np.int64)
+    out = np.empty((len(v), _FIELD // 4), "<u4")
+    units = (1_000_000_000_000, 100_000_000, 10_000, 1)
+    higher = 0
+    for j, unit in enumerate(units[-int_words:]):            # leading zeros NUL, 0 kept
+        q = ip // unit
+        out[:, j] = words[q - 10_000 * higher
+                          + np.where(higher > 0, _Z, _L0 if unit == 1 else _L)]
+        higher = q
+    higher = 0
+    for j, unit in enumerate(units[int_words - 5:], start=int_words):   # trailing zeros NUL
+        q = fp // unit
+        out[:, j] = words[q - 10_000 * higher + np.where(fp > unit * q, _Z, _T)]
+        higher = q
+    text = out.view(np.uint8)
+    text[:, 4 * int_words] = np.where(fp > 0, ord("."), 0)   # over the fraction's leading 0
+    return text, fast
+
+
 def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV lines of one chunk of rows; the header line is the writer's, and
-    ``header`` is taken only so that both renderers are called alike."""
-    flags = [col.dtype == bool for col in columns]
-    cells = [["true" if v else "false" for v in col.tolist()] if flag else col.tolist()
-             for col, flag in zip(columns, flags)]
-    line = ",".join("%s" if flag else _NUMBER for flag in flags) + "\n"
-    return "".join([line % row for row in zip(*cells)])
+    ``header`` is taken only so that both renderers are called alike.
+
+    Each field is written NUL-padded into one byte matrix: a number in
+    fixed notation by _fixed_fields, exponent -4 to 3 and then 4 to 11,
+    and any other number by _NUMBER itself."""
+    import numpy as np
+    n = len(columns[0])
+    values = np.concatenate([col for col in columns if col.dtype != bool])
+    text, fast = _fixed_fields(values, 1)
+    rest = np.flatnonzero(~fast)
+    wide, fast = _fixed_fields(values[rest], 3)
+    text[rest[fast]] = wide[fast]
+    rest = rest[~fast]
+    other = np.array([_NUMBER % x for x in values[rest].tolist()], dtype=f"S{_FIELD}")
+    text[rest] = other.view(np.uint8).reshape(len(rest), _FIELD)
+    numbers = iter(text.reshape(-1, n, _FIELD))
+    bools = np.array([b"false", b"true"], dtype=f"S{_FIELD}").view(np.uint8).reshape(2, -1)
+    fields = np.empty((n, len(columns), _FIELD + 1), np.uint8)
+    fields[:, :, _FIELD] = ord(",")
+    fields[:, -1, _FIELD] = ord("\n")
+    for j, col in enumerate(columns):
+        fields[:, j, :_FIELD] = bools[col.astype(np.intp)] if col.dtype == bool else next(numbers)
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def render_json(header: list[str], columns: list[np.ndarray]) -> str:

@@ -64,7 +64,8 @@ def test_sweep_config_eta_nan_rejected(capsys, tmp_path):
     assert "eta must be finite" in err
 
 
-@pytest.mark.parametrize("etas", [["1", "1.0000001"], ["2", "2"], ["0", "1", "0.0"]])
+@pytest.mark.parametrize("etas", [["1", "1.0000001"], ["2", "2"], ["0", "1", "0.0"],
+                                  ["0", "-0"]])
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_sweep_rejects_colliding_labels(capsys, tmp_path, etas, out_format):
     out = tmp_path / f"s.{out_format}"
@@ -75,6 +76,22 @@ def test_sweep_rejects_colliding_labels(capsys, tmp_path, etas, out_format):
     assert code == EXIT_USAGE
     assert "would share the column fs_bound@" in err
     assert not out.exists()
+
+
+def test_sweep_negative_zero_is_zero(capsys):
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--mu=-0:-0:2", "--delta", "0",
+                                  "--t", "0.6", "--eta", "-0"])
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header.split(",")[7] == "fs_bound@0"
+    assert len(rows) == 2 and "-0" not in out
+
+
+def test_bound_negative_zero_is_zero(capsys):
+    code, out, _ = run(capsys, ["bound", "--lambda", "1", "--mu", "0", "--delta", "-0",
+                                "--t", "0.6", "--eta", "-0"])
+    assert code == 0
+    assert "delta = 0\n" in out and "fs_bound@0 = " in out and "-0" not in out
 
 
 @pytest.mark.parametrize("command", [["bound", *BASE], ["verify", "--samples", "10"]])
