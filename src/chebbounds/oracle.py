@@ -29,7 +29,8 @@ rule's samples and refinement steps are drawn once per (seed, sample
 count).  A sampling pass scores them against chunks of points, whose
 a2^2, r and feasibility serve all of the rule's quantities; a refinement
 pass then moves the incumbents of many points per round, in chunks of
-no more elements.  Results equal a per-point search's bit for bit.
+no more elements.  Results equal a per-point search's bit for bit; their
+witnesses are built on first read.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,13 +114,28 @@ class Witness:
     a3: complex
 
 
+class _WitnessField:
+    """OracleResult.witness: a Witness or None, or (build, row), whose
+    build(row) gives the Witness on first read; it is then kept."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("witness")  # so the field has no default
+        if isinstance(value := obj._witness_slot, tuple):
+            self.__set__(obj, value := value[0](value[1]))
+        return value
+
+    def __set__(self, obj, value) -> None:
+        object.__setattr__(obj, "_witness_slot", value)
+
+
 @dataclass(frozen=True)
 class OracleResult:
     quantity: Quantity
     params: ClassParams
     mode: str
     sup_value: float
-    witness: Witness | None
+    witness: Witness | None = _WitnessField()
     n_samples: int               # points actually evaluated (random + injected + refined)
     n_infeasible: int
     seed: int
@@ -203,31 +220,34 @@ def _evaluate(case: _Case, terms):
     """(a2^2, r) from the case's terms; r = u1 (c2 - d2) / (2F), a3 = a2^2 + r."""
     q, diff = terms
     u1 = case.u1
+    # numpy divides complex x by real d as (x.real + x.imag * 0) * (1 / d), so arrays
+    # multiply by 1 / d; Python's complex division rounds otherwise, so scalars divide
+    over = (lambda x, d: x * (1.0 / d)) if isinstance(u1, np.ndarray) else operator.truediv
     if case.rule == "summed":
-        a2sq = u1 * q / case.prefactor
+        a2sq = over(u1 * q, case.prefactor)
     elif case.rule == "linear":
-        a2sq = u1 * u1 * q / (2.0 * case.a)
+        a2sq = over(u1 * u1 * q, 2.0 * case.a)
     elif case.rule == "free":
         a2sq = q
     else:
         a2sq = 0.0
-    return a2sq, (u1 * diff) / case.two_f
+    return a2sq, over(u1 * diff, case.two_f)
 
 
 def _feasible(case: _Case, a2sq):
-    """Where |c1| <= 1 (A |a2^2| <= u1^2), and the infeasible count per
-    point; only the full system's summed rule can break it (else None)."""
+    """Where |c1| <= 1 (A |a2^2| <= u1^2), the infeasible count per point and
+    |a2^2|; only the full system's summed rule can break it (else None, 0, None)."""
     if case.mode == FULL_SYSTEM and case.rule == "summed":
-        feasible = case.a * np.abs(a2sq) <= case.u1 * case.u1
-        return feasible, np.count_nonzero(~feasible, axis=1)
-    return None, np.zeros(len(case.u1), int)
+        feasible = case.a * (abs_a2sq := np.abs(a2sq)) <= case.u1 * case.u1
+        return feasible, np.count_nonzero(~feasible, axis=1), abs_a2sq
+    return None, np.zeros(len(case.u1), int), None
 
 
-def _scores(quantity: Quantity, a2sq, r, feasible):
+def _scores(quantity: Quantity, a2sq, r, feasible, abs_a2sq=None):
     """sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r| per sample, -inf where
-    infeasible."""
+    infeasible; ``abs_a2sq`` is |a2^2| where _feasible computed it."""
     if quantity.kind == "a2":
-        value = np.sqrt(np.abs(a2sq))
+        value = np.sqrt(np.abs(a2sq) if abs_a2sq is None else abs_a2sq)
     elif quantity.kind == "a3":
         value = np.abs(a2sq + r)
     else:
@@ -249,6 +269,12 @@ def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
         c1 = case.lin * a2 / case.u1
         d1 = -c1
     return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a2sq + r)
+
+
+def _witness_at(mode: str, rule: str, consts, names, best, points, row: int) -> Witness:
+    """The witness of grid point points[row], whose incumbent is best[:, row]."""
+    at = _Case(mode, rule, *(float(c[points[row]]) for c in consts))
+    return _witness(at, dict(zip(names, best[:, row].tolist())))
 
 
 def solve_member_coeffs(
@@ -340,7 +366,7 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
     """Search one rule at the grid indices ``points`` for each (position,
     quantity) of ``quantities``: a sampling pass, then a refinement pass.
-    Yields ((point index, position), (sup, witness, n_samples, n_infeasible))."""
+    Yields ((point index, position), (sup, (build, row), n_samples, n_infeasible))."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     width = draws.cols["c2"].size
@@ -364,9 +390,9 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             extremes, s, phase = draws.a2
             cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
         a2sq, r = _evaluate(case, draws.terms or _terms(cols))
-        feasible, n_infeasible[:, span] = _feasible(case, a2sq)
+        feasible, n_infeasible[:, span], abs_a2sq = _feasible(case, a2sq)
         for k, (_, quantity) in enumerate(quantities):
-            vals = _scores(quantity, a2sq, r, feasible)
+            vals = _scores(quantity, a2sq, r, feasible, abs_a2sq)
             idx = np.argmax(vals, axis=1)
             sup[k, span] = vals[rows, idx]
             best[k, :, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
@@ -379,18 +405,18 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 mag = np.abs(cand)
                 pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
                 a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert))))
-                feasible_k, infeasible_k = _feasible(case, a2sq_k)
-                vm = _scores(quantity, a2sq_k, r_k, feasible_k)
+                feasible_k, infeasible_k, abs_k = _feasible(case, a2sq_k)
+                vm = _scores(quantity, a2sq_k, r_k, feasible_k, abs_k)
                 n_infeasible[k, span] += infeasible_k
                 j = np.argmax(vm, axis=1)
                 better = vm[rows, j] > sup[k, span]
                 sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
                 best[k, :, span] = np.where(better, pert[:, rows, j], best[k, :, span])
-    for row, i in enumerate(points.tolist()):
-        at = _Case(cfg.mode, rule, *(float(c[i]) for c in consts))
-        for k, (pos, _) in enumerate(quantities):
-            wit = _witness(at, dict(zip(names, best[k, :, row].tolist())))
-            yield (i, pos), (float(sup[k, row]), wit, n_eval, int(n_infeasible[k, row]))
+    for k, (pos, _) in enumerate(quantities):
+        build = functools.partial(_witness_at, cfg.mode, rule, consts, names, best[k], points)
+        rows = zip(points.tolist(), sup[k].tolist(), n_infeasible[k].tolist())
+        for row, (i, s, n) in enumerate(rows):
+            yield (i, pos), (s, (build, row), n_eval, n)
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
@@ -410,11 +436,10 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
         if points.size and picked:
             found.update(_search_rule(rule, points, picked, consts, cfg))
     results = []
-    for i, p in enumerate(p_grid):
-        for k, quantity in enumerate(quantities):
+    for i, (p, bounds) in enumerate(zip(p_grid, np.transpose(closed).tolist())):
+        for k, (quantity, bound) in enumerate(zip(quantities, bounds)):
             # unsearched: no finite constraint, the quantity is unbounded
             sup, wit, n_eval, n_infeasible = found.get((i, k), (math.inf, None, 0, 0))
-            bound = float(closed[k][i])
             verdict = (SKIPPED if wit is None or math.isinf(bound)
                        else WITHIN_BOUND if sup <= bound + VERDICT_TOL else VIOLATION)
             results.append(OracleResult(quantity, p, cfg.mode, sup, wit, n_eval, n_infeasible,
