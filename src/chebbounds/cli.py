@@ -12,6 +12,7 @@ import argparse
 import cmath
 import functools
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,7 @@ from .classop import (
     param_grid,
     param_points,
 )
-from .powerseries import DEFAULT_ORDER, NormalizedSeries, TruncatedSeries, invert_compositional
+from .powerseries import DEFAULT_ORDER, NormalizedSeries, _compose, _inverse, invert_compositional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -438,7 +439,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     g = invert_compositional(f)
     values = {f"f[{k}]": f.coeffs[k] for k in range(2, order + 1)}
     values.update({f"inverse[{k}]": g.coeffs[k] for k in range(2, order + 1)})
-    values["compose_residual"] = _compose_residual(f, g)
+    values["compose_residual"] = max(_compose_errors(f.coeffs, g.coeffs))
     given = [v is not None for v in (args.lam, args.mu, args.delta, args.t)]
     if any(given):
         if not all(given):
@@ -461,10 +462,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compose_residual(f: NormalizedSeries, g: NormalizedSeries) -> float:
-    """Largest coefficient error of g(f(z)) against z."""
-    residual = g.compose(TruncatedSeries(f.coeffs))
-    return max(abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(residual.coeffs))
+def _compose_errors(f, g) -> list:
+    """|[z^k] g(f(z)) - [z^k] z| for each k, for complex or _Batch coefficients."""
+    return [abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(_compose(g, f))]
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +514,44 @@ def _suite_chebyshev() -> tuple[bool, list[str]]:
     ]
 
 
+class _Batch:
+    """Complex coefficients of many series as real and imag float64 arrays, with
+    +, - and * rounded per component as Python's complex does (numpy's complex
+    multiply may fuse a multiply-add); the other operand needs .real and .imag."""
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        return _Batch(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return _Batch(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self):
+        return _Batch(-self.real, -self.imag)
+
+    def __mul__(self, other):
+        return _Batch(self.real * other.real - self.imag * other.imag,
+                      self.real * other.imag + self.imag * other.real)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __abs__(self):
+        return abs(self.real + 1j * self.imag)      # numpy's hypot, as Python's abs
+
+
 def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
     import numpy as np
-    rng = np.random.default_rng(seed)
-    worst_coeff = worst_resid = 0.0
-    for _ in range(100):
-        a2, a3, a4 = (
-            0.2 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
-            for _ in range(3)
-        )
-        f = NormalizedSeries.from_tail([a2, a3, a4], order=DEFAULT_ORDER)
-        g = invert_compositional(f)
-        expected = {
-            2: -a2,
-            3: 2.0 * a2 * a2 - a3,
-            4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4),
-        }
-        dev = max(abs(g.coeffs[k] - v) for k, v in expected.items())
-        worst_coeff = max(worst_coeff, dev)
-        worst_resid = max(worst_resid, _compose_residual(f, g))
+    # 100 draws of (a2, a3, a4), a modulus and then a phase each, as one _Batch each
+    u = np.random.default_rng(seed).random((100, 3, 2))
+    phase = np.exp(1j * ((2.0 * math.pi) * u[..., 1]))
+    a2, a3, a4 = (_Batch(0.2 * np.sqrt(u[:, k, 0]), 0.0) * phase[:, k] for k in range(3))
+    f = [0j, 1.0 + 0j, a2, a3, a4] + [0j] * (DEFAULT_ORDER - 4)
+    g = _inverse(f)
+    expected = {2: -a2, 3: 2.0 * a2 * a2 - a3, 4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4)}
+    worst_coeff = float(np.max([abs(g[k] - v) for k, v in expected.items()]))
+    worst_resid = float(np.max(_compose_errors(f, g)))
     ok = worst_coeff <= 1e-12 and worst_resid <= 1e-12
     return ok, [
         f"inverse-series fixtures: 100 draws, coefficient dev {worst_coeff:.3e}, "
@@ -623,6 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, func, helptext):
         sp = sub.add_parser(name, help=helptext)
+        # a value, not an option, though argparse before 3.13 misses -1e-05 and -inf
+        sp._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
         sp.set_defaults(func=func)
         sp.add_argument("--config", help="key = value file; flags override it")
         return sp

@@ -13,10 +13,15 @@ closed form, and the gap is reported, not judged.
 Sampling is uniform in (modulus^2, argument) per coefficient, with the
 extreme combinations of {0, +-1, +-i} injected deterministically: the
 analytic maxima sit at boundary sign patterns, so injection makes the
-attained equalities exact rather than asymptotic.  The two square-root
-branches of a2 enter every verified quantity through a2^2 alone, so one
-evaluation accounts for both (solve_member_coeffs exposes the branch
-choice explicitly for callers that want a concrete a2).
+attained equalities exact rather than asymptotic.  In proof-set mode the
+extremes, which come first, are scored alone; a point's random samples are
+scored only where a bound on their scores, from the case constants and the
+largest random modulus, does not fall below the extremes' sup.  Elsewhere
+they are bounded, not evaluated, and argmax over the extremes is argmax
+over all.  The two square-root branches of a2 enter every verified
+quantity through a2^2 alone, so one evaluation accounts for both
+(solve_member_coeffs exposes the branch choice explicitly for callers
+that want a concrete a2).
 
 Search cases are data: each pairs a quantity with one of four a2^2
 rules, which also fixes the disk columns drawn.  They are summed (from
@@ -136,7 +141,7 @@ class OracleResult:
     mode: str
     sup_value: float
     witness: Witness | None = _WitnessField()
-    n_samples: int               # points actually evaluated (random + injected + refined)
+    n_samples: int               # random + injected + refined; pruned ones bounded, not scored
     n_infeasible: int
     seed: int
     closed_form_bound: float
@@ -255,6 +260,19 @@ def _scores(quantity: Quantity, a2sq, r, feasible, abs_a2sq=None):
     return value if feasible is None else np.where(feasible, value, -np.inf)
 
 
+def _score_bound(quantity: Quantity, case: _Case, reach):
+    """Per point, a bound up to rounding on the proof-set score of a sample whose
+    columns have modulus <= reach <= 1.  With a2^2 = alpha q, r = beta (c2 - d2)
+    and x = (1 - eta) alpha, the score |x q + r| is at most 2 (|x| + |beta|) reach
+    for q = c1^2 + d1^2; for q = c2 + d2 it is |(x + beta) c2 + (x - beta) d2| <=
+    2 max(|x|, |beta|) reach.  And |a2| = sqrt|alpha q| <= sqrt(2 |alpha| reach)."""
+    alpha, beta = _evaluate(case, (1.0, 1.0))
+    if quantity.kind == "a2":
+        return np.sqrt(2.0 * np.abs(alpha) * reach)
+    x, beta = np.abs((1.0 - (quantity.eta or 0.0)) * alpha), np.abs(beta)
+    return 2.0 * (x + beta if case.rule == "linear" else np.maximum(x, beta)) * reach
+
+
 def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
     """The Schwarz data and (a2, a3) of one point of the case's columns."""
     a2sq, r = _evaluate(case, _terms(pt))
@@ -329,9 +347,9 @@ def solve_member_coeffs(
 
 class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
-    terms: tuple | None          # _terms(cols); None for the free rule
     a2: tuple | None             # free rule: the a2 draw as (extremes, sqrt(u), phase)
     steps: np.ndarray            # unit refinement steps u + 1j v, [round, column, batch]
+    reach: float                 # the largest modulus in the random part of cols
 
 
 @functools.lru_cache(maxsize=4)
@@ -355,12 +373,12 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
             a2 = (extremes[name].ravel(), s, phase)
         else:
             cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
-    terms = None if a2 else _terms(cols)
     uniform = functools.partial(rng.uniform, -1.0, 1.0, _REFINE_BATCH)
     steps = np.array([[uniform() + 1j * uniform() for _ in names] for _ in _REFINE_FRACTIONS])
-    for arr in [*cols.values(), *(terms or ()), *(a2 or ()), steps]:
+    for arr in [*cols.values(), *(a2 or ()), steps]:
         arr.flags.writeable = False
-    return _Draws(cols, terms, a2, steps)
+    reach = max(float(np.max(np.abs(col[-n:]))) for col in cols.values())
+    return _Draws(cols, a2, steps, reach)
 
 
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
@@ -376,32 +394,40 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
     best = np.empty((len(quantities), len(names), points.size), complex)
     n_infeasible = np.empty((len(quantities), points.size), int)
 
-    def chunks(per_point):
-        """(slice, rows, case columns, |a2| cap from |c1| <= 1) per chunk."""
+    def chunks(per_point, at):
+        """(positions, rows, case columns, |a2| cap from |c1| <= 1) per chunk of ``at``."""
         per_chunk = max(1, CHUNK_ELEMENTS // per_point)
-        for start in range(0, points.size, per_chunk):
-            span = slice(start, start + per_chunk)
+        for start in range(0, at.size, per_chunk):
+            span = at[start:start + per_chunk]
             case = _Case(cfg.mode, rule, *(c[points[span], None] for c in consts))
-            yield span, np.arange(case.u1.shape[0]), case, case.u1 / case.lin
+            yield span, np.arange(span.size), case, case.u1 / case.lin
 
-    for span, rows, case, radius in chunks(width):
-        cols = dict(draws.cols)
-        if draws.a2 is not None:
-            extremes, s, phase = draws.a2
-            cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
-        a2sq, r = _evaluate(case, draws.terms or _terms(cols))
-        feasible, n_infeasible[:, span], abs_a2sq = _feasible(case, a2sq)
-        for k, (_, quantity) in enumerate(quantities):
-            vals = _scores(quantity, a2sq, r, feasible, abs_a2sq)
-            idx = np.argmax(vals, axis=1)
-            sup[k, span] = vals[rows, idx]
-            best[k, :, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
+    # proof-set: the extremes alone, then in full where a random sample might beat them
+    at = np.arange(points.size)
+    for scored in [width - cfg.n_samples, width] if cfg.mode == PROOF_SET else [width]:
+        for span, rows, case, radius in chunks(scored, at):
+            cols = {name: col[:scored] for name, col in draws.cols.items()}
+            if draws.a2 is not None:
+                extremes, s, phase = draws.a2
+                cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
+            a2sq, r = _evaluate(case, _terms(cols))
+            feasible, n_infeasible[:, span], abs_a2sq = _feasible(case, a2sq)
+            for k, (_, quantity) in enumerate(quantities):
+                vals = _scores(quantity, a2sq, r, feasible, abs_a2sq)
+                idx = np.argmax(vals, axis=1)
+                sup[k, span] = vals[rows, idx]
+                best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
+        if scored < width:
+            case = _Case(cfg.mode, rule, *(c[points] for c in consts))
+            bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
+            at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
     # a round's candidates are columns x points x batch steps
-    for span, rows, case, radius in chunks(len(names) * _REFINE_BATCH) if cfg.grid_refine else ():
+    for span, rows, case, radius in (chunks(len(names) * _REFINE_BATCH, np.arange(points.size))
+                                     if cfg.grid_refine else ()):
         radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names])
         for k, (_, quantity) in enumerate(quantities):
             for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
-                cand = best[k, :, span, None] + units[:, None] * (frac * radii)
+                cand = best[k][:, span, None] + units[:, None] * (frac * radii)
                 mag = np.abs(cand)
                 pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
                 a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert))))
@@ -411,7 +437,7 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 j = np.argmax(vm, axis=1)
                 better = vm[rows, j] > sup[k, span]
                 sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
-                best[k, :, span] = np.where(better, pert[:, rows, j], best[k, :, span])
+                best[k][:, span] = np.where(better, pert[:, rows, j], best[k][:, span])
     for k, (pos, _) in enumerate(quantities):
         build = functools.partial(_witness_at, cfg.mode, rule, consts, names, best[k], points)
         rows = zip(points.tolist(), sup[k].tolist(), n_infeasible[k].tolist())

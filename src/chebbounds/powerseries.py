@@ -89,9 +89,7 @@ class TruncatedSeries:
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated at the shared order."""
         self._check_same_order(other)
-        a, b = self.coeffs, other.coeffs
-        out = [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(self.order + 1)]
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(_product(self.coeffs, other.coeffs)))
 
     # ------------------------------------------------------------------
     # calculus
@@ -131,13 +129,8 @@ class TruncatedSeries:
         """self(inner(z)) by Horner evaluation; inner must vanish at 0."""
         self._check_same_order(inner)
         if inner.coeffs[0] != 0:
-            raise ValueError(
-                f"composition needs inner constant term 0, got {inner.coeffs[0]!r}"
-            )
-        acc = TruncatedSeries.make([self.coeffs[self.order]], order=self.order)
-        for k in range(self.order - 1, -1, -1):
-            acc = acc.mul(inner) + self.coeffs[k]
-        return acc
+            raise ValueError(f"composition needs inner constant term 0, got {inner.coeffs[0]!r}")
+        return TruncatedSeries(tuple(_compose(self.coeffs, inner.coeffs)))
 
 
 class NormalizedSeries(TruncatedSeries):
@@ -172,12 +165,32 @@ def invert_compositional(f: NormalizedSeries) -> NormalizedSeries:
     """
     if f.order < 2:
         raise ValueError("inversion needs order >= 2 to carry any information")
-    n = f.order
-    powers: list[TruncatedSeries] = [f]          # powers[k] = f^(k+1), k <= n - 2
-    for _ in range(n - 2):
-        powers.append(powers[-1].mul(f))
-    b: list[complex] = [0j, 1.0 + 0j]
-    for d in range(2, n + 1):
-        acc = sum(b[k] * powers[k - 1].coeffs[d] for k in range(1, d))
-        b.append(-acc)
-    return NormalizedSeries(tuple(b))
+    return NormalizedSeries(tuple(_inverse(f.coeffs)))
+
+
+# The recurrences behind mul, compose and invert_compositional, on coefficient
+# sequences of one length and of any type whose +, - and * mix with complex.
+
+def _product(a, b) -> list:
+    """Cauchy product, truncated at the shared length."""
+    return [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(len(a))]
+
+
+def _compose(outer, inner) -> list:
+    """outer(inner(z)) by Horner evaluation."""
+    acc = [outer[-1]] + [0j] * (len(outer) - 1)
+    for c in outer[-2::-1]:
+        acc = _product(acc, inner)
+        acc[0] = acc[0] + c
+    return acc
+
+
+def _inverse(f) -> list:
+    """The compositional inverse of z + f[2] z^2 + ..., degree by degree."""
+    powers = [f]                                 # powers[k] = f^(k+1), k <= len(f) - 3
+    for _ in range(len(f) - 3):
+        powers.append(_product(powers[-1], f))
+    b = [0j, 1.0 + 0j]
+    for d in range(2, len(f)):
+        b.append(-sum(b[k] * powers[k - 1][d] for k in range(1, d)))
+    return b

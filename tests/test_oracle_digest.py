@@ -81,8 +81,14 @@ def _transient_peak(grid, cfg) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("mode", [PROOF_SET, FULL_SYSTEM])
-def test_search_memory_does_not_grow_with_the_grid(mode):
+# (mode, oracle.CHUNK_ELEMENTS): 1024 elements hold fewer than the small grid's
+# 32 points in every pass, so both grids fill their chunks; None keeps the default
+@pytest.mark.parametrize("mode, elements", [(PROOF_SET, 1024), (FULL_SYSTEM, 1024),
+                                            (FULL_SYSTEM, None)],
+                         ids=["proof-set", "full-system", "full-system-default-chunk"])
+def test_search_memory_does_not_grow_with_the_grid(monkeypatch, mode, elements):
+    if elements is not None:
+        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", elements)
     cfg = OracleConfig(mode=mode, n_samples=2000, seed=5)
     small, large = (grid_of(("1:3:%d" % n, "0:2:2", "0:1:2", "0.55:0.95:4")) for n in (2, 16))
     _transient_peak(small, cfg)          # draws the samples once, into the cache

@@ -1,0 +1,81 @@
+"""The proof-set sampling pass scores the injected extremes first and scans
+a point's random samples only where a bound on their scores does not fall
+below the extremes' sup.  The bound must hold for every sample, the full
+scan must give the pinned results, and the default verify grid must never
+need it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from chebbounds import oracle
+from chebbounds.classop import PARAM_MAX, ClassParams
+from chebbounds.oracle import A2, A3, PROOF_SET, OracleConfig, fs_quantity, sweep_verify
+from test_oracle_digest import CHUNKS, GRIDS, digest, grid_of
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+# t next to either end of (1/2, 1), or anywhere in it
+T = st.one_of(st.floats(0.5, 0.5 + 1e-6, exclude_min=True),
+              st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+              st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+
+
+@hypothesis.settings(database=None, max_examples=200, deadline=None)
+@hypothesis.given(lam=st.floats(1.0, PARAM_MAX), mu=st.floats(0.0, PARAM_MAX),
+                  delta=st.floats(0.0, PARAM_MAX), t=T, eta=st.floats(-PARAM_MAX, PARAM_MAX),
+                  seed=st.integers(0, 2**32 - 1))
+# a singular point: the pinned rule for fs at eta = 1, the linear one for |a3|
+@hypothesis.example(lam=2.0, mu=0.0, delta=0.0, t=math.sqrt(0.5), eta=-3.0, seed=5)
+def test_no_sample_scores_above_the_bound_at_its_modulus(lam, mu, delta, t, eta, seed):
+    # the bound reads the case constants only, never a closed-form column, so
+    # it is the same for either threshold variant
+    cf, consts = oracle._grid_cases([ClassParams(lam, mu, delta, t)], [eta])
+    for quantity in (A2, A3, fs_quantity(eta), fs_quantity(1.0)):
+        rule = oracle._rule(quantity, PROOF_SET, bool(cf.singular[0]))
+        if rule is None:
+            continue
+        draws = oracle._draws(oracle._RULE_COLUMNS[rule], seed, 200)
+        case = oracle._Case(PROOF_SET, rule, *(c[:, None] for c in consts))
+        a2sq, r = oracle._evaluate(case, oracle._terms(draws.cols))
+        scores = oracle._scores(quantity, a2sq, r, None)[0]
+        modulus = np.max(np.abs(list(draws.cols.values())), axis=0)
+        bound = oracle._score_bound(quantity, case, modulus)[0]
+        assert np.all(scores <= bound * (1.0 + 1e-12)), (quantity, rule)
+
+
+def _sampled_widths(monkeypatch) -> list[int]:
+    """The sample counts of every sampling-pass evaluation from now on."""
+    widths, evaluate = [], oracle._evaluate
+
+    def spy(case, terms):
+        if np.ndim(terms[0]) == 1:       # refinement candidates are 2-d
+            widths.append(np.size(terms[0]))
+        return evaluate(case, terms)
+
+    monkeypatch.setattr(oracle, "_evaluate", spy)
+    return widths
+
+
+@pytest.mark.parametrize("chunk", list(CHUNKS))
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_full_scan_gives_the_pinned_results(monkeypatch, name, chunk):
+    ranges, mode, samples, pin = GRIDS[name]
+    monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
+    monkeypatch.setattr(oracle, "_score_bound",
+                        lambda quantity, case, reach: np.full(case.u1.shape, np.inf))
+    widths = _sampled_widths(monkeypatch)
+    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
+    assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
+    assert max(widths) > samples         # the random samples were scored
+
+
+def test_default_verify_grid_prunes_every_point(monkeypatch):
+    ranges, mode, samples, pin = GRIDS["verify"]
+    widths = _sampled_widths(monkeypatch)
+    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
+    assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
+    # 25 extremes of (c2, d2), 625 of (c1, d1, c2, d2); no random sample
+    assert widths and set(widths) <= {25, 625}, sorted(set(widths))
