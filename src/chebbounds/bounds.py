@@ -95,10 +95,8 @@ def _ops(*values):
 
 
 def is_singular_denom(d_signed, scale):
-    """Scale-aware vanishing test shared by bounds, oracle and reductions.
-
-    Elementwise for arrays.
-    """
+    """Scale-aware vanishing test of ``bounds_from_denominator``; elementwise
+    for arrays."""
     return abs(d_signed) < _SINGULAR_RTOL * _ops(scale).maximum(1.0, scale)
 
 
@@ -171,12 +169,6 @@ def closed_form(
     """
     f, a, d, m_den = _theorem_factors(lam, mu, delta, t, variant)
     return ClosedForm(f, a, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
-
-
-def theorem_denominator(p: ClassParams) -> tuple[float, float, float]:
-    """(A, B, signed denominator A - 2 (2A - B) t^2)."""
-    f, a, d, _ = _theorem_factors(p.lam, p.mu, p.delta, p.t)
-    return a, f.quad_sum_factor, d
 
 
 @dataclass(frozen=True)

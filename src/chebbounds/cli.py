@@ -463,7 +463,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def _compose_errors(f, g) -> list:
-    """|[z^k] g(f(z)) - [z^k] z| for each k, for complex or _Batch coefficients."""
+    """|[z^k] g(f(z)) - [z^k] z| for each k, for complex coefficients or object
+    arrays of them."""
     return [abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(_compose(g, f))]
 
 
@@ -514,39 +515,13 @@ def _suite_chebyshev() -> tuple[bool, list[str]]:
     ]
 
 
-class _Batch:
-    """Complex coefficients of many series as real and imag float64 arrays, with
-    +, - and * rounded per component as Python's complex does (numpy's complex
-    multiply may fuse a multiply-add); the other operand needs .real and .imag."""
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __add__(self, other):
-        return _Batch(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other):
-        return _Batch(self.real - other.real, self.imag - other.imag)
-
-    def __neg__(self):
-        return _Batch(-self.real, -self.imag)
-
-    def __mul__(self, other):
-        return _Batch(self.real * other.real - self.imag * other.imag,
-                      self.real * other.imag + self.imag * other.real)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __abs__(self):
-        return abs(self.real + 1j * self.imag)      # numpy's hypot, as Python's abs
-
-
 def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
     import numpy as np
-    # 100 draws of (a2, a3, a4), a modulus and then a phase each, as one _Batch each
+    # 100 draws of (a2, a3, a4), a modulus and then a phase each, as one object
+    # array of Python complex each: every operation on them is Python's own
     u = np.random.default_rng(seed).random((100, 3, 2))
-    phase = np.exp(1j * ((2.0 * math.pi) * u[..., 1]))
-    a2, a3, a4 = (_Batch(0.2 * np.sqrt(u[:, k, 0]), 0.0) * phase[:, k] for k in range(3))
+    phase = np.exp(1j * ((2.0 * math.pi) * u[..., 1])).astype(object)
+    a2, a3, a4 = ((0.2 * np.sqrt(u[:, k, 0])).astype(object) * phase[:, k] for k in range(3))
     f = [0j, 1.0 + 0j, a2, a3, a4] + [0j] * (DEFAULT_ORDER - 4)
     g = _inverse(f)
     expected = {2: -a2, 3: 2.0 * a2 * a2 - a3, 4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4)}

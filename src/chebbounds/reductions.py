@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CORRECTED, bounds_from_denominator, closed_form
-from .classop import ClassParams, check_eta, param_factors, param_points
+from .bounds import bounds_from_denominator, closed_form
+from .classop import ClassParams, check_eta, param_axes, param_factors, param_grid, param_points
 
 REDUCTION_TOL = 1e-12
 
@@ -168,33 +168,31 @@ def _deviation(special, general):
 
 
 def reduction_check(
-    cid: str,
-    grid: list[ClassParams] | None = None,
-    etas: list[float] | None = None,
-    variant: str = CORRECTED,
+    cid: str, grid: list[ClassParams] | None = None, etas: list[float] | None = None
 ) -> ReductionResult:
     """Compare a printed specialization against the general bounds.
 
     Every point of the grid (crossed with the eta values for the
     Fekete-Szego entries) must agree within REDUCTION_TOL; each side is
-    evaluated once per eta over the whole grid.
+    evaluated once per eta over the whole grid.  With no grid, the slice
+    runs on the columns of its own axes and, unless given, its eta axis.
     """
+    formula, *axes, eta_axis = _entry(cid)
+    eta_values = _slice_etas(cid, eta_axis if grid is None and etas is None else etas,
+                             "eta values to sweep")
     if grid is None:
-        grid, default_etas = default_reduction_grid(cid)
-        if etas is None:
-            etas = default_etas
-    eta_values = _slice_etas(cid, etas, "eta values to sweep")
-    if not grid:
+        columns = param_grid(param_axes(*axes))
+    elif not grid:
         raise ValueError("empty parameter grid")
-    columns = [np.array([getattr(p, name) for p in grid]) for name in ("lam", "mu", "delta", "t")]
-    formula, *axes, _ = _entry(cid)
-    _require_pins(cid, axes, columns)
+    else:
+        columns = [np.array([getattr(p, n) for p in grid]) for n in ("lam", "mu", "delta", "t")]
+        _require_pins(cid, axes, columns)
     fs_etas = [eta for eta in eta_values if eta is not None]
-    cf = closed_form(*columns, fs_etas, variant)
+    cf = closed_form(*columns, fs_etas)
     general = [{"fs": fs.bound} for fs in cf.fs] or [{"a2": cf.a2, "a3": cf.a3}]
     worst = float(np.max([_deviation(special, side[key]) for eta, side in zip(eta_values, general)
                           for key, special in formula(*columns, eta).items()]))
-    return ReductionResult(cid, len(grid) * len(eta_values), worst, worst <= REDUCTION_TOL)
+    return ReductionResult(cid, len(columns[0]) * len(eta_values), worst, worst <= REDUCTION_TOL)
 
 
 def default_reduction_grid(cid: str) -> tuple[list[ClassParams], list[float] | None]:

@@ -16,9 +16,9 @@ from chebbounds.bounds import (
     CORRECTED,
     UNBOUNDED,
     bound_a2,
+    closed_form,
     fekete_szego_bound,
     is_singular_denom,
-    theorem_denominator,
 )
 from chebbounds.chebyshev import cheb_u, gen_fun_coeffs
 from chebbounds.classop import ClassParams, apply_operator, quad_coeff_direct, quad_coeff_inverse
@@ -131,7 +131,7 @@ def test_criterion_4_corollary_reductions(acceptance_report):
     worst = 0.0
     total = 0
     for cid in corollary_ids():
-        res = reduction_check(cid, variant=CORRECTED)
+        res = reduction_check(cid)
         assert res.passed, f"{cid} deviates by {res.max_deviation:.3e}"
         assert res.n_points >= 81, f"{cid} grid too small: {res.n_points}"
         worst = max(worst, res.max_deviation)
@@ -157,7 +157,8 @@ def test_criterion_5_branch_continuity_and_misprint(acceptance_report):
             rng.random(),
             0.55 + 0.4 * rng.random(),
         )
-        a, _, d = theorem_denominator(p)
+        cf = closed_form(p.lam, p.mu, p.delta, p.t)
+        a, d = cf.A, cf.d
         if is_singular_denom(d, a):
             continue
         n_checked += 1

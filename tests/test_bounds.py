@@ -12,9 +12,9 @@ from chebbounds.bounds import (
     bound_a2,
     bound_a3,
     bound_report,
+    closed_form,
     fekete_szego_bound,
     is_singular_denom,
-    theorem_denominator,
 )
 from chebbounds.classop import ClassParams
 from chebbounds.reductions import (
@@ -30,16 +30,16 @@ P_SING = ClassParams(2.0, 0.0, 0.0, math.sqrt(0.5))
 
 
 def test_denominator_fixture():
-    a, b, d = theorem_denominator(P0)
-    assert a == 4.0
-    assert b == 6.0
-    assert d == pytest.approx(2.56, abs=1e-15)
+    cf = closed_form(P0.lam, P0.mu, P0.delta, P0.t)
+    assert cf.A == 4.0
+    assert cf.factors.quad_sum_factor == 6.0
+    assert cf.d == pytest.approx(2.56, abs=1e-15)
 
 
 def test_denominator_sign_can_flip():
     # large t with 2A > B drives d negative on some slices
     p = ClassParams(3.0, 0.0, 0.0, 0.95)
-    _, _, d = theorem_denominator(p)
+    d = closed_form(p.lam, p.mu, p.delta, p.t).d
     assert d < 0
     assert bound_a2(p) > 0
 

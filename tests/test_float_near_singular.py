@@ -20,7 +20,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from chebbounds.bounds import bound_a2, fekete_szego_bound, theorem_denominator  # noqa: E402
+from chebbounds.bounds import bound_a2, closed_form, fekete_szego_bound  # noqa: E402
 from chebbounds.classop import ClassParams  # noqa: E402
 
 EPS = float(np.finfo(float).eps)
@@ -44,7 +44,8 @@ def _relative_errors(p: ClassParams):
         exact = {"d": d,
                  "a2": 2 * t * mpmath.sqrt(2 * t) / mpmath.sqrt(abs(d)),
                  "fs": 8 * abs(ETA - 1) * t * t * t / abs(d)}
-        a, b, d_float = theorem_denominator(p)
+        cf = closed_form(p.lam, p.mu, p.delta, p.t)
+        a, b, d_float = cf.A, cf.factors.quad_sum_factor, cf.d
         got = {"d": d_float, "a2": bound_a2(p), "fs": fekete_szego_bound(p, ETA).bound}
         errors = {k: float(abs((mpmath.mpf(got[k]) - exact[k]) / exact[k])) for k in exact}
     assert (a, b) == (4.0, 4.0)

@@ -15,7 +15,6 @@ from chebbounds.bounds import (
     bound_report,
     closed_form,
     fekete_szego_bound,
-    theorem_denominator,
 )
 from chebbounds.classop import ClassParams
 
@@ -67,7 +66,6 @@ def test_coefficient_bounds_bit_identical():
     assert _bits(cf.A) == _bits([r.A for r in reports])
     assert _bits(cf.factors.quad_sum_factor) == _bits([r.B for r in reports])
     assert _bits(np.abs(cf.d)) == _bits([r.denom for r in reports])
-    assert _bits(cf.d) == _bits([theorem_denominator(p)[2] for p in POINTS])
     assert cf.singular.tolist() == [r.singular for r in reports]
 
 

@@ -54,3 +54,15 @@ def test_one_wrong_row_fails_the_slice(monkeypatch, cid, key):
     res = reduction_check(cid)
     assert not res.passed
     assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize("cid", corollary_ids())
+def test_default_grid_runs_on_axis_columns(monkeypatch, cid):
+    grid, etas = default_reduction_grid(cid)
+    expected = reduction_check(cid, grid, etas)
+    built = []
+    check = ClassParams.__post_init__
+    monkeypatch.setattr(ClassParams, "__post_init__", lambda p: built.append(check(p)))
+    assert reduction_check(cid) == expected
+    # at most one ClassParams per axis value, not one per grid point
+    assert len(built) <= sum(len(axis) for axis in _SLICES[cid][1:5])

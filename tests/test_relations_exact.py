@@ -12,7 +12,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from chebbounds.bounds import theorem_denominator  # noqa: E402
+from chebbounds.bounds import _theorem_factors  # noqa: E402
 from chebbounds.classop import (  # noqa: E402
     param_factors,
     quad_coeff_direct,
@@ -69,7 +69,10 @@ def test_summed_quadratic_factor():
 def test_summed_relation_prefactor_is_the_denominator():
     # adding the degree-2 relations with c1 = lin a2 / U1 = -d1 leaves
     # (B - 2 U2 A / U1^2) a2^2 = U1 (c2 + d2), and that prefactor is d / (2 t^2)
-    a, b, d = (exact(x) for x in theorem_denominator(PARAMS))
+    # closed_form's A, B and d, built symbolically: its singular guard compares
+    # |d| with A, which a symbol cannot answer
+    f, a, d, _ = _theorem_factors(lam, mu, delta, t)
+    a, b, d = (exact(x) for x in (a, f.quad_sum_factor, d))
     lin = exact(param_factors(lam, mu, delta).op_linear_factor)
     assert is_zero(a - lin**2)
     u1, u2 = sp.chebyshevu(1, t), sp.chebyshevu(2, t)
