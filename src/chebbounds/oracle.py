@@ -18,10 +18,15 @@ extremes, which come first, are scored alone; a point's random samples are
 scored only where a bound on their scores, from the case constants and the
 largest random modulus, does not fall below the extremes' sup.  Elsewhere
 they are bounded, not evaluated, and argmax over the extremes is argmax
-over all.  The two square-root branches of a2 enter every verified
-quantity through a2^2 alone, so one evaluation accounts for both
-(solve_member_coeffs exposes the branch choice explicitly for callers
-that want a concrete a2).
+over all.  In full-system mode |c1| <= 1 caps the summed rule's |c2 + d2|
+at u1 |prefactor| / A; chunks take points widest cap first and score, in
+draw order, only the columns under the first one's cap times 1 + 1e-9,
+(0, 0) always.  The rest are infeasible at all of the chunk's points, so
+they are only counted.  Quantities whose scores are the same numbers share
+one search: the full system's |a3| and fs@0, both |a2^2 + r|.  The two
+square-root branches of a2 enter every verified quantity through a2^2
+alone, so one evaluation accounts for both (solve_member_coeffs exposes
+the branch choice explicitly for callers that want a concrete a2).
 
 Search cases are data: each pairs a quantity with one of four a2^2
 rules, which also fixes the disk columns drawn.  They are summed (from
@@ -382,9 +387,9 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
 
 
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
-    """Search one rule at the grid indices ``points`` for each (position,
-    quantity) of ``quantities``: a sampling pass, then a refinement pass.
-    Yields ((point index, position), (sup, (build, row), n_samples, n_infeasible))."""
+    """Search one rule at the grid indices ``points`` for each (positions, quantity)
+    of ``quantities``: a sampling pass, then a refinement pass.  Yields, per position,
+    ((point index, position), (sup, (build, row), n_samples, n_infeasible))."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     width = draws.cols["c2"].size
@@ -394,24 +399,36 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
     best = np.empty((len(quantities), len(names), points.size), complex)
     n_infeasible = np.empty((len(quantities), points.size), int)
 
-    def chunks(per_point, at):
-        """(positions, rows, case columns, |a2| cap from |c1| <= 1) per chunk of ``at``."""
-        per_chunk = max(1, CHUNK_ELEMENTS // per_point)
-        for start in range(0, at.size, per_chunk):
-            span = at[start:start + per_chunk]
+    def chunks(widths, at):
+        """(positions, rows, case columns, |a2| cap from |c1| <= 1) per chunk of ``at``,
+        sized by the elements widths[position] of its first point."""
+        start = 0
+        while start < at.size:
+            span = at[start:start + max(1, CHUNK_ELEMENTS // int(widths[at[start]]))]
+            start += span.size
             case = _Case(cfg.mode, rule, *(c[points[span], None] for c in consts))
             yield span, np.arange(span.size), case, case.u1 / case.lin
 
+    # full system, summed rule: widest |c1| <= 1 cap on |c2 + d2| first, and a chunk scores
+    # only the columns under its first point's cap, (0, 0) always among them
+    at, cap = np.arange(points.size), None
+    if cfg.mode == FULL_SYSTEM and rule == "summed":
+        u1, _, a, prefactor, _ = (c[points] for c in consts)
+        cap = u1 * np.abs(prefactor) / a * (1.0 + 1e-9)
+        at, abs_q = np.argsort(-cap), np.abs(_terms(draws.cols)[0])
     # proof-set: the extremes alone, then in full where a random sample might beat them
-    at = np.arange(points.size)
     for scored in [width - cfg.n_samples, width] if cfg.mode == PROOF_SET else [width]:
-        for span, rows, case, radius in chunks(scored, at):
-            cols = {name: col[:scored] for name, col in draws.cols.items()}
+        widths = (np.full(points.size, scored) if cap is None
+                  else np.searchsorted(np.sort(abs_q), cap, "right"))
+        for span, rows, case, radius in chunks(widths, at):
+            take = slice(scored) if cap is None else np.flatnonzero(abs_q <= cap[span[0]])
+            cols = {name: col[take] for name, col in draws.cols.items()}
             if draws.a2 is not None:
                 extremes, s, phase = draws.a2
                 cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
             a2sq, r = _evaluate(case, _terms(cols))
-            feasible, n_infeasible[:, span], abs_a2sq = _feasible(case, a2sq)
+            feasible, infeasible, abs_a2sq = _feasible(case, a2sq)
+            n_infeasible[:, span] = infeasible + (scored - cols["c2"].size)  # and those cut
             for k, (_, quantity) in enumerate(quantities):
                 vals = _scores(quantity, a2sq, r, feasible, abs_a2sq)
                 idx = np.argmax(vals, axis=1)
@@ -422,8 +439,8 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
     # a round's candidates are columns x points x batch steps
-    for span, rows, case, radius in (chunks(len(names) * _REFINE_BATCH, np.arange(points.size))
-                                     if cfg.grid_refine else ()):
+    for span, rows, case, radius in (chunks(np.full(points.size, len(names) * _REFINE_BATCH),
+                                            np.arange(points.size)) if cfg.grid_refine else ()):
         radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names])
         for k, (_, quantity) in enumerate(quantities):
             for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
@@ -438,11 +455,12 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 better = vm[rows, j] > sup[k, span]
                 sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
                 best[k][:, span] = np.where(better, pert[:, rows, j], best[k][:, span])
-    for k, (pos, _) in enumerate(quantities):
+    for k, (positions, _) in enumerate(quantities):
         build = functools.partial(_witness_at, cfg.mode, rule, consts, names, best[k], points)
         rows = zip(points.tolist(), sup[k].tolist(), n_infeasible[k].tolist())
         for row, (i, s, n) in enumerate(rows):
-            yield (i, pos), (s, (build, row), n_eval, n)
+            for pos in positions:
+                yield (i, pos), (s, (build, row), n_eval, n)
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
@@ -458,9 +476,14 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
     found = {}
     for singular, rule in itertools.product((False, True), _RULE_COLUMNS):
         points = np.flatnonzero(cf.singular == singular)
-        picked = [(k, q) for k, q in enumerate(quantities) if _rule(q, cfg.mode, singular) == rule]
-        if points.size and picked:
-            found.update(_search_rule(rule, points, picked, consts, cfg))
+        # quantities whose scores are the same numbers share one search
+        shared = {}
+        for k, q in enumerate(quantities):
+            if _rule(q, cfg.mode, singular) == rule:
+                key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
+                shared.setdefault(key, ([], q))[0].append(k)
+        if points.size and shared:
+            found.update(_search_rule(rule, points, list(shared.values()), consts, cfg))
     results = []
     for i, (p, bounds) in enumerate(zip(p_grid, np.transpose(closed).tolist())):
         for k, (quantity, bound) in enumerate(zip(quantities, bounds)):
