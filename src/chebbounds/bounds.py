@@ -39,8 +39,6 @@ AS_PRINTED = "as-printed"
 FLAT = "flat"
 SLOPED = "sloped"
 
-UNBOUNDED = math.inf
-
 # |d| below this (relative to the natural scale of d) counts as singular
 _SINGULAR_RTOL = 1e-12
 

@@ -48,6 +48,12 @@ _MAX_ORDER = 256
 # largest verify --samples: the oracle's draws, shared by every point, peak at
 # under 300 bytes per sample, whatever the grid
 _MAX_SAMPLES = 1_000_000
+# largest COUNT of a range, as a flag or a config key: an axis holds 16 bytes per
+# value while it is built and checked
+_MAX_COUNT = 1_000_000
+# largest verify grid: it holds a ClassParams per point, about 0.2 KB, and 2 + len(eta)
+# results of about 0.36 KB each; with the default etas the search peaks at 3.3 KB a point
+_MAX_POINTS = 100_000
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
            ("t", "t", "in (1/2, 1)"))
@@ -113,6 +119,8 @@ def parse_range(text: str, name: str = "range") -> tuple[float, float, int]:
             raise ValueError(f"{name} count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise ValueError(f"{name} count must be >= 1, got {count}")
+        if count > _MAX_COUNT:
+            raise ValueError(f"{name} count must be <= {_MAX_COUNT}, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{name} must be finite, got {text!r}")
     return (start, stop, count)
@@ -236,17 +244,20 @@ def _require(args: argparse.Namespace, names: dict[str, str]) -> None:
 # sweep plumbing
 
 
-def _axes(args: argparse.Namespace) -> list[np.ndarray]:
-    """The four parameter axes that the range flags ask for, unchecked."""
+def _axes(args: argparse.Namespace, most: int | None = None) -> list[np.ndarray]:
+    """The four parameter axes that the range flags ask for, unchecked; with
+    ``most``, a grid of more points is rejected before any axis is built."""
     import numpy as np
     _require(args, _PARAM_FLAGS)
     ranges = [parse_range(getattr(args, dest), name) for name, dest, _ in _PARAMS]
+    if most is not None and (n := math.prod(count for *_, count in ranges)) > most:
+        raise ValueError(f"the lambda, mu, delta and t counts give {n} grid points, at most {most}")
     return [np.linspace(*rng) for rng in ranges]
 
 
 def grid_points(args: argparse.Namespace) -> list[ClassParams]:
-    """The grid of the range flags, one ClassParams per point."""
-    return param_points(*_axes(args))
+    """The grid of the range flags, one ClassParams per point, at most _MAX_POINTS."""
+    return param_points(*_axes(args, _MAX_POINTS))
 
 
 def sweep_header(etas) -> list[str]:

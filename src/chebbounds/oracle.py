@@ -1,53 +1,52 @@
 """Brute-force verification of the closed-form bounds by searching the
 admissible Schwarz-coefficient set.
 
-Two constraint sets are searched.  ``proof-set`` mode maximizes each
-quantity over independently chosen unit-disk coefficients, using for
-each quantity exactly the relations its bound derivation uses — so its
-supremum should match the closed-form bound wherever that bound is
-attained.  ``full-system`` mode keeps all four coefficient relations
-simultaneously consistent, which additionally caps |a2| through the
-linear relation (|c1| <= 1); its supremum may sit strictly below the
-closed form, and the gap is reported, not judged.
+Search cases are data.  A mode is two rows of one table, for regular and
+for singular points, that give each quantity an a2^2 rule, or none where
+it is unbounded and skipped; a rule also fixes the disk columns drawn.
+``proof-set`` mode maximizes each quantity over independently chosen
+unit-disk coefficients, by exactly the relations its bound derivation
+uses, so its supremum should match the closed form wherever that bound
+is attained.  Its rules are summed (the summed degree-2 relation), linear
+(the linear relations) and pinned (a2 = 0 on a singular point's c2 + d2 =
+0 slice).  ``full-system`` mode keeps all four coefficient relations
+simultaneously consistent: capped (summed, with |a2| capped through
+|c1| <= 1) and free (a2 drawn directly on that slice).  Its supremum may
+sit strictly below the closed form, and the gap is reported, not judged.
+Each rule belongs to one mode, so nothing below the table reads the mode.
 
 Sampling is uniform in (modulus^2, argument) per coefficient, with the
 extreme combinations of {0, +-1, +-i} injected deterministically: the
 analytic maxima sit at boundary sign patterns, so injection makes the
-attained equalities exact rather than asymptotic.  In proof-set mode the
-extremes, which come first, are scored alone; a point's random samples are
-scored only where a bound on their scores, from the case constants and the
-largest random modulus, does not fall below the extremes' sup.  Elsewhere
-they are bounded, not evaluated, and argmax over the extremes is argmax
-over all.  In full-system mode |c1| <= 1 caps the summed rule's |c2 + d2|
-at u1 |prefactor| / A; chunks take points widest cap first and score, in
-draw order, only the columns under the first one's cap times 1 + 1e-9,
-(0, 0) always.  The rest are infeasible at all of the chunk's points, so
-they are only counted.  Quantities whose scores are the same numbers share
-one search: the full system's |a3| and fs@0, both |a2^2 + r|.  The two
-square-root branches of a2 enter every verified quantity through a2^2
-alone, so one evaluation accounts for both (solve_member_coeffs exposes
-the branch choice explicitly for callers that want a concrete a2).
+attained equalities exact rather than asymptotic.  The proof-set rules are
+pruned: their extremes, which come first, are scored alone, and a point's
+random samples only where a bound on their scores, from the case constants
+and the largest random modulus, does not fall below the extremes' sup.
+Elsewhere they are bounded, not evaluated, and argmax over the extremes is
+argmax over all.  The capped rule's |c2 + d2| is at most u1 |prefactor| / A;
+chunks take points widest cap first and score, in draw order, only the
+columns under the first one's cap times 1 + 1e-9, (0, 0) always.  The rest
+are infeasible at all of the chunk's points, so they are only counted.
+|a3| is scored as fs@0, |a2^2 + r|, and quantities whose scores are the
+same numbers share one search.  The two square-root branches of a2 enter
+every verified quantity through a2^2 alone, so one evaluation accounts for
+both (solve_member_coeffs exposes the branch choice explicitly for callers
+that want a concrete a2).
 
-Search cases are data: each pairs a quantity with one of four a2^2
-rules, which also fixes the disk columns drawn.  They are summed (from
-the summed degree-2 relation), linear (from the linear relations), free
-(a2 drawn directly on a singular point's c2 + d2 = 0 slice) and pinned
-(a2 = 0 on that slice).  One evaluator and one witness builder serve all.
-One search serves a whole grid (``empirical_sup`` is a one-point grid),
-with its bounds and case constants from one ``closed_form`` call.  Each
-rule's samples and refinement steps are drawn once per (seed, sample
-count).  A sampling pass scores them against chunks of points, whose
-a2^2, r and feasibility serve all of the rule's quantities; a refinement
-pass then moves the incumbents of many points per round, in chunks of
-no more elements.  Results equal a per-point search's bit for bit; their
-witnesses are built on first read.
+One evaluator and one witness builder serve every rule, and one search a
+whole grid (``empirical_sup`` is a one-point grid), with its bounds and
+case constants from one ``closed_form`` call.  Each rule's samples and
+refinement steps are drawn once per (seed, sample count).  A sampling pass
+scores them against chunks of points, whose a2^2, r and feasibility serve
+all of the rule's quantities; a refinement pass then moves the incumbents
+of many points per round, in chunks of no more elements.  Results equal a
+per-point search's bit for bit; their witnesses are built on first read.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,16 +165,32 @@ class MemberSolution:
 # a2^2 rule -> the disk columns it draws, in draw order (the samples follow it)
 _RULE_COLUMNS = {
     "summed": ("c2", "d2"),              # u1 (c2 + d2) / prefactor, the summed relation
+    "capped": ("c2", "d2"),              # summed, infeasible where A |a2^2| > u1^2 (|c1| > 1)
     "linear": ("c1", "d1", "c2", "d2"),  # u1^2 (c1^2 + d1^2) / (2A), the linear relations
     "free": ("c2", "a2"),                # a2 drawn on |a2| <= u1/lin, with d2 = -c2
     "pinned": ("c2", "d2"),              # 0, on a singular point's c2 + d2 = 0 slice
 }
 
+# mode -> its rows for a regular and a singular point, each {quantity: a2^2 rule}, where
+# "fs@1" is fs at eta = 1 and "fs" any other eta; a quantity missing from a row carries
+# no finite constraint there (unbounded; the search skips it)
+_RULES = {
+    # |a3| through the linear relations (|c1|, |d1| <= 1), finite on singular points too;
+    # fs@1 does not see a2^2, so there it lives on c2 + d2 = 0, where a2 is pinned to 0
+    PROOF_SET: ({"a2": "summed", "a3": "linear", "fs@1": "summed", "fs": "summed"},
+                {"a3": "linear", "fs@1": "pinned"}),
+    # on a singular point the summed relation degenerates to c2 + d2 = 0, a2 free
+    FULL_SYSTEM: (dict.fromkeys(("a2", "a3", "fs@1", "fs"), "capped"),
+                  dict.fromkeys(("a2", "a3", "fs@1", "fs"), "free")),
+}
+# the proof-set rules: their extremes are scored first, and _score_bound prunes the
+# random samples that cannot beat them
+_PRUNED = frozenset(("summed", "linear", "pinned"))
+
 
 class _Case(NamedTuple):
     """One rule's constants at one point, or per point of a chunk as columns."""
 
-    mode: str
     rule: str
     u1: float
     lin: float
@@ -185,24 +200,8 @@ class _Case(NamedTuple):
 
 
 def _rule(quantity: Quantity, mode: str, singular: bool) -> str | None:
-    """The a2^2 rule of one quantity at a point.  None where the quantity
-    carries no finite constraint there (unbounded; the search skips it)."""
-    if mode == FULL_SYSTEM:
-        # on a singular point the summed relation degenerates to c2 + d2 = 0
-        # with a2 free on |a2| <= u1/lin
-        return "free" if singular else "summed"
-    if quantity.kind == "a3":
-        # a2^2 is bounded through the linear relations (|c1|, |d1| <= 1),
-        # not through the summed quadratic one, so the search stays finite
-        # even on singular points
-        return "linear"
-    if not singular:
-        return "summed"
-    if quantity.kind == "fs" and quantity.eta == 1.0:
-        # fs at eta = 1 does not see a2^2; its maximum lives on the
-        # c2 + d2 = 0 slice, where a2 is pinned to 0
-        return "pinned"
-    return None
+    """The a2^2 rule of one quantity at a point, or None where it is skipped."""
+    return _RULES[mode][singular].get("fs@1" if quantity.eta == 1.0 else quantity.kind)
 
 
 def _grid_cases(p_grid: list[ClassParams], etas=()):
@@ -233,7 +232,7 @@ def _evaluate(case: _Case, terms):
     # numpy divides complex x by real d as (x.real + x.imag * 0) * (1 / d), so arrays
     # multiply by 1 / d; Python's complex division rounds otherwise, so scalars divide
     over = (lambda x, d: x * (1.0 / d)) if isinstance(u1, np.ndarray) else operator.truediv
-    if case.rule == "summed":
+    if case.rule in ("summed", "capped"):
         a2sq = over(u1 * q, case.prefactor)
     elif case.rule == "linear":
         a2sq = over(u1 * u1 * q, 2.0 * case.a)
@@ -246,22 +245,20 @@ def _evaluate(case: _Case, terms):
 
 def _feasible(case: _Case, a2sq):
     """Where |c1| <= 1 (A |a2^2| <= u1^2), the infeasible count per point and
-    |a2^2|; only the full system's summed rule can break it (else None, 0, None)."""
-    if case.mode == FULL_SYSTEM and case.rule == "summed":
+    |a2^2|; only the capped rule can break it (else None, 0, None)."""
+    if case.rule == "capped":
         feasible = case.a * (abs_a2sq := np.abs(a2sq)) <= case.u1 * case.u1
         return feasible, np.count_nonzero(~feasible, axis=1), abs_a2sq
     return None, np.zeros(len(case.u1), int), None
 
 
 def _scores(quantity: Quantity, a2sq, r, feasible, abs_a2sq=None):
-    """sqrt|a2^2|, |a3| or |(1 - eta) a2^2 + r| per sample, -inf where
-    infeasible; ``abs_a2sq`` is |a2^2| where _feasible computed it."""
+    """sqrt|a2^2| or |(1 - eta) a2^2 + r|, |a3| at eta = 0, per sample, -inf
+    where infeasible; ``abs_a2sq`` is |a2^2| where _feasible computed it."""
     if quantity.kind == "a2":
         value = np.sqrt(np.abs(a2sq) if abs_a2sq is None else abs_a2sq)
-    elif quantity.kind == "a3":
-        value = np.abs(a2sq + r)
     else:
-        value = np.abs((1.0 - quantity.eta) * a2sq + r)
+        value = np.abs((1.0 - (quantity.eta or 0.0)) * a2sq + r)
     return value if feasible is None else np.where(feasible, value, -np.inf)
 
 
@@ -294,9 +291,9 @@ def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
     return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a2sq + r)
 
 
-def _witness_at(mode: str, rule: str, consts, names, best, points, row: int) -> Witness:
+def _witness_at(rule: str, consts, names, best, points, row: int) -> Witness:
     """The witness of grid point points[row], whose incumbent is best[:, row]."""
-    at = _Case(mode, rule, *(float(c[points[row]]) for c in consts))
+    at = _Case(rule, *(float(c[points[row]]) for c in consts))
     return _witness(at, dict(zip(names, best[:, row].tolist())))
 
 
@@ -320,17 +317,16 @@ def solve_member_coeffs(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if mode not in (PROOF_SET, FULL_SYSTEM):
+    if mode not in _RULES:
         raise ValueError(f"unknown mode {mode!r}")
     c2, d2 = complex(c2), complex(d2)
     for name, c in (("c2", c2), ("d2", d2)):
         if abs(c) > 1.0 + ADMISSIBLE_TOL:
             raise ValueError(f"{name} must lie in the closed unit disk, got |{name}| = {abs(c):g}")
-    # the full system's case is exactly this route: the summed relation,
+    # the full system's rule is exactly this route: the summed relation,
     # or a free a2 where it degenerates
     cf, consts = _grid_cases([p])
-    rule = _rule(A3, FULL_SYSTEM, bool(cf.singular[0]))
-    case = _Case(FULL_SYSTEM, rule, *(float(c[0]) for c in consts))
+    case = _Case(_rule(A3, FULL_SYSTEM, bool(cf.singular[0])), *(float(c[0]) for c in consts))
     if case.rule == "free":
         if abs(c2 + d2) > 1e-12:
             return MemberSolution("singular")
@@ -406,18 +402,18 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
         while start < at.size:
             span = at[start:start + max(1, CHUNK_ELEMENTS // int(widths[at[start]]))]
             start += span.size
-            case = _Case(cfg.mode, rule, *(c[points[span], None] for c in consts))
+            case = _Case(rule, *(c[points[span], None] for c in consts))
             yield span, np.arange(span.size), case, case.u1 / case.lin
 
-    # full system, summed rule: widest |c1| <= 1 cap on |c2 + d2| first, and a chunk scores
-    # only the columns under its first point's cap, (0, 0) always among them
+    # capped rule: widest |c1| <= 1 cap on |c2 + d2| first, and a chunk scores only
+    # the columns under its first point's cap, (0, 0) always among them
     at, cap = np.arange(points.size), None
-    if cfg.mode == FULL_SYSTEM and rule == "summed":
+    if rule == "capped":
         u1, _, a, prefactor, _ = (c[points] for c in consts)
         cap = u1 * np.abs(prefactor) / a * (1.0 + 1e-9)
         at, abs_q = np.argsort(-cap), np.abs(_terms(draws.cols)[0])
-    # proof-set: the extremes alone, then in full where a random sample might beat them
-    for scored in [width - cfg.n_samples, width] if cfg.mode == PROOF_SET else [width]:
+    # pruned: the extremes alone, then in full where a random sample might beat them
+    for scored in [width - cfg.n_samples, width] if rule in _PRUNED else [width]:
         widths = (np.full(points.size, scored) if cap is None
                   else np.searchsorted(np.sort(abs_q), cap, "right"))
         for span, rows, case, radius in chunks(widths, at):
@@ -435,7 +431,7 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 sup[k, span] = vals[rows, idx]
                 best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
         if scored < width:
-            case = _Case(cfg.mode, rule, *(c[points] for c in consts))
+            case = _Case(rule, *(c[points] for c in consts))
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
     # a round's candidates are columns x points x batch steps
@@ -456,7 +452,7 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
                 best[k][:, span] = np.where(better, pert[:, rows, j], best[k][:, span])
     for k, (positions, _) in enumerate(quantities):
-        build = functools.partial(_witness_at, cfg.mode, rule, consts, names, best[k], points)
+        build = functools.partial(_witness_at, rule, consts, names, best[k], points)
         rows = zip(points.tolist(), sup[k].tolist(), n_infeasible[k].tolist())
         for row, (i, s, n) in enumerate(rows):
             for pos in positions:
@@ -466,7 +462,7 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
     """The result of every (point, quantity), points outermost: the one
     search behind empirical_sup and sweep_verify."""
-    if cfg.mode not in (PROOF_SET, FULL_SYSTEM):
+    if cfg.mode not in _RULES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {cfg.n_samples}")
@@ -474,16 +470,16 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
     fs = iter(cf.fs)
     closed = [next(fs).bound if q.kind == "fs" else getattr(cf, q.kind) for q in quantities]
     found = {}
-    for singular, rule in itertools.product((False, True), _RULE_COLUMNS):
+    for singular in (False, True):
         points = np.flatnonzero(cf.singular == singular)
-        # quantities whose scores are the same numbers share one search
+        # per rule, quantities whose scores are the same numbers share one search
         shared = {}
         for k, q in enumerate(quantities):
-            if _rule(q, cfg.mode, singular) == rule:
+            if points.size and (rule := _rule(q, cfg.mode, singular)):
                 key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
-                shared.setdefault(key, ([], q))[0].append(k)
-        if points.size and shared:
-            found.update(_search_rule(rule, points, list(shared.values()), consts, cfg))
+                shared.setdefault(rule, {}).setdefault(key, ([], q))[0].append(k)
+        for rule, groups in shared.items():
+            found.update(_search_rule(rule, points, list(groups.values()), consts, cfg))
     results = []
     for i, (p, bounds) in enumerate(zip(p_grid, np.transpose(closed).tolist())):
         for k, (quantity, bound) in enumerate(zip(quantities, bounds)):

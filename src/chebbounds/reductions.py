@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bounds_from_denominator, closed_form
-from .classop import ClassParams, check_eta, param_axes, param_factors, param_grid, param_points
+from .classop import ClassParams, check_eta, param_axes, param_factors, param_grid
 
 REDUCTION_TOL = 1e-12
 
@@ -193,10 +193,3 @@ def reduction_check(
     worst = float(np.max([_deviation(special, side[key]) for eta, side in zip(eta_values, general)
                           for key, special in formula(*columns, eta).items()]))
     return ReductionResult(cid, len(columns[0]) * len(eta_values), worst, worst <= REDUCTION_TOL)
-
-
-def default_reduction_grid(cid: str) -> tuple[list[ClassParams], list[float] | None]:
-    """The built-in verification grid of one reduction, and its eta values
-    (None for a coefficient or an eta-pinned slice)."""
-    _, *axes, eta_axis = _entry(cid)
-    return param_points(*axes), (list(eta_axis) if eta_axis and len(eta_axis) > 1 else None)

@@ -14,7 +14,6 @@ import pytest
 from chebbounds.bounds import (
     AS_PRINTED,
     CORRECTED,
-    UNBOUNDED,
     bound_a2,
     closed_form,
     fekete_szego_bound,
@@ -225,7 +224,7 @@ def test_criterion_7_oracle_tightness_at_attained_points(acceptance_report):
 
 def test_criterion_8_singularity_handling(capsys, acceptance_report):
     p = ClassParams(2.0, 0.0, 0.0, math.sqrt(0.5))
-    assert bound_a2(p) == UNBOUNDED
+    assert bound_a2(p) == math.inf
     code = main(
         ["sweep", "--lambda", "1:3:3", "--mu", "0", "--delta", "0",
          "--t", f"{math.sqrt(0.5)}"]

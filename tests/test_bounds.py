@@ -8,7 +8,6 @@ from chebbounds.bounds import (
     CORRECTED,
     FLAT,
     SLOPED,
-    UNBOUNDED,
     bound_a2,
     bound_a3,
     bound_report,
@@ -20,9 +19,9 @@ from chebbounds.classop import ClassParams
 from chebbounds.reductions import (
     corollary_bound,
     corollary_ids,
-    default_reduction_grid,
     reduction_check,
 )
+from reduction_grids import reduction_grid
 
 P0 = ClassParams(1.0, 1.0, 0.0, 0.6)
 # 2 lam + mu = 4 and t^2 = 1/2 zero the denominator exactly in floats
@@ -63,7 +62,7 @@ def test_bound_a3_fixture():
 
 
 def test_singular_point_unbounded():
-    assert bound_a2(P_SING) == UNBOUNDED
+    assert bound_a2(P_SING) == math.inf
     rep = bound_report(P_SING)
     assert rep.singular
     assert math.isinf(rep.a2_bound)
@@ -137,7 +136,7 @@ def test_corollary_registry():
     assert len(ids) == 12
     assert len(set(ids)) == 12
     for cid in ids:
-        grid, etas = default_reduction_grid(cid)
+        grid, etas = reduction_grid(cid)
         assert len(grid) * (len(etas) if etas else 1) >= 81
 
 

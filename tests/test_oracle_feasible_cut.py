@@ -29,11 +29,11 @@ def _reference(p: ClassParams, quantities, seed: int):
     """(sup, witness, n_infeasible) per quantity at p from a scan of every
     draw column, each scored and masked to -inf where |c1| > 1."""
     _, consts = oracle._grid_cases([p])
-    case = oracle._Case(FULL_SYSTEM, "summed", *(c[:, None] for c in consts))
+    case = oracle._Case("capped", *(c[:, None] for c in consts))
     cols = oracle._draws(("c2", "d2"), seed, SAMPLES).cols
     a2sq, r = oracle._evaluate(case, oracle._terms(cols))
     feasible = (case.a * np.abs(a2sq) <= case.u1 * case.u1)[0]
-    at = oracle._Case(FULL_SYSTEM, "summed", *(float(c[0]) for c in consts))
+    at = oracle._Case("capped", *(float(c[0]) for c in consts))
     found = []
     for q in quantities:
         if q.kind == "a2":

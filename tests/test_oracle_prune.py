@@ -38,7 +38,7 @@ def test_no_sample_scores_above_the_bound_at_its_modulus(lam, mu, delta, t, eta,
         if rule is None:
             continue
         draws = oracle._draws(oracle._RULE_COLUMNS[rule], seed, 200)
-        case = oracle._Case(PROOF_SET, rule, *(c[:, None] for c in consts))
+        case = oracle._Case(rule, *(c[:, None] for c in consts))
         a2sq, r = oracle._evaluate(case, oracle._terms(draws.cols))
         scores = oracle._scores(quantity, a2sq, r, None)[0]
         modulus = np.max(np.abs(list(draws.cols.values())), axis=0)

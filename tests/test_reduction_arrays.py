@@ -10,9 +10,9 @@ from chebbounds.reductions import (
     _SLICES,
     corollary_bound,
     corollary_ids,
-    default_reduction_grid,
     reduction_check,
 )
+from reduction_grids import reduction_grid
 
 
 def columns(grid):
@@ -22,7 +22,7 @@ def columns(grid):
 @pytest.mark.parametrize("cid", corollary_ids())
 def test_point_equals_the_array_row(cid):
     formula, *_, eta_axis = _SLICES[cid]
-    grid, etas = default_reduction_grid(cid)
+    grid, etas = reduction_grid(cid)
     for eta in etas or eta_axis or [None]:
         rows = formula(*columns(grid), eta)
         for i, p in enumerate(grid):
@@ -36,7 +36,7 @@ def test_off_pin_point_in_a_custom_grid_is_rejected():
     with pytest.raises(ValueError, match="corollary 'coef-basic' pins mu = 1, got 0.5"):
         reduction_check("coef-basic", grid=[ClassParams(1.0, 0.5, 0.0, 0.6)])
     # the first off-pin value of a column, wherever it stands in the grid
-    grid = default_reduction_grid("fs-delta-eta1")[0]
+    grid = reduction_grid("fs-delta-eta1")[0]
     grid = grid + [ClassParams(2.0, 1.5, 0.5, 0.6), ClassParams(2.0, 2.0, 0.5, 0.6)]
     with pytest.raises(ValueError, match="corollary 'fs-delta-eta1' pins mu = 1, got 1.5"):
         reduction_check("fs-delta-eta1", grid=grid)
@@ -58,7 +58,7 @@ def test_one_wrong_row_fails_the_slice(monkeypatch, cid, key):
 
 @pytest.mark.parametrize("cid", corollary_ids())
 def test_default_grid_runs_on_axis_columns(monkeypatch, cid):
-    grid, etas = default_reduction_grid(cid)
+    grid, etas = reduction_grid(cid)
     expected = reduction_check(cid, grid, etas)
     built = []
     check = ClassParams.__post_init__

@@ -11,9 +11,9 @@ from chebbounds.reductions import (
     _deviation,
     corollary_bound,
     corollary_ids,
-    default_reduction_grid,
     reduction_check,
 )
+from reduction_grids import reduction_grid
 
 # id -> (pinned values, points reduction_check compares, default eta list)
 SLICES = {
@@ -42,7 +42,7 @@ def test_slice_ids():
 @pytest.mark.parametrize("cid", list(SLICES))
 def test_slice_pins(cid):
     pins, _, etas = SLICES[cid]
-    grid, _ = default_reduction_grid(cid)
+    grid, _ = reduction_grid(cid)
     for p in grid:
         for name, value in pins.items():
             if name != "eta":
@@ -65,7 +65,7 @@ def test_slice_pins(cid):
 @pytest.mark.parametrize("cid", list(SLICES))
 def test_slice_default_grid(cid):
     _, n_points, etas = SLICES[cid]
-    assert default_reduction_grid(cid)[1] == etas
+    assert reduction_grid(cid)[1] == etas
     res = reduction_check(cid)
     assert res.n_points == n_points
     assert res.passed
@@ -85,7 +85,7 @@ def test_reduction_check_shares_the_eta_rule(cid, etas, message):
     with pytest.raises(ValueError, match=message):
         reduction_check(cid, etas=etas)
     with pytest.raises(ValueError, match=message):
-        corollary_bound(cid, default_reduction_grid(cid)[0][0], etas[-1])
+        corollary_bound(cid, reduction_grid(cid)[0][0], etas[-1])
 
 
 def test_reduction_check_eta_values():
@@ -98,7 +98,7 @@ def test_reduction_check_eta_values():
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
 def test_non_finite_eta_is_rejected(eta):
     # a nan or inf eta gives nan or inf on both sides, which would pass vacuously
-    p = default_reduction_grid("fs-basic")[0][0]
+    p = reduction_grid("fs-basic")[0][0]
     with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
         corollary_bound("fs-basic", p, eta)
     for cid in ("fs-basic", "fs-lambda", "fs-eta1"):
