@@ -40,7 +40,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# sweep rows computed, rendered and written at a time: bounds a sweep's memory
+# sweep rows of 12 fields (3 etas) computed, rendered and written at a time; a chunk
+# holds at most CSV_CHUNK_ROWS * 12 fields whatever the etas, which bounds a sweep's memory
 CSV_CHUNK_ROWS = 4096
 # largest truncation order from the command line (cheb --n-max, series --order
 # or the length of --coeffs): the series arithmetic grows with its square or cube
@@ -51,8 +52,8 @@ _MAX_SAMPLES = 1_000_000
 # largest COUNT of a range, as a flag or a config key: an axis holds 16 bytes per
 # value while it is built and checked
 _MAX_COUNT = 1_000_000
-# largest verify grid: it holds a ClassParams per point, about 0.2 KB, and 2 + len(eta)
-# results of about 0.36 KB each; with the default etas the search peaks at 3.3 KB a point
+# largest verify grid at the default 3 etas, a limit on _MAX_POINTS * 5 results: a point holds
+# a ClassParams, about 0.2 KB, and 2 + len(eta) results, about 0.36 KB each (peak 3.3 KB)
 _MAX_POINTS = 100_000
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
@@ -256,8 +257,9 @@ def _axes(args: argparse.Namespace, most: int | None = None) -> list[np.ndarray]
 
 
 def grid_points(args: argparse.Namespace) -> list[ClassParams]:
-    """The grid of the range flags, one ClassParams per point, at most _MAX_POINTS."""
-    return param_points(*_axes(args, _MAX_POINTS))
+    """The grid of the range flags, one ClassParams per point, with at most
+    _MAX_POINTS * 5 oracle results, 2 + len(eta) a point (2 without etas)."""
+    return param_points(*_axes(args, _MAX_POINTS * 5 // (2 + len(getattr(args, "eta", ())))))
 
 
 def sweep_header(etas) -> list[str]:
@@ -381,9 +383,10 @@ def _write_sweep(fh, axes: list[np.ndarray], etas, variant: str, out_format: str
     else:
         render, head, between, tail = render_csv, ",".join(header) + "\n", "", ""
     n_rows = math.prod(len(axis) for axis in axes)
+    step = max(1, CSV_CHUNK_ROWS * 12 // len(header))
     fh.write(head)
-    for start in range(0, n_rows, CSV_CHUNK_ROWS):
-        columns = sweep_rows(axes, start, min(start + CSV_CHUNK_ROWS, n_rows), etas, variant)
+    for start in range(0, n_rows, step):
+        columns = sweep_rows(axes, start, min(start + step, n_rows), etas, variant)
         fh.write((between if start else "") + render(header, columns))
     fh.write(tail)
 

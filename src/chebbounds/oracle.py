@@ -10,37 +10,41 @@ uses, so its supremum should match the closed form wherever that bound
 is attained.  Its rules are summed (the summed degree-2 relation), linear
 (the linear relations) and pinned (a2 = 0 on a singular point's c2 + d2 =
 0 slice).  ``full-system`` mode keeps all four coefficient relations
-simultaneously consistent: capped (summed, with |a2| capped through
-|c1| <= 1) and free (a2 drawn directly on that slice).  Its supremum may
-sit strictly below the closed form, and the gap is reported, not judged.
-Each rule belongs to one mode, so nothing below the table reads the mode.
+simultaneously consistent: capped (summed, with |c2 + d2| capped at R =
+min(2, u1 |prefactor| / A) through |c1| <= 1) and free (a2 drawn directly
+on that slice).  Its supremum may sit strictly below the closed form, and
+the gap is reported, not judged.  Each rule belongs to one mode, so nothing
+below the table reads the mode.
 
 Sampling is uniform in (modulus^2, argument) per coefficient, with the
 extreme combinations of {0, +-1, +-i} injected deterministically: the
 analytic maxima sit at boundary sign patterns, so injection makes the
-attained equalities exact rather than asymptotic.  The proof-set rules are
-pruned: their extremes, which come first, are scored alone, and a point's
-random samples only where a bound on their scores, from the case constants
-and the largest random modulus, does not fall below the extremes' sup.
-Elsewhere they are bounded, not evaluated, and argmax over the extremes is
-argmax over all.  The capped rule's |c2 + d2| is at most u1 |prefactor| / A;
-chunks take points widest cap first and score, in draw order, only the
-columns under the first one's cap times 1 + 1e-9, (0, 0) always.  The rest
-are infeasible at all of the chunk's points, so they are only counted.
-|a3| is scored as fs@0, |a2^2 + r|, and quantities whose scores are the
-same numbers share one search.  The two square-root branches of a2 enter
-every verified quantity through a2^2 alone, so one evaluation accounts for
-both (solve_member_coeffs exposes the branch choice explicitly for callers
-that want a concrete a2).
+attained equalities exact rather than asymptotic.  Every sample is
+feasible: a capped drawn pair (c2, d2) in the bidisk stands for c2' =
+(R/2 s + w) / 2 and d2' = (R/2 s - w) / 2, with s = c2 + d2 and w = c2 - d2,
+so its a2^2 is the summed relation's scaled by R/2; both stay in the unit
+disk and |c2' + d2'| <= R.  The capped rule's exact maximizers, the vertices
+(1, R - 1) and (R - 1, 1) times {+-1, +-i}, are injected per point after the
+extremes, drawn as (2 - R/2, R/2) and its swap.  Every rule but the free one
+is pruned: its injected columns, which come first, are scored alone, and a
+point's random samples only where a bound on their scores, from the case
+constants and the largest random modulus, does not fall below the injected
+columns' sup.  Elsewhere they are bounded, not evaluated, and argmax over
+the injected columns is argmax over all.  |a3| is scored as fs@0, |a2^2 +
+r|, and quantities whose scores are the same numbers share one search.  The
+two square-root branches of a2 enter every verified quantity through a2^2
+alone, so one evaluation accounts for both (solve_member_coeffs exposes the
+branch choice explicitly for callers that want a concrete a2).
 
 One evaluator and one witness builder serve every rule, and one search a
 whole grid (``empirical_sup`` is a one-point grid), with its bounds and
 case constants from one ``closed_form`` call.  Each rule's samples and
 refinement steps are drawn once per (seed, sample count).  A sampling pass
-scores them against chunks of points, whose a2^2, r and feasibility serve
-all of the rule's quantities; a refinement pass then moves the incumbents
-of many points per round, in chunks of no more elements.  Results equal a
-per-point search's bit for bit; their witnesses are built on first read.
+scores them against chunks of points, whose a2^2 and r serve all of the
+rule's quantities; a refinement pass then moves the incumbents of many
+points per round, each step projected back onto its disk, in chunks of no
+more elements.  Results equal a per-point search's bit for bit; their
+witnesses are built on first read.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ class OracleResult:
     sup_value: float
     witness: Witness | None = _WitnessField()
     n_samples: int               # random + injected + refined; pruned ones bounded, not scored
-    n_infeasible: int
+    n_infeasible: int            # 0: every sample searched is feasible
     seed: int
     closed_form_bound: float
     verdict: str                 # WITHIN_BOUND | VIOLATION | SKIPPED
@@ -165,7 +169,7 @@ class MemberSolution:
 # a2^2 rule -> the disk columns it draws, in draw order (the samples follow it)
 _RULE_COLUMNS = {
     "summed": ("c2", "d2"),              # u1 (c2 + d2) / prefactor, the summed relation
-    "capped": ("c2", "d2"),              # summed, infeasible where A |a2^2| > u1^2 (|c1| > 1)
+    "capped": ("c2", "d2"),              # summed, c2 + d2 scaled by R/2 so that |c1| <= 1
     "linear": ("c1", "d1", "c2", "d2"),  # u1^2 (c1^2 + d1^2) / (2A), the linear relations
     "free": ("c2", "a2"),                # a2 drawn on |a2| <= u1/lin, with d2 = -c2
     "pinned": ("c2", "d2"),              # 0, on a singular point's c2 + d2 = 0 slice
@@ -183,9 +187,11 @@ _RULES = {
     FULL_SYSTEM: (dict.fromkeys(("a2", "a3", "fs@1", "fs"), "capped"),
                   dict.fromkeys(("a2", "a3", "fs@1", "fs"), "free")),
 }
-# the proof-set rules: their extremes are scored first, and _score_bound prunes the
-# random samples that cannot beat them
-_PRUNED = frozenset(("summed", "linear", "pinned"))
+# the rules whose injected columns are scored first, and _score_bound prunes the random
+# samples that cannot beat them: all but the free rule, whose a2 disk has no such bound
+_PRUNED = frozenset(("summed", "capped", "linear", "pinned"))
+# the capped rule's maximizers, the vertices (1, R - 1) and (R - 1, 1) times these
+_PHASES = np.array([1.0, -1.0, 1j, -1j])
 
 
 class _Case(NamedTuple):
@@ -197,6 +203,7 @@ class _Case(NamedTuple):
     a: float
     prefactor: float             # d / (2 t^2); meaningless when singular
     two_f: float
+    half_cap: float              # R/2 = min(1, |d| / (2 t A)): |c1| <= 1 caps |c2 + d2| at R
 
 
 def _rule(quantity: Quantity, mode: str, singular: bool) -> str | None:
@@ -206,11 +213,12 @@ def _rule(quantity: Quantity, mode: str, singular: bool) -> str | None:
 
 def _grid_cases(p_grid: list[ClassParams], etas=()):
     """The grid's closed form (corrected, one Fekete-Szego column per eta)
-    and the _Case constants (u1, lin, A, prefactor, 2F), one array each."""
+    and the _Case constants (u1, lin, A, prefactor, 2F, R/2), one array each."""
     lam, mu, delta, t = np.array([(p.lam, p.mu, p.delta, p.t) for p in p_grid]).T
     cf = closed_form(lam, mu, delta, t, etas, CORRECTED)
     f = cf.factors
-    return cf, (2.0 * t, f.op_linear_factor, cf.A, cf.d / (2.0 * t * t), 2.0 * f.fs_flat_denom)
+    return cf, (2.0 * t, f.op_linear_factor, cf.A, cf.d / (2.0 * t * t), 2.0 * f.fs_flat_denom,
+                np.minimum(1.0, np.abs(cf.d) / (2.0 * t * cf.A)))
 
 
 def _terms(cols):
@@ -233,7 +241,8 @@ def _evaluate(case: _Case, terms):
     # multiply by 1 / d; Python's complex division rounds otherwise, so scalars divide
     over = (lambda x, d: x * (1.0 / d)) if isinstance(u1, np.ndarray) else operator.truediv
     if case.rule in ("summed", "capped"):
-        a2sq = over(u1 * q, case.prefactor)
+        # a capped sample's c2 + d2 stands for R/2 of it (see _witness)
+        a2sq = over(u1 * (case.half_cap if case.rule == "capped" else 1.0) * q, case.prefactor)
     elif case.rule == "linear":
         a2sq = over(u1 * u1 * q, 2.0 * case.a)
     elif case.rule == "free":
@@ -243,23 +252,11 @@ def _evaluate(case: _Case, terms):
     return a2sq, over(u1 * diff, case.two_f)
 
 
-def _feasible(case: _Case, a2sq):
-    """Where |c1| <= 1 (A |a2^2| <= u1^2), the infeasible count per point and
-    |a2^2|; only the capped rule can break it (else None, 0, None)."""
-    if case.rule == "capped":
-        feasible = case.a * (abs_a2sq := np.abs(a2sq)) <= case.u1 * case.u1
-        return feasible, np.count_nonzero(~feasible, axis=1), abs_a2sq
-    return None, np.zeros(len(case.u1), int), None
-
-
-def _scores(quantity: Quantity, a2sq, r, feasible, abs_a2sq=None):
-    """sqrt|a2^2| or |(1 - eta) a2^2 + r|, |a3| at eta = 0, per sample, -inf
-    where infeasible; ``abs_a2sq`` is |a2^2| where _feasible computed it."""
+def _scores(quantity: Quantity, a2sq, r):
+    """sqrt|a2^2| or |(1 - eta) a2^2 + r|, |a3| at eta = 0, per sample."""
     if quantity.kind == "a2":
-        value = np.sqrt(np.abs(a2sq) if abs_a2sq is None else abs_a2sq)
-    else:
-        value = np.abs((1.0 - (quantity.eta or 0.0)) * a2sq + r)
-    return value if feasible is None else np.where(feasible, value, -np.inf)
+        return np.sqrt(np.abs(a2sq))
+    return np.abs((1.0 - (quantity.eta or 0.0)) * a2sq + r)
 
 
 def _score_bound(quantity: Quantity, case: _Case, reach):
@@ -283,6 +280,11 @@ def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
         a2, d2 = pt["a2"], -c2
     else:
         a2, d2 = cmath.sqrt(a2sq), pt["d2"]
+    if case.rule == "capped":
+        # a drawn pair (c2, d2) in the bidisk stands for the feasible one with
+        # c2 + d2 scaled by R/2: c2' = (R/2) c2 + (1 - R/2) (c2 - d2) / 2
+        s, w = case.half_cap * (c2 + d2), c2 - d2
+        c2, d2 = (s + w) / 2.0, (s - w) / 2.0
     if case.rule == "linear":
         c1, d1 = pt["c1"], pt["d1"]
     else:
@@ -323,10 +325,10 @@ def solve_member_coeffs(
     for name, c in (("c2", c2), ("d2", d2)):
         if abs(c) > 1.0 + ADMISSIBLE_TOL:
             raise ValueError(f"{name} must lie in the closed unit disk, got |{name}| = {abs(c):g}")
-    # the full system's rule is exactly this route: the summed relation,
-    # or a free a2 where it degenerates
+    # the summed relation, or a free a2 where it degenerates; (c2, d2) are the
+    # coefficients themselves, not a capped rule's scaled draw
     cf, consts = _grid_cases([p])
-    case = _Case(_rule(A3, FULL_SYSTEM, bool(cf.singular[0])), *(float(c[0]) for c in consts))
+    case = _Case("free" if cf.singular[0] else "summed", *(float(c[0]) for c in consts))
     if case.rule == "free":
         if abs(c2 + d2) > 1e-12:
             return MemberSolution("singular")
@@ -385,48 +387,45 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
     """Search one rule at the grid indices ``points`` for each (positions, quantity)
     of ``quantities``: a sampling pass, then a refinement pass.  Yields, per position,
-    ((point index, position), (sup, (build, row), n_samples, n_infeasible))."""
+    ((point index, position), (sup, (build, row), n_samples))."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
-    width = draws.cols["c2"].size
+    # the injected columns come first: the shared extremes, then the capped maximizers
+    lead = draws.cols["c2"].size - cfg.n_samples
+    injected = lead + (2 * _PHASES.size if rule == "capped" else 0)
+    width = injected + cfg.n_samples
     n_eval = width + (len(_REFINE_FRACTIONS) * _REFINE_BATCH if cfg.grid_refine else 0)
-    # per (quantity, point): the sup, its incumbent columns and infeasible count
+    # per (quantity, point): the sup and its incumbent columns
     sup = np.empty((len(quantities), points.size))
     best = np.empty((len(quantities), len(names), points.size), complex)
-    n_infeasible = np.empty((len(quantities), points.size), int)
 
-    def chunks(widths, at):
-        """(positions, rows, case columns, |a2| cap from |c1| <= 1) per chunk of ``at``,
-        sized by the elements widths[position] of its first point."""
-        start = 0
-        while start < at.size:
-            span = at[start:start + max(1, CHUNK_ELEMENTS // int(widths[at[start]]))]
-            start += span.size
-            case = _Case(rule, *(c[points[span], None] for c in consts))
-            yield span, np.arange(span.size), case, case.u1 / case.lin
+    def chunks(per_point, at):
+        """(positions, rows, case columns) per chunk of ``at``: as many points as hold
+        per_point elements each within CHUNK_ELEMENTS, and at least one."""
+        step = max(1, CHUNK_ELEMENTS // per_point)
+        for start in range(0, at.size, step):
+            span = at[start:start + step]
+            yield span, np.arange(span.size), _Case(rule, *(c[points[span], None] for c in consts))
 
-    # capped rule: widest |c1| <= 1 cap on |c2 + d2| first, and a chunk scores only
-    # the columns under its first point's cap, (0, 0) always among them
-    at, cap = np.arange(points.size), None
-    if rule == "capped":
-        u1, _, a, prefactor, _ = (c[points] for c in consts)
-        cap = u1 * np.abs(prefactor) / a * (1.0 + 1e-9)
-        at, abs_q = np.argsort(-cap), np.abs(_terms(draws.cols)[0])
-    # pruned: the extremes alone, then in full where a random sample might beat them
-    for scored in [width - cfg.n_samples, width] if rule in _PRUNED else [width]:
-        widths = (np.full(points.size, scored) if cap is None
-                  else np.searchsorted(np.sort(abs_q), cap, "right"))
-        for span, rows, case, radius in chunks(widths, at):
-            take = slice(scored) if cap is None else np.flatnonzero(abs_q <= cap[span[0]])
-            cols = {name: col[take] for name, col in draws.cols.items()}
-            if draws.a2 is not None:
+    # pruned: the injected columns alone, then in full where a random sample might beat them
+    at = np.arange(points.size)
+    for scored in [injected, width] if rule in _PRUNED else [width]:
+        for span, rows, case in chunks(scored, at):
+            cols = {name: col[:scored - injected + lead] for name, col in draws.cols.items()}
+            if rule == "free":
                 extremes, s, phase = draws.a2
+                radius = case.u1 / case.lin
                 cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
+            if rule == "capped":
+                # the vertices drawn as (2 - R/2, R/2) and (R/2, 2 - R/2), times each phase
+                vertices = np.stack([2.0 - case.half_cap, case.half_cap], axis=1) * _PHASES
+                for name, at_point in (("c2", vertices), ("d2", vertices[:, ::-1])):
+                    col = np.broadcast_to(cols[name], (span.size, cols[name].size))
+                    cols[name] = np.concatenate(
+                        [col[:, :lead], at_point.reshape(span.size, -1), col[:, lead:]], axis=1)
             a2sq, r = _evaluate(case, _terms(cols))
-            feasible, infeasible, abs_a2sq = _feasible(case, a2sq)
-            n_infeasible[:, span] = infeasible + (scored - cols["c2"].size)  # and those cut
             for k, (_, quantity) in enumerate(quantities):
-                vals = _scores(quantity, a2sq, r, feasible, abs_a2sq)
+                vals = _scores(quantity, a2sq, r)
                 idx = np.argmax(vals, axis=1)
                 sup[k, span] = vals[rows, idx]
                 best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
@@ -434,29 +433,27 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             case = _Case(rule, *(c[points] for c in consts))
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
-    # a round's candidates are columns x points x batch steps
-    for span, rows, case, radius in (chunks(np.full(points.size, len(names) * _REFINE_BATCH),
-                                            np.arange(points.size)) if cfg.grid_refine else ()):
+    # a round's candidates are columns x points x batch steps, each projected onto its
+    # disk, so a capped candidate is a drawn pair again
+    for span, rows, case in (chunks(len(names) * _REFINE_BATCH, np.arange(points.size))
+                             if cfg.grid_refine else ()):
+        radius = case.u1 / case.lin
         radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names])
         for k, (_, quantity) in enumerate(quantities):
             for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
                 cand = best[k][:, span, None] + units[:, None] * (frac * radii)
                 mag = np.abs(cand)
                 pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
-                a2sq_k, r_k = _evaluate(case, _terms(dict(zip(names, pert))))
-                feasible_k, infeasible_k, abs_k = _feasible(case, a2sq_k)
-                vm = _scores(quantity, a2sq_k, r_k, feasible_k, abs_k)
-                n_infeasible[k, span] += infeasible_k
+                vm = _scores(quantity, *_evaluate(case, _terms(dict(zip(names, pert)))))
                 j = np.argmax(vm, axis=1)
                 better = vm[rows, j] > sup[k, span]
                 sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
                 best[k][:, span] = np.where(better, pert[:, rows, j], best[k][:, span])
     for k, (positions, _) in enumerate(quantities):
         build = functools.partial(_witness_at, rule, consts, names, best[k], points)
-        rows = zip(points.tolist(), sup[k].tolist(), n_infeasible[k].tolist())
-        for row, (i, s, n) in enumerate(rows):
+        for row, (i, s) in enumerate(zip(points.tolist(), sup[k].tolist())):
             for pos in positions:
-                yield (i, pos), (s, (build, row), n_eval, n)
+                yield (i, pos), (s, (build, row), n_eval)
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
@@ -484,10 +481,10 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
     for i, (p, bounds) in enumerate(zip(p_grid, np.transpose(closed).tolist())):
         for k, (quantity, bound) in enumerate(zip(quantities, bounds)):
             # unsearched: no finite constraint, the quantity is unbounded
-            sup, wit, n_eval, n_infeasible = found.get((i, k), (math.inf, None, 0, 0))
+            sup, wit, n_eval = found.get((i, k), (math.inf, None, 0))
             verdict = (SKIPPED if wit is None or math.isinf(bound)
                        else WITHIN_BOUND if sup <= bound + VERDICT_TOL else VIOLATION)
-            results.append(OracleResult(quantity, p, cfg.mode, sup, wit, n_eval, n_infeasible,
+            results.append(OracleResult(quantity, p, cfg.mode, sup, wit, n_eval, 0,
                                         cfg.seed, bound, verdict))
     return results
 

@@ -50,3 +50,23 @@ def test_the_point_limit_is_inclusive(monkeypatch):
     with pytest.raises(ValueError, match="give 81 grid points, at most 80"):
         cli.grid_points(args)
 
+
+
+def test_the_point_limit_shrinks_as_etas_add_results(monkeypatch):
+    # each eta adds one oracle result per point: the limit is _MAX_POINTS * 5
+    # results, which the default 3 etas reach at _MAX_POINTS points
+    args = build_parser().parse_args(["verify"])      # the default grid: 3^4 points
+    monkeypatch.setattr(cli, "_MAX_POINTS", 81)       # 405 results
+    for etas, most in [((), 202), ((0.0,), 135), ((0.0, 1.0, 2.0), 81), ((0.0, 1.0, 2.0, 3.0), 67)]:
+        monkeypatch.setattr(args, "eta", etas)
+        if 81 <= most:
+            assert len(cli.grid_points(args)) == 81
+        else:
+            with pytest.raises(ValueError, match=f"give 81 grid points, at most {most}$"):
+                cli.grid_points(args)
+    # inclusive: with 4 etas, 81 points hold 486 results, under 98 * 5 but not 97 * 5
+    monkeypatch.setattr(cli, "_MAX_POINTS", 98)
+    assert len(cli.grid_points(args)) == 81
+    monkeypatch.setattr(cli, "_MAX_POINTS", 97)
+    with pytest.raises(ValueError, match="give 81 grid points, at most 80$"):
+        cli.grid_points(args)

@@ -62,6 +62,18 @@ def test_solve_member_matches_membership_check():
     assert pair.c1 == pytest.approx(sol.c1, abs=1e-12)
 
 
+def test_solve_member_keeps_the_given_coefficients():
+    # at P0 |c1| <= 1 caps |c2 + d2| at R = 16/15 < 2; the search's capped rule
+    # scales a drawn c2 + d2 by R/2, but a caller's (c2, d2) are the coefficients
+    c2, d2 = 0.3 + 0.1j, 0.2
+    sol = solve_member_coeffs(c2, d2, 1, P0, mode=FULL_SYSTEM)
+    assert sol.status == "ok"
+    # u1 = 1.2 and d / (2 t^2) = 2.56 / 0.72
+    assert sol.a2 * sol.a2 == pytest.approx(1.2 * (c2 + d2) / (2.56 / 0.72), abs=1e-15)
+    pair = membership_feasibility(sol.a2, sol.a3, P0)
+    assert [pair.c2, pair.d2] == pytest.approx([c2, d2], abs=1e-12)
+
+
 def test_solve_member_sign_symmetry():
     plus = solve_member_coeffs(0.4, 0.1, 1, P0)
     minus = solve_member_coeffs(0.4, 0.1, -1, P0)
@@ -119,8 +131,9 @@ def test_full_system_a2_hits_schwarz_cap():
     cfg = OracleConfig(mode=FULL_SYSTEM, n_samples=3000, seed=5)
     res = empirical_sup(A2, P0, cfg)
     assert res.verdict == WITHIN_BOUND
-    assert res.sup_value == pytest.approx(0.6, abs=1e-3)
-    assert res.n_infeasible > 0
+    assert res.sup_value == pytest.approx(0.6, abs=1e-12)
+    # every sample searched is feasible
+    assert res.n_infeasible == 0
 
 
 def test_full_system_witness_is_consistent():

@@ -59,7 +59,7 @@ def test_witness_reproduces_sup(p, quantity, mode):
 ACCOUNTING_GRID = [P0, P_SING, P_MIXED, ClassParams(1.5, 0.5, 0.2, 0.9)]
 ACCOUNTING = {
     PROOF_SET: (9625, 0, {"skipped": 3, "within-bound": 17}),
-    FULL_SYSTEM: (8500, 4004, {"skipped": 3, "within-bound": 17}),
+    FULL_SYSTEM: (8620, 0, {"skipped": 3, "within-bound": 17}),
 }
 
 

@@ -20,13 +20,13 @@ GRIDS = {
     "verify": (("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"), PROOF_SET, 10_000,
                "e86debef76dd4ef67f33006e2c0695a835296a9c49a09934abc556e127875746"),
     "verify-full": (("1:3:5", "0:2:5", "0:1:5", "0.55:0.95:9"), FULL_SYSTEM, 1000,
-                    "16ebb66839fa830285319847c132638bfe8e67b7b29a1774a29215a3b9932d29"),
+                    "86ae37d00095587f88340ebfbd14365f9e9b3e80f529248e30f0883e4cfa227b"),
 }
 
 # name -> digest of the same search with grid_refine=False
 UNREFINED = {
     "verify": "605d1847fc59c35aeb0e0f86a2f49c25058f4d8882ac9e32d446ed0b58b58697",
-    "verify-full": "d3ca0ed45ccae4336dc477f48b119f8b0dee0f6675ce6119e279ca1bc7d34b79",
+    "verify-full": "51a2be487bd4a3e5e808823b80482d547e9b1e4400ad4cae785eb274087ae041",
 }
 
 
@@ -81,16 +81,19 @@ def _transient_peak(grid, cfg) -> int:
         tracemalloc.stop()
 
 
-# (mode, oracle.CHUNK_ELEMENTS): 1024 elements hold fewer than the small grid's
-# 32 points in every pass, so both grids fill their chunks; None keeps the default
-@pytest.mark.parametrize("mode, elements", [(PROOF_SET, 1024), (FULL_SYSTEM, 1024),
-                                            (FULL_SYSTEM, None)],
+# (mode, oracle.CHUNK_ELEMENTS, lambda counts of the small and large grids, 16 points
+# a lambda): 1024 elements hold fewer than the small grid's 32 points in every pass, so
+# both grids fill their chunks; None keeps the default, whose pruned chunks hold 496
+# points of the capped rule's 33 injected columns, so its grids have 512 and 1024
+@pytest.mark.parametrize("mode, elements, counts", [(PROOF_SET, 1024, (2, 16)),
+                                                    (FULL_SYSTEM, 1024, (2, 16)),
+                                                    (FULL_SYSTEM, None, (32, 64))],
                          ids=["proof-set", "full-system", "full-system-default-chunk"])
-def test_search_memory_does_not_grow_with_the_grid(monkeypatch, mode, elements):
+def test_search_memory_does_not_grow_with_the_grid(monkeypatch, mode, elements, counts):
     if elements is not None:
         monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", elements)
     cfg = OracleConfig(mode=mode, n_samples=2000, seed=5)
-    small, large = (grid_of(("1:3:%d" % n, "0:2:2", "0:1:2", "0.55:0.95:4")) for n in (2, 16))
+    small, large = (grid_of(("1:3:%d" % n, "0:2:2", "0:1:2", "0.55:0.95:4")) for n in counts)
     _transient_peak(small, cfg)          # draws the samples once, into the cache
     small_peak, large_peak = _transient_peak(small, cfg), _transient_peak(large, cfg)
     assert large_peak < 1.2 * small_peak, (small_peak, large_peak)

@@ -1,9 +1,10 @@
-"""The proof-set sampling pass scores the injected extremes first and scans
-a point's random samples only where a bound on their scores does not fall
-below the extremes' sup.  The bound must hold for every sample, the full
-scan must give the pinned results, and the default verify grid must never
-need it."""
+"""The sampling pass of every rule but the free one scores the injected
+columns first and scans a point's random samples only where a bound on their
+scores does not fall below the injected columns' sup.  The bound must hold for
+every sample, the full scan must give the pinned results, and the default
+verify grid must never need it."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 from chebbounds import oracle
 from chebbounds.classop import PARAM_MAX, ClassParams
-from chebbounds.oracle import A2, A3, PROOF_SET, OracleConfig, fs_quantity, sweep_verify
+from chebbounds.oracle import (A2, A3, FULL_SYSTEM, PROOF_SET, OracleConfig, fs_quantity,
+                               sweep_verify)
 from test_oracle_digest import CHUNKS, GRIDS, digest, grid_of
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,14 +35,15 @@ def test_no_sample_scores_above_the_bound_at_its_modulus(lam, mu, delta, t, eta,
     # the bound reads the case constants only, never a closed-form column, so
     # it is the same for either threshold variant
     cf, consts = oracle._grid_cases([ClassParams(lam, mu, delta, t)], [eta])
-    for quantity in (A2, A3, fs_quantity(eta), fs_quantity(1.0)):
-        rule = oracle._rule(quantity, PROOF_SET, bool(cf.singular[0]))
-        if rule is None:
+    for mode, quantity in itertools.product((PROOF_SET, FULL_SYSTEM),
+                                            (A2, A3, fs_quantity(eta), fs_quantity(1.0))):
+        rule = oracle._rule(quantity, mode, bool(cf.singular[0]))
+        if rule not in oracle._PRUNED:
             continue
         draws = oracle._draws(oracle._RULE_COLUMNS[rule], seed, 200)
         case = oracle._Case(rule, *(c[:, None] for c in consts))
         a2sq, r = oracle._evaluate(case, oracle._terms(draws.cols))
-        scores = oracle._scores(quantity, a2sq, r, None)[0]
+        scores = oracle._scores(quantity, a2sq, r)[0]
         modulus = np.max(np.abs(list(draws.cols.values())), axis=0)
         bound = oracle._score_bound(quantity, case, modulus)[0]
         assert np.all(scores <= bound * (1.0 + 1e-12)), (quantity, rule)
@@ -51,8 +54,9 @@ def _sampled_widths(monkeypatch) -> list[int]:
     widths, evaluate = [], oracle._evaluate
 
     def spy(case, terms):
-        if np.ndim(terms[0]) == 1:       # refinement candidates are 2-d
-            widths.append(np.size(terms[0]))
+        # columns, or points x columns; refinement candidates are points x batch
+        if np.ndim(terms[0]) and np.shape(terms[0])[-1] > oracle._REFINE_BATCH:
+            widths.append(np.shape(terms[0])[-1])
         return evaluate(case, terms)
 
     monkeypatch.setattr(oracle, "_evaluate", spy)

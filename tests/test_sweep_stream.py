@@ -150,6 +150,22 @@ def test_sweep_memory_does_not_grow_with_the_grid(out_format, tmp_path, monkeypa
     assert large < 1.2 * small, (small, large)
 
 
+def test_sweep_memory_does_not_grow_with_the_etas(tmp_path, monkeypatch):
+    # a chunk holds at most CSV_CHUNK_ROWS * 12 fields, so more etas a row mean
+    # fewer rows a chunk; both sweeps fill several chunks
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 256)
+
+    def argv(n_etas):
+        ranges = {"lambda": "1:3:4", "mu": "0:1:4", "delta": "0", "t": "0.55:0.95:128"}
+        flags = [arg for key, value in ranges.items() for arg in (f"--{key}", value)]
+        etas = [f"--eta={0.01 * k:g}" for k in range(n_etas)]
+        return ["sweep", *flags, *etas, "--output", str(tmp_path / "sweep.csv")]
+
+    _sweep_peak(argv(1))            # first-use imports and caches
+    few, many = _sweep_peak(argv(10)), _sweep_peak(argv(100))   # 19 and 109 fields a row
+    assert many < 1.2 * few, (few, many)
+
+
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_rejected_sweep_leaves_no_file(out_format, tmp_path, capsys):
     # every axis value is checked before the output file is opened
