@@ -34,6 +34,8 @@ PARAM_MAX = 1e75
 # the oracle's two constraint sets (see chebbounds.oracle)
 PROOF_SET = "proof-set"
 FULL_SYSTEM = "full-system"
+# (field, label, floor) of the parameters checked by _checked
+_SCALES = (("lam", "lambda", 1.0), ("mu", "mu", 0.0), ("delta", "delta", 0.0))
 
 
 class ParamFactors(NamedTuple):
@@ -88,8 +90,7 @@ class ClassParams:
     t: float
 
     def __post_init__(self) -> None:
-        scales = (("lam", "lambda", 1.0), ("mu", "mu", 0.0), ("delta", "delta", 0.0))
-        for name, label, low in scales:
+        for name, label, low in _SCALES:
             object.__setattr__(self, name, _checked(label, getattr(self, name), low))
         t = float(self.t)
         if not math.isfinite(t):
@@ -107,13 +108,17 @@ class ClassParams:
 def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
     """The four axes of a grid in (lambda, mu, delta, t) as float arrays.
 
-    Every value of every axis passes through ClassParams once; its checks
-    are per parameter, so this fails exactly when some grid point would.
+    ClassParams' checks are per parameter, so they run on the axes as
+    arrays, and this fails exactly when some grid point would: at the first
+    index where an axis fails, ClassParams of the values there raises its
+    own error.  Not finite fails either range test.
     """
     import numpy as np
     axes = [np.asarray(axis, dtype=float) + 0.0 for axis in (lams, mus, deltas, ts)]  # -0.0 is 0.0
-    for i in range(max(len(axis) for axis in axes)):
-        ClassParams(*(float(axis[i % len(axis)]) for axis in axes))
+    bad = [~((axis >= low) & (axis <= PARAM_MAX)) for axis, (*_, low) in zip(axes, _SCALES)]
+    bad.append(~((axes[3] > 0.5) & (axes[3] < 1.0)))
+    if first := [int(np.argmax(b)) for b in bad if b.any()]:
+        ClassParams(*(float(axis[min(first) % len(axis)]) for axis in axes))
     return axes
 
 

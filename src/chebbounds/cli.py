@@ -144,15 +144,6 @@ def _check_etas(etas) -> tuple[float, ...]:
     return tuple(seen.values())
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_coeffs(text: str) -> list[complex]:
     # ArgumentTypeError, so that argparse prints the reason with the flag
     try:
@@ -205,9 +196,8 @@ def _merge_config(parser: argparse.ArgumentParser, command: str, cfg: dict[str, 
 
     The key of an option is its long flag name.  A value is converted and
     checked with the flag's own type and choices; a repeatable flag takes a
-    comma list and a boolean flag true or false.  Keys the command does not
-    take are ignored, so one file serves every command; a key that no
-    command takes is an error.
+    comma list.  Keys the command does not take are ignored, so one file
+    serves every command; a key that no command takes is an error.
     """
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = {_option_key(a) for sp in commands.choices.values() for a in sp._actions
@@ -223,9 +213,7 @@ def _merge_config(parser: argparse.ArgumentParser, command: str, cfg: dict[str, 
             continue
         text = cfg[key]
         try:
-            if isinstance(action, argparse.BooleanOptionalAction):
-                defaults[action.dest] = _parse_bool(text)
-            elif isinstance(action, _Repeatable):
+            if isinstance(action, _Repeatable):
                 items = [tok for tok in text.split(",") if tok.strip()]
                 defaults[action.dest] = tuple(_flag_value(action, tok) for tok in items)
             else:
@@ -568,8 +556,7 @@ def _suite_oracle(
     grid: list[ClassParams], etas: list[float], args: argparse.Namespace
 ) -> tuple[bool, list[str]]:
     from .oracle import SKIPPED, OracleConfig, violations
-    cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed,
-                       grid_refine=args.refine)
+    cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)
     results = sweep_verify(grid, etas, cfg)
     viols = violations(results)
     n_skipped = sum(1 for r in results if r.verdict == SKIPPED)
@@ -665,8 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_int_in(0), default=1729,
                     help="oracle seed (default %(default)s)")
     sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
-    sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
-                    help="local refinement around the incumbent (default on)")
 
     sp = add_command("cheb", cmd_cheb, "second-kind Chebyshev values, two routes")
     sp.add_argument("--t", type=float, help="evaluation point in [-1, 1]")

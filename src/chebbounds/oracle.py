@@ -38,13 +38,13 @@ branch choice explicitly for callers that want a concrete a2).
 
 One evaluator and one witness builder serve every rule, and one search a
 whole grid (``empirical_sup`` is a one-point grid), with its bounds and
-case constants from one ``closed_form`` call.  Each rule's samples and
-refinement steps are drawn once per (seed, sample count).  A sampling pass
-scores them against chunks of points, whose a2^2 and r serve all of the
-rule's quantities; a refinement pass then moves the incumbents of many
-points per round, each step projected back onto its disk, in chunks of no
-more elements.  Results equal a per-point search's bit for bit; their
-witnesses are built on first read.
+case constants from one ``closed_form`` call.  Each rule's samples are
+drawn once per (seed, sample count).  One sampling pass scores them
+against chunks of points, whose a2^2 and r serve all of the rule's
+quantities, and keeps each quantity's sup as a column over the points.
+There is no local refinement: the maxima sit at the injected columns.
+Results equal a per-point search's bit for bit; their witnesses are built
+on first read.
 """
 
 from __future__ import annotations
@@ -70,11 +70,8 @@ SKIPPED = "skipped"
 # sup may exceed the bound by float noise at an attained maximum, never more
 VERDICT_TOL = 1e-9
 
-_REFINE_FRACTIONS = (0.25, 0.1, 0.04, 0.016, 0.0064)
-_REFINE_BATCH = 20
-
 # elements per working array of the search, whatever the grid size: points x
-# (samples + extremes), or points x columns x refinement batch; at least a point
+# (injected columns + samples); at least a point
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -83,7 +80,6 @@ class OracleConfig:
     mode: str = PROOF_SET
     n_samples: int = 10_000
     seed: int = 0
-    grid_refine: bool = True
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ class OracleResult:
     mode: str
     sup_value: float
     witness: Witness | None = _WitnessField()
-    n_samples: int               # random + injected + refined; pruned ones bounded, not scored
+    n_samples: int               # random + injected; pruned ones bounded, not scored
     n_infeasible: int            # 0: every sample searched is feasible
     seed: int
     closed_form_bound: float
@@ -351,7 +347,6 @@ def solve_member_coeffs(
 class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
     a2: tuple | None             # free rule: the a2 draw as (extremes, sqrt(u), phase)
-    steps: np.ndarray            # unit refinement steps u + 1j v, [round, column, batch]
     reach: float                 # the largest modulus in the random part of cols
 
 
@@ -362,8 +357,7 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     order, each as sqrt(u) and exp(i theta) scaled to (sqrt(u) R) exp(i
     theta) on a disk of radius R.  The free rule's a2 radius u1/lin varies
     per point, so its draw is kept unscaled; {0, +-1, +-i} R gives the same
-    bits as {0, +-R, +-iR}.  The unit refinement steps follow, per round
-    and column.  The arrays are read-only."""
+    bits as {0, +-R, +-iR}.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
     # every combination of {0, +-1, +-i}; the literal -1j has real part -0.0
     unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])
@@ -376,41 +370,35 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
             a2 = (extremes[name].ravel(), s, phase)
         else:
             cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
-    uniform = functools.partial(rng.uniform, -1.0, 1.0, _REFINE_BATCH)
-    steps = np.array([[uniform() + 1j * uniform() for _ in names] for _ in _REFINE_FRACTIONS])
-    for arr in [*cols.values(), *(a2 or ()), steps]:
+    for arr in [*cols.values(), *(a2 or ())]:
         arr.flags.writeable = False
     reach = max(float(np.max(np.abs(col[-n:]))) for col in cols.values())
-    return _Draws(cols, a2, steps, reach)
+    return _Draws(cols, a2, reach)
 
 
 def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
     """Search one rule at the grid indices ``points`` for each (positions, quantity)
-    of ``quantities``: a sampling pass, then a refinement pass.  Yields, per position,
-    ((point index, position), (sup, (build, row), n_samples))."""
+    of ``quantities`` in one sampling pass.  Returns, per entry of ``quantities``,
+    its sup at each of ``points``, its witness builder, whose build(row) is the
+    witness at points[row], and the samples each point counts."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     # the injected columns come first: the shared extremes, then the capped maximizers
     lead = draws.cols["c2"].size - cfg.n_samples
     injected = lead + (2 * _PHASES.size if rule == "capped" else 0)
     width = injected + cfg.n_samples
-    n_eval = width + (len(_REFINE_FRACTIONS) * _REFINE_BATCH if cfg.grid_refine else 0)
     # per (quantity, point): the sup and its incumbent columns
     sup = np.empty((len(quantities), points.size))
     best = np.empty((len(quantities), len(names), points.size), complex)
-
-    def chunks(per_point, at):
-        """(positions, rows, case columns) per chunk of ``at``: as many points as hold
-        per_point elements each within CHUNK_ELEMENTS, and at least one."""
-        step = max(1, CHUNK_ELEMENTS // per_point)
-        for start in range(0, at.size, step):
-            span = at[start:start + step]
-            yield span, np.arange(span.size), _Case(rule, *(c[points[span], None] for c in consts))
-
     # pruned: the injected columns alone, then in full where a random sample might beat them
     at = np.arange(points.size)
     for scored in [injected, width] if rule in _PRUNED else [width]:
-        for span, rows, case in chunks(scored, at):
+        # as many points as hold ``scored`` elements each within CHUNK_ELEMENTS, at least one
+        step = max(1, CHUNK_ELEMENTS // scored)
+        for start in range(0, at.size, step):
+            span = at[start:start + step]
+            rows = np.arange(span.size)
+            case = _Case(rule, *(c[points[span], None] for c in consts))
             cols = {name: col[:scored - injected + lead] for name, col in draws.cols.items()}
             if rule == "free":
                 extremes, s, phase = draws.a2
@@ -433,27 +421,8 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             case = _Case(rule, *(c[points] for c in consts))
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
-    # a round's candidates are columns x points x batch steps, each projected onto its
-    # disk, so a capped candidate is a drawn pair again
-    for span, rows, case in (chunks(len(names) * _REFINE_BATCH, np.arange(points.size))
-                             if cfg.grid_refine else ()):
-        radius = case.u1 / case.lin
-        radii = np.stack([radius if n == "a2" else np.ones_like(radius) for n in names])
-        for k, (_, quantity) in enumerate(quantities):
-            for frac, units in zip(_REFINE_FRACTIONS, draws.steps):
-                cand = best[k][:, span, None] + units[:, None] * (frac * radii)
-                mag = np.abs(cand)
-                pert = cand * np.where(mag > radii, radii / np.where(mag == 0.0, 1.0, mag), 1.0)
-                vm = _scores(quantity, *_evaluate(case, _terms(dict(zip(names, pert)))))
-                j = np.argmax(vm, axis=1)
-                better = vm[rows, j] > sup[k, span]
-                sup[k, span] = np.where(better, vm[rows, j], sup[k, span])
-                best[k][:, span] = np.where(better, pert[:, rows, j], best[k][:, span])
-    for k, (positions, _) in enumerate(quantities):
-        build = functools.partial(_witness_at, rule, consts, names, best[k], points)
-        for row, (i, s) in enumerate(zip(points.tolist(), sup[k].tolist())):
-            for pos in positions:
-                yield (i, pos), (s, (build, row), n_eval)
+    return [(sup[k], functools.partial(_witness_at, rule, consts, names, best[k], points), width)
+            for k in range(len(quantities))]
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
@@ -466,9 +435,15 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
     cf, consts = _grid_cases(p_grid, [q.eta for q in quantities if q.kind == "fs"])
     fs = iter(cf.fs)
     closed = [next(fs).bound if q.kind == "fs" else getattr(cf, q.kind) for q in quantities]
-    found = {}
+    # per (quantity, point) the sup, inf where unsearched: no finite constraint, the
+    # quantity is unbounded; per singular flag and quantity, (build, n_samples); per
+    # point, its row in the points of its flag
+    sups = np.full((len(quantities), len(p_grid)), math.inf)
+    searched = [[(None, 0)] * len(quantities) for _ in (False, True)]
+    rows = np.empty(len(p_grid), int)
     for singular in (False, True):
         points = np.flatnonzero(cf.singular == singular)
+        rows[points] = np.arange(points.size)
         # per rule, quantities whose scores are the same numbers share one search
         shared = {}
         for k, q in enumerate(quantities):
@@ -476,15 +451,21 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
                 key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
                 shared.setdefault(rule, {}).setdefault(key, ([], q))[0].append(k)
         for rule, groups in shared.items():
-            found.update(_search_rule(rule, points, list(groups.values()), consts, cfg))
+            found = _search_rule(rule, points, list(groups.values()), consts, cfg)
+            for (positions, _), (sup, build, n_eval) in zip(groups.values(), found):
+                for k in positions:
+                    sups[k, points] = sup
+                    searched[singular][k] = (build, n_eval)
     results = []
-    for i, (p, bounds) in enumerate(zip(p_grid, np.transpose(closed).tolist())):
-        for k, (quantity, bound) in enumerate(zip(quantities, bounds)):
-            # unsearched: no finite constraint, the quantity is unbounded
-            sup, wit, n_eval = found.get((i, k), (math.inf, None, 0))
-            verdict = (SKIPPED if wit is None or math.isinf(bound)
+    for p, bounds, sup_at, singular, row in zip(
+            p_grid, zip(*(c.tolist() for c in closed)), zip(*sups.tolist()),
+            cf.singular.tolist(), rows.tolist()):
+        for quantity, bound, sup, (build, n_eval) in zip(quantities, bounds, sup_at,
+                                                         searched[singular]):
+            verdict = (SKIPPED if build is None or math.isinf(bound)
                        else WITHIN_BOUND if sup <= bound + VERDICT_TOL else VIOLATION)
-            results.append(OracleResult(quantity, p, cfg.mode, sup, wit, n_eval, 0,
+            witness = None if build is None else (build, row)
+            results.append(OracleResult(quantity, p, cfg.mode, sup, witness, n_eval, 0,
                                         cfg.seed, bound, verdict))
     return results
 

@@ -90,7 +90,7 @@ def oracle_calls(monkeypatch):
 def test_verify_keys(capsys, tmp_path, oracle_calls):
     text = (
         "lambda = 1:2:2\nmu = 0.5\ndelta = 0:1:3\nt = 0.6\neta = 1.5\n"
-        "samples = 77\nseed = 5\nmode = full-system\nvariant = as-printed\nrefine = false\n"
+        "samples = 77\nseed = 5\nmode = full-system\nvariant = as-printed\n"
     )
     code, out, _ = run(capsys, ["verify", "--config", config(tmp_path, text)])
     assert code == EXIT_OK
@@ -99,7 +99,7 @@ def test_verify_keys(capsys, tmp_path, oracle_calls):
         (lam, 0.5, delta, 0.6) for lam in (1.0, 2.0) for delta in (0.0, 0.5, 1.0)
     ]
     assert etas == [1.5]
-    assert (cfg.n_samples, cfg.seed, cfg.mode, cfg.grid_refine) == (77, 5, "full-system", False)
+    assert (cfg.n_samples, cfg.seed, cfg.mode) == (77, 5, "full-system")
     assert "fs branch continuity (as-printed)" in out
 
 
@@ -109,15 +109,8 @@ def test_verify_defaults_without_config(capsys, oracle_calls):
     (grid, etas, cfg), = oracle_calls
     assert len(grid) == 81
     assert etas == [0.0, 1.0, 2.0]
-    assert (cfg.n_samples, cfg.seed, cfg.mode, cfg.grid_refine) == (10_000, 1729, "proof-set", True)
+    assert (cfg.n_samples, cfg.seed, cfg.mode) == (10_000, 1729, "proof-set")
     assert "fs branch continuity (corrected)" in out
-
-
-@pytest.mark.parametrize("value, refine", [("true", True), ("false", False)])
-def test_verify_refine_key(capsys, tmp_path, oracle_calls, value, refine):
-    code, _, _ = run(capsys, ["verify", "--config", config(tmp_path, f"refine = {value}\n")])
-    assert code == EXIT_OK
-    assert oracle_calls[0][2].grid_refine is refine
 
 
 @pytest.mark.parametrize("key", ["n-max", "n_max"])
@@ -160,13 +153,6 @@ def test_flag_eta_replaces_file_eta_in_verify(capsys, tmp_path, oracle_calls):
     assert code == EXIT_OK
     assert oracle_calls[0][1] == [3.0]
     assert oracle_calls[0][2].n_samples == 9
-
-
-def test_no_refine_flag_beats_file(capsys, tmp_path, oracle_calls):
-    path = config(tmp_path, "refine = true\n")
-    code, _, _ = run(capsys, ["verify", "--config", path, "--no-refine"])
-    assert code == EXIT_OK
-    assert oracle_calls[0][2].grid_refine is False
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +207,23 @@ def test_key_no_command_takes_exits_two(capsys, tmp_path, command, key):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"config key {key}:" in err
+
+
+# the oracle has no refinement pass, so neither the key nor the flags exist
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_refine_key_exits_two(capsys, tmp_path, oracle_calls, value):
+    code, out, err = run(capsys, ["verify", "--config", config(tmp_path, f"refine = {value}\n")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: config key refine: no command takes this key\n"
+    assert oracle_calls == []
+
+
+@pytest.mark.parametrize("flag", ["--refine", "--no-refine"])
+def test_refine_flags_exit_two(capsys, oracle_calls, flag):
+    code, out, err = run(capsys, ["verify", flag])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"unrecognized arguments: {flag}" in err
+    assert oracle_calls == []
 
 
 def test_key_another_command_takes_is_ignored(capsys, tmp_path):

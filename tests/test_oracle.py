@@ -159,13 +159,6 @@ def test_determinism_bit_identical():
     assert c.sup_value == d.sup_value
 
 
-def test_refinement_never_hurts():
-    coarse = empirical_sup(A2, P0, OracleConfig(n_samples=400, seed=5, grid_refine=False))
-    refined = empirical_sup(A2, P0, FAST)
-    assert refined.sup_value >= coarse.sup_value
-    assert refined.n_samples > coarse.n_samples
-
-
 def test_singular_point_proof_a2_skipped():
     res = empirical_sup(A2, P_SING, FAST)
     assert res.verdict == SKIPPED

@@ -58,8 +58,8 @@ def test_witness_reproduces_sup(p, quantity, mode):
 # case or column set for any (point, quantity) changes them
 ACCOUNTING_GRID = [P0, P_SING, P_MIXED, ClassParams(1.5, 0.5, 0.2, 0.9)]
 ACCOUNTING = {
-    PROOF_SET: (9625, 0, {"skipped": 3, "within-bound": 17}),
-    FULL_SYSTEM: (8620, 0, {"skipped": 3, "within-bound": 17}),
+    PROOF_SET: (7925, 0, {"skipped": 3, "within-bound": 17}),
+    FULL_SYSTEM: (6620, 0, {"skipped": 3, "within-bound": 17}),
 }
 
 

@@ -1,9 +1,8 @@
 """Every OracleResult of the default ``verify`` grid and of the full-system
 benchmark grid at seed 5, pinned as one sha256 per grid: sup bits, sample
 and infeasible counts, witness and verdict.  The digest must not depend
-on how many points the search scores or refines at a time, and the
-search's transient memory must not grow with the grid.  A second pin per
-grid, without refinement, guards the sampling pass on its own."""
+on how many points the search scores at a time, and the search's
+transient memory must not grow with the grid."""
 
 import hashlib
 import tracemalloc
@@ -18,15 +17,9 @@ from chebbounds.oracle import FULL_SYSTEM, PROOF_SET, OracleConfig, sweep_verify
 # name -> (lambda, mu, delta and t ranges, mode, samples, digest); etas 0 1 2
 GRIDS = {
     "verify": (("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"), PROOF_SET, 10_000,
-               "e86debef76dd4ef67f33006e2c0695a835296a9c49a09934abc556e127875746"),
+               "605d1847fc59c35aeb0e0f86a2f49c25058f4d8882ac9e32d446ed0b58b58697"),
     "verify-full": (("1:3:5", "0:2:5", "0:1:5", "0.55:0.95:9"), FULL_SYSTEM, 1000,
-                    "86ae37d00095587f88340ebfbd14365f9e9b3e80f529248e30f0883e4cfa227b"),
-}
-
-# name -> digest of the same search with grid_refine=False
-UNREFINED = {
-    "verify": "605d1847fc59c35aeb0e0f86a2f49c25058f4d8882ac9e32d446ed0b58b58697",
-    "verify-full": "51a2be487bd4a3e5e808823b80482d547e9b1e4400ad4cae785eb274087ae041",
+                    "51a2be487bd4a3e5e808823b80482d547e9b1e4400ad4cae785eb274087ae041"),
 }
 
 
@@ -43,11 +36,11 @@ def grid_of(ranges):
 
 
 # oracle.CHUNK_ELEMENTS values: one point at a time, seven points of the
-# summed and free rules (samples + 25 extremes each), one sampled point
-# with refinement chunks of 7 points (two columns) and 3 points (the
-# linear rule's four), the default
+# summed and free rules (samples + 25 extremes each), 280 elements, where the
+# injected columns alone come in chunks of 11 points (25 extremes), 8 (the
+# capped rule's 33) and 1 (the linear rule's 625), the default
 CHUNKS = {"1-point": lambda samples: 1, "7-points": lambda samples: 7 * (samples + 25),
-          "refine-split": lambda samples: 7 * 2 * oracle._REFINE_BATCH,
+          "injected-split": lambda samples: 280,
           "default": lambda samples: oracle.CHUNK_ELEMENTS}
 
 
@@ -58,15 +51,6 @@ def test_verify_grid_results_pinned(monkeypatch, name, chunk):
     monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
     cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
     assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
-
-
-@pytest.mark.parametrize("chunk", ["1-point", "default"])
-@pytest.mark.parametrize("name", list(GRIDS))
-def test_unrefined_grid_results_pinned(monkeypatch, name, chunk):
-    ranges, mode, samples, _ = GRIDS[name]
-    monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
-    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5, grid_refine=False)
-    assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == UNREFINED[name]
 
 
 def _transient_peak(grid, cfg) -> int:

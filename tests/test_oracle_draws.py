@@ -1,8 +1,9 @@
 """Oracle results pinned bit for bit: sup, sample counts and witness of
-every search rule, both modes, refinement on and off.  Also checks that
-the results do not depend on which searches ran before (seed, sample
-count and rule change between calls) or on the route, standalone
-``empirical_sup`` or ``sweep_verify``."""
+every search rule, both modes, drawn afresh and from the draw cache.  Also
+checks that the results do not depend on which searches ran before (seed,
+sample count and rule change between calls) or on the route, standalone
+``empirical_sup`` or ``sweep_verify``, and that the draw cache never hands
+one (seed, sample count) another's samples."""
 
 import math
 
@@ -16,6 +17,7 @@ from chebbounds.oracle import (
     FULL_SYSTEM,
     PROOF_SET,
     OracleConfig,
+    _RULE_COLUMNS,
     _draws,
     empirical_sup,
     fs_quantity,
@@ -26,166 +28,86 @@ POINTS = {"P0": ClassParams(1.0, 1.0, 0.0, 0.6),
           "P_SING": ClassParams(2.0, 0.0, 0.0, math.sqrt(0.5))}
 QUANTITIES = {q.label: q for q in [A2, A3] + [fs_quantity(eta) for eta in (0.0, 1.0, 2.5)]}
 
-# (point, mode, quantity, refine) -> (sup_value.hex(), n_samples, n_infeasible,
+# (point, mode, quantity) -> (sup_value.hex(), n_samples, n_infeasible,
 # repr(witness)) at n_samples=400, seed=5
 PINS = {
-    ('P0', 'proof-set', 'a2', True): (
-        '0x1.a4a6a2f74c6abp-1', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
-    ),
-    ('P0', 'proof-set', 'a2', False): (
+    ('P0', 'proof-set', 'a2'): (
         '0x1.a4a6a2f74c6abp-1', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
     ),
-    ('P0', 'proof-set', 'a3', True): (
-        '0x1.851eb851eb852p-1', 1125, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.6+0j), a3=(0.76+0j))',
-    ),
-    ('P0', 'proof-set', 'a3', False): (
+    ('P0', 'proof-set', 'a3'): (
         '0x1.851eb851eb852p-1', 1025, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.6+0j), a3=(0.76+0j))',
     ),
-    ('P0', 'proof-set', 'fs@0', True): (
-        '0x1.5999999999999p-1', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
-    ),
-    ('P0', 'proof-set', 'fs@0', False): (
+    ('P0', 'proof-set', 'fs@0'): (
         '0x1.5999999999999p-1', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
     ),
-    ('P0', 'proof-set', 'fs@1', True): (
-        '0x1.9999999999999p-2', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
-    ),
-    ('P0', 'proof-set', 'fs@1', False): (
+    ('P0', 'proof-set', 'fs@1'): (
         '0x1.9999999999999p-2', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
     ),
-    ('P0', 'proof-set', 'fs@2.5', True): (
-        '0x1.0333333333333p+0', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
-    ),
-    ('P0', 'proof-set', 'fs@2.5', False): (
+    ('P0', 'proof-set', 'fs@2.5'): (
         '0x1.0333333333333p+0', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1.3693063937629153+0j), c2=(1+0j), d1=(-1.3693063937629153-0j), d2=(1+0j), admissible=False), a2=(0.8215838362577491+0j), a3=(0.6749999999999999+0j))',
     ),
-    ('P0', 'full-system', 'a2', True): (
-        '0x1.3333333333333p-1', 533, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(0.5333333333333333+0j), d1=(-1-0j), d2=(0.5333333333333333+0j), admissible=True), a2=(0.6+0j), a3=(0.36+0j))',
-    ),
-    ('P0', 'full-system', 'a2', False): (
+    ('P0', 'full-system', 'a2'): (
         '0x1.3333333333333p-1', 433, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(0.5333333333333333+0j), d1=(-1-0j), d2=(0.5333333333333333+0j), admissible=True), a2=(0.6+0j), a3=(0.36+0j))',
     ),
-    ('P0', 'full-system', 'a3', True): (
-        '0x1.17e4b17e4b17ep-1', 533, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(0.0666666666666666+0j), admissible=True), a2=(0.6+0j), a3=(0.5466666666666666+0j))',
-    ),
-    ('P0', 'full-system', 'a3', False): (
+    ('P0', 'full-system', 'a3'): (
         '0x1.17e4b17e4b17ep-1', 433, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(0.0666666666666666+0j), admissible=True), a2=(0.6+0j), a3=(0.5466666666666666+0j))',
     ),
-    ('P0', 'full-system', 'fs@0', True): (
-        '0x1.17e4b17e4b17ep-1', 533, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(0.0666666666666666+0j), admissible=True), a2=(0.6+0j), a3=(0.5466666666666666+0j))',
-    ),
-    ('P0', 'full-system', 'fs@0', False): (
+    ('P0', 'full-system', 'fs@0'): (
         '0x1.17e4b17e4b17ep-1', 433, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(0.0666666666666666+0j), admissible=True), a2=(0.6+0j), a3=(0.5466666666666666+0j))',
     ),
-    ('P0', 'full-system', 'fs@1', True): (
-        '0x1.9999999999999p-2', 533, 0,
-        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
-    ),
-    ('P0', 'full-system', 'fs@1', False): (
+    ('P0', 'full-system', 'fs@1'): (
         '0x1.9999999999999p-2', 433, 0,
         'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.39999999999999997+0j))',
     ),
-    ('P0', 'full-system', 'fs@2.5', True): (
-        '0x1.740da740da741p-1', 533, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(0.0666666666666666+0j), d1=(-1-0j), d2=(1+0j), admissible=True), a2=(0.6+0j), a3=(0.1733333333333333+0j))',
-    ),
-    ('P0', 'full-system', 'fs@2.5', False): (
+    ('P0', 'full-system', 'fs@2.5'): (
         '0x1.740da740da741p-1', 433, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(0.0666666666666666+0j), d1=(-1-0j), d2=(1+0j), admissible=True), a2=(0.6+0j), a3=(0.1733333333333333+0j))',
     ),
-    ('P_SING', 'proof-set', 'a2', True): (
+    ('P_SING', 'proof-set', 'a2'): (
         'inf', 0, 0,
         'None',
     ),
-    ('P_SING', 'proof-set', 'a2', False): (
-        'inf', 0, 0,
-        'None',
-    ),
-    ('P_SING', 'proof-set', 'a3', True): (
-        '0x1.b504f333f9de8p-1', 1125, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
-    ),
-    ('P_SING', 'proof-set', 'a3', False): (
+    ('P_SING', 'proof-set', 'a3'): (
         '0x1.b504f333f9de8p-1', 1025, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(1+0j), d2=(-1+0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
     ),
-    ('P_SING', 'proof-set', 'fs@0', True): (
+    ('P_SING', 'proof-set', 'fs@0'): (
         'inf', 0, 0,
         'None',
     ),
-    ('P_SING', 'proof-set', 'fs@0', False): (
-        'inf', 0, 0,
-        'None',
-    ),
-    ('P_SING', 'proof-set', 'fs@1', True): (
-        '0x1.6a09e667f3bcdp-2', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
-    ),
-    ('P_SING', 'proof-set', 'fs@1', False): (
+    ('P_SING', 'proof-set', 'fs@1'): (
         '0x1.6a09e667f3bcdp-2', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1+0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
     ),
-    ('P_SING', 'proof-set', 'fs@2.5', True): (
+    ('P_SING', 'proof-set', 'fs@2.5'): (
         'inf', 0, 0,
         'None',
     ),
-    ('P_SING', 'proof-set', 'fs@2.5', False): (
-        'inf', 0, 0,
-        'None',
-    ),
-    ('P_SING', 'full-system', 'a2', True): (
-        '0x1.6a09e667f3bcfp-1', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(0.9988055116109531-0.0488625621062052j), c2=(0.1151140317911021-0.10269264364556376j), d1=(-0.9988055116109531+0.0488625621062052j), d2=(-0.1151140317911021+0.10269264364556376j), admissible=True), a2=(0.7062621503466039-0.03455104901144653j), a3=(0.5383114062690235-0.08511152869298613j))',
-    ),
-    ('P_SING', 'full-system', 'a2', False): (
+    ('P_SING', 'full-system', 'a2'): (
         '0x1.6a09e667f3bcdp-1', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=0j, d1=(-1-0j), d2=(-0-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.5000000000000001+0j))',
     ),
-    ('P_SING', 'full-system', 'a3', True): (
-        '0x1.b504f333f9de8p-1', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
-    ),
-    ('P_SING', 'full-system', 'a3', False): (
+    ('P_SING', 'full-system', 'a3'): (
         '0x1.b504f333f9de8p-1', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
     ),
-    ('P_SING', 'full-system', 'fs@0', True): (
-        '0x1.b504f333f9de8p-1', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
-    ),
-    ('P_SING', 'full-system', 'fs@0', False): (
+    ('P_SING', 'full-system', 'fs@0'): (
         '0x1.b504f333f9de8p-1', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=(1+0j), c2=(1+0j), d1=(-1-0j), d2=(-1-0j), admissible=True), a2=(0.7071067811865476+0j), a3=(0.853553390593274+0j))',
     ),
-    ('P_SING', 'full-system', 'fs@1', True): (
-        '0x1.6a09e667f3bcfp-2', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=(-0.0005306772115223346-0.06243844578249852j), c2=(0.9967465114624435-0.08060019781271659j), d1=(0.0005306772115223346+0.06243844578249852j), d2=(-0.9967465114624435+0.08060019781271659j), admissible=True), a2=(-0.0003752454548886107-0.044150648419553296j), a3=(0.35045396974284876-0.028463338558874875j))',
-    ),
-    ('P_SING', 'full-system', 'fs@1', False): (
+    ('P_SING', 'full-system', 'fs@1'): (
         '0x1.6a09e667f3bcdp-2', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=0j, c2=(1+0j), d1=(-0-0j), d2=(-1-0j), admissible=True), a2=0j, a3=(0.3535533905932738+0j))',
     ),
-    ('P_SING', 'full-system', 'fs@2.5', True): (
-        '0x1.1a827999fcef4p+0', 525, 0,
-        'Witness(schwarz=SchwarzPair(c1=1j, c2=(1+0j), d1=(-0-1j), d2=(-1-0j), admissible=True), a2=0.7071067811865476j, a3=(-0.14644660940672632+0j))',
-    ),
-    ('P_SING', 'full-system', 'fs@2.5', False): (
+    ('P_SING', 'full-system', 'fs@2.5'): (
         '0x1.1a827999fcef4p+0', 425, 0,
         'Witness(schwarz=SchwarzPair(c1=1j, c2=(1+0j), d1=(-0-1j), d2=(-1-0j), admissible=True), a2=0.7071067811865476j, a3=(-0.14644660940672632+0j))',
     ),
@@ -195,9 +117,9 @@ PINS = {
 # whose sample count follows n: (seed, n_samples) -> (sup_value.hex(), n_samples,
 # n_infeasible)
 ALTERNATING = {
-    (5, 400): ('0x1.3333333333333p-1', 533, 0),
-    (6, 400): ('0x1.3333333333333p-1', 533, 0),
-    (5, 401): ('0x1.3333333333333p-1', 534, 0),
+    (5, 400): ('0x1.3333333333333p-1', 433, 0),
+    (6, 400): ('0x1.3333333333333p-1', 433, 0),
+    (5, 401): ('0x1.3333333333333p-1', 434, 0),
 }
 
 
@@ -205,11 +127,19 @@ def pinned(res):
     return (res.sup_value.hex(), res.n_samples, res.n_infeasible, repr(res.witness))
 
 
-@pytest.mark.parametrize("key", list(PINS), ids=lambda k: "-".join(map(str, k)))
+# the key's last slot: True clears the draw cache first, so the rule draws
+# afresh; False runs the same search just before, so its draws come cached
+@pytest.mark.parametrize("key", [(*k, cleared) for k in PINS for cleared in (True, False)],
+                         ids=lambda k: "-".join(map(str, k)))
 def test_result_pinned(key):
-    point, mode, label, refine = key
-    cfg = OracleConfig(mode=mode, n_samples=400, seed=5, grid_refine=refine)
-    assert pinned(empirical_sup(QUANTITIES[label], POINTS[point], cfg)) == PINS[key]
+    point, mode, label, cleared = key
+    quantity, p = QUANTITIES[label], POINTS[point]
+    cfg = OracleConfig(mode=mode, n_samples=400, seed=5)
+    if cleared:
+        _draws.cache_clear()
+    else:
+        empirical_sup(quantity, p, cfg)
+    assert pinned(empirical_sup(quantity, p, cfg)) == PINS[(point, mode, label)]
 
 
 def test_alternating_seeds_and_sample_counts():
@@ -244,15 +174,15 @@ def test_standalone_equals_sweep_entry(mode):
 
 @pytest.mark.parametrize(
     "warm, key",
-    [((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2", True)),
-     ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5", True)),
-     ((A3, POINTS["P_SING"]), ("P_SING", "full-system", "a2", True))],
+    [((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2")),
+     ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5")),
+     ((A3, POINTS["P_SING"]), ("P_SING", "full-system", "a2"))],
     ids=["summed", "summed-fs", "free"],
 )
 def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
-    point, mode, label, refine = key
-    cfg = OracleConfig(mode=mode, n_samples=400, seed=5, grid_refine=refine)
-    # draws the rule's samples and refinement steps for (mode, seed, n)
+    point, mode, label = key
+    cfg = OracleConfig(mode=mode, n_samples=400, seed=5)
+    # draws the rule's samples for (mode, seed, n)
     empirical_sup(*warm, cfg)
 
     def no_generator(*args, **kwargs):
@@ -272,4 +202,19 @@ def test_free_rule_at_another_radius_is_cache_independent(label):
     _draws.cache_clear()
     empirical_sup(QUANTITIES[label], POINTS["P_SING"], cfg)
     assert empirical_sup(QUANTITIES[label], p, cfg) == cold
-    assert math.isfinite(cold.sup_value) and cold.n_samples == 525
+    assert math.isfinite(cold.sup_value) and cold.n_samples == 425
+
+
+def test_draw_cache_keeps_seeds_and_sample_counts_apart():
+    def random_columns(seed, n):
+        """The free rule's random part: c2 after its extremes, a2's sqrt(u) and phase."""
+        draws = _draws(_RULE_COLUMNS["free"], seed, n)
+        return [draws.cols["c2"][-n:], *draws.a2[1:]]
+
+    calls = [(5, 400), (6, 400), (5, 401), (5, 400)]
+    cached = [random_columns(seed, n) for seed, n in calls]
+    for (seed, n), columns in zip(calls, cached):
+        _draws.cache_clear()
+        fresh = random_columns(seed, n)
+        assert all(np.array_equal(a, b) for a, b in zip(columns, fresh)), (seed, n)
+    assert not any(np.array_equal(a, b) for a, b in zip(cached[0], cached[1]))

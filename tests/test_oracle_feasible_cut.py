@@ -2,9 +2,9 @@
 drawn pair (c2, d2) in the bidisk stands for c2' = (R/2 s + w) / 2 and d2' =
 (R/2 s - w) / 2, with s = c2 + d2, w = c2 - d2 and R = min(2, |d| / (t A)), so
 |c2'|, |d2'| <= 1 and |c2' + d2'| <= R, which is |c1| <= 1.  Every candidate
-that the sampling and refinement passes score must map to such a point, the
-pruning must not change a result, the verify-full grid must need no random
-capped column, and |a3| and fs@0, the same scores there, share one search."""
+that the sampling pass scores must map to such a point, the pruning must not
+change a result, the verify-full grid must need no random capped column, and
+|a3| and fs@0, the same scores there, share one search."""
 
 import math
 from unittest import mock
@@ -87,9 +87,8 @@ def test_verify_full_sampling_scores_no_random_capped_column(monkeypatch):
     evaluate, scores = oracle._evaluate, oracle._scores
 
     def evaluate_spy(case, terms):
-        # refinement candidates are points x batch
-        if case.rule == "capped" and np.ndim(terms[0]) == 2 and \
-                np.shape(terms[0])[1] > oracle._REFINE_BATCH:
+        # points x columns; _score_bound and a witness pass scalars
+        if case.rule == "capped" and np.ndim(terms[0]) == 2:
             widths.append(np.shape(terms[0])[1])
         return evaluate(case, terms)
 

@@ -54,8 +54,8 @@ def _sampled_widths(monkeypatch) -> list[int]:
     widths, evaluate = [], oracle._evaluate
 
     def spy(case, terms):
-        # columns, or points x columns; refinement candidates are points x batch
-        if np.ndim(terms[0]) and np.shape(terms[0])[-1] > oracle._REFINE_BATCH:
+        # columns, or points x columns; _score_bound and a witness pass scalars
+        if np.ndim(terms[0]):
             widths.append(np.shape(terms[0])[-1])
         return evaluate(case, terms)
 

@@ -12,9 +12,7 @@ def test_tightness_floor_on_default_verify_grid(acceptance_report):
     args = cli.build_parser().parse_args(["verify"])
     assert args.mode == PROOF_SET
     grid = cli.grid_points(args)
-    cfg = OracleConfig(
-        mode=args.mode, n_samples=args.samples, seed=args.seed, grid_refine=args.refine
-    )
+    cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)
     checked = [r for r in sweep_verify(grid, list(args.eta), cfg) if r.verdict != SKIPPED]
     assert len(checked) > 300
     ratios = [r.sup_value / r.closed_form_bound for r in checked]
