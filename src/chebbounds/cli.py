@@ -555,11 +555,11 @@ def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
 def _suite_oracle(
     grid: list[ClassParams], etas: list[float], args: argparse.Namespace
 ) -> tuple[bool, list[str]]:
-    from .oracle import SKIPPED, OracleConfig, violations
+    from .oracle import SKIPPED, OracleConfig, verdict_indices, violations
     cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)
     results = sweep_verify(grid, etas, cfg)
     viols = violations(results)
-    n_skipped = sum(1 for r in results if r.verdict == SKIPPED)
+    n_skipped = len(verdict_indices(results, SKIPPED))
     line = (
         f"oracle soundness ({cfg.mode}): {len(grid)} points x {2 + len(etas)} quantities, "
         f"{len(results) - n_skipped} checked, {n_skipped} skipped (unbounded closed form), "

@@ -43,8 +43,11 @@ drawn once per (seed, sample count).  One sampling pass scores them
 against chunks of points, whose a2^2 and r serve all of the rule's
 quantities, and keeps each quantity's sup as a column over the points.
 There is no local refinement: the maxima sit at the injected columns.
-Results equal a per-point search's bit for bit; their witnesses are built
-on first read.
+Results equal a per-point search's bit for bit.  A search returns them as
+one record, OracleResults, of columns: per (quantity, point) the sup, the
+closed-form bound and a verdict code.  An OracleResult is built on first
+read of its index, and its witness on first read of that field, so a
+verify that only counts verdicts builds neither.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import cmath
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,6 +70,7 @@ from .classop import ADMISSIBLE_TOL, FULL_SYSTEM, PROOF_SET, ClassParams, Schwar
 WITHIN_BOUND = "within-bound"
 VIOLATION = "violation"
 SKIPPED = "skipped"
+_VERDICTS = (WITHIN_BOUND, VIOLATION, SKIPPED)   # by OracleResults verdict code
 
 # sup may exceed the bound by float noise at an attained maximum, never more
 VERDICT_TOL = 1e-9
@@ -150,6 +155,45 @@ class OracleResult:
     seed: int
     closed_form_bound: float
     verdict: str                 # WITHIN_BOUND | VIOLATION | SKIPPED
+
+
+class OracleResults(Sequence):
+    """Every (point, quantity) result of one search, points outermost, as
+    columns: per (quantity, point) the sup, the closed-form bound and a verdict
+    code; per singular flag and quantity, (build, n_samples); per point, its row
+    among the points of its flag.  Each OracleResult is built on first read and
+    then kept; the record equals any sequence of equal results."""
+
+    def __init__(self, quantities, grid, cfg, sups, bounds, searched, singular, rows):
+        self.quantities, self.grid, self.mode, self.seed = quantities, grid, cfg.mode, cfg.seed
+        self.sups, self.bounds, self.searched, self.singular, self.rows = (
+            sups, bounds, searched, singular, rows)
+        # per singular flag and quantity, whether it went unsearched
+        unsearched = np.array([[build is None for build, _ in flag] for flag in searched])
+        self.codes = np.where(unsearched[singular.astype(int)].T | np.isinf(bounds), 2,
+                              np.where(sups <= bounds + VERDICT_TOL, 0, 1)).astype(np.int8)
+        self._items: dict[int, OracleResult] = {}
+
+    def __len__(self) -> int:
+        return self.sups.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if (item := self._items.get(i)) is None:
+            p, k = divmod(i, len(self.quantities))
+            build, n_eval = self.searched[int(self.singular[p])][k]
+            item = self._items[i] = OracleResult(
+                self.quantities[k], self.grid[p], self.mode, float(self.sups[k, p]),
+                None if build is None else (build, int(self.rows[p])), n_eval, 0, self.seed,
+                float(self.bounds[k, p]), _VERDICTS[self.codes[k, p]])
+        return item
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -417,6 +461,8 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                 idx = np.argmax(vals, axis=1)
                 sup[k, span] = vals[rows, idx]
                 best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
+            # so that the next chunk's arrays do not come on top of these
+            del cols, a2sq, r, vals
         if scored < width:
             case = _Case(rule, *(c[points] for c in consts))
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
@@ -426,23 +472,27 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
 
 
 def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
-    """The result of every (point, quantity), points outermost: the one
-    search behind empirical_sup and sweep_verify."""
+    """The record of every (point, quantity): the one search behind
+    empirical_sup and sweep_verify."""
     if cfg.mode not in _RULES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {cfg.n_samples}")
     cf, consts = _grid_cases(p_grid, [q.eta for q in quantities if q.kind == "fs"])
     fs = iter(cf.fs)
-    closed = [next(fs).bound if q.kind == "fs" else getattr(cf, q.kind) for q in quantities]
+    bounds = np.array([next(fs).bound if q.kind == "fs" else getattr(cf, q.kind)
+                       for q in quantities])
+    # of the closed form, only the bound columns and the singular flags are kept
+    is_singular = cf.singular
+    del cf, fs
     # per (quantity, point) the sup, inf where unsearched: no finite constraint, the
     # quantity is unbounded; per singular flag and quantity, (build, n_samples); per
     # point, its row in the points of its flag
-    sups = np.full((len(quantities), len(p_grid)), math.inf)
+    sups = np.full(bounds.shape, math.inf)
     searched = [[(None, 0)] * len(quantities) for _ in (False, True)]
     rows = np.empty(len(p_grid), int)
     for singular in (False, True):
-        points = np.flatnonzero(cf.singular == singular)
+        points = np.flatnonzero(is_singular == singular)
         rows[points] = np.arange(points.size)
         # per rule, quantities whose scores are the same numbers share one search
         shared = {}
@@ -456,18 +506,7 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
                 for k in positions:
                     sups[k, points] = sup
                     searched[singular][k] = (build, n_eval)
-    results = []
-    for p, bounds, sup_at, singular, row in zip(
-            p_grid, zip(*(c.tolist() for c in closed)), zip(*sups.tolist()),
-            cf.singular.tolist(), rows.tolist()):
-        for quantity, bound, sup, (build, n_eval) in zip(quantities, bounds, sup_at,
-                                                         searched[singular]):
-            verdict = (SKIPPED if build is None or math.isinf(bound)
-                       else WITHIN_BOUND if sup <= bound + VERDICT_TOL else VIOLATION)
-            witness = None if build is None else (build, row)
-            results.append(OracleResult(quantity, p, cfg.mode, sup, witness, n_eval, 0,
-                                        cfg.seed, bound, verdict))
-    return results
+    return OracleResults(quantities, p_grid, cfg, sups, bounds, searched, is_singular, rows)
 
 
 def empirical_sup(
@@ -477,24 +516,35 @@ def empirical_sup(
 
     Deterministic given cfg.seed.  Verdict: within-bound iff the supremum
     stays under the closed-form bound plus 1e-9; points whose closed form
-    is unbounded are verdict "skipped" (nothing to violate).
+    is unbounded are verdict "skipped" (nothing to violate).  The result is
+    item 0 of a one-point search's record.
     """
     return _search([p], [quantity], cfg)[0]
 
 
 def sweep_verify(
     p_grid: list[ClassParams], eta_list: list[float], cfg: OracleConfig
-) -> list[OracleResult]:
+) -> OracleResults:
     """empirical_sup for every (grid point, quantity) combination.
 
     Quantities are |a2|, |a3|, then one Fekete-Szego entry per eta (an
     empty eta list means coefficient rows only).  Row order follows the
-    grid, so results are reproducible from (grid, cfg.seed).
+    grid, so results are reproducible from (grid, cfg.seed).  The record
+    holds them as columns and builds each OracleResult on first read, so
+    counting verdicts with verdict_indices builds none.
     """
     if not p_grid:
         raise ValueError("empty parameter grid")
     return _search(p_grid, [A2, A3] + [fs_quantity(e) for e in eta_list], cfg)
 
 
-def violations(results: list[OracleResult]) -> list[OracleResult]:
-    return [r for r in results if r.verdict == VIOLATION]
+def verdict_indices(results, verdict: str) -> list[int]:
+    """The indices of the results with this verdict: read from an OracleResults'
+    codes, which builds no result, or from each result of a plain sequence."""
+    if isinstance(results, OracleResults):
+        return np.flatnonzero(results.codes.T.ravel() == _VERDICTS.index(verdict)).tolist()
+    return [i for i, r in enumerate(results) if r.verdict == verdict]
+
+
+def violations(results) -> list[OracleResult]:
+    return [results[i] for i in verdict_indices(results, VIOLATION)]

@@ -167,7 +167,7 @@ def test_flag_eta_replaces_file_eta_in_verify(capsys, tmp_path, oracle_calls):
         (["bound", *BASE], "variant = x\n"),
         (["sweep", *BASE], "variant = x\n"),
         (["verify"], "variant = x\n"),
-        (["verify"], "refine = maybe\n"),
+        (["verify"], "samples = 0\n"),
     ],
 )
 def test_bad_config_value_exits_two(capsys, tmp_path, command, text):
@@ -175,6 +175,9 @@ def test_bad_config_value_exits_two(capsys, tmp_path, command, text):
     assert code == EXIT_USAGE
     assert out == ""
     assert "error" in err
+    if text == "samples = 0\n":
+        # a key verify takes: its value check, not the unknown-key check, rejects it
+        assert err == "error: config key samples: must be >= 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,14 @@ def _transient_peak(grid, cfg) -> int:
 # (mode, oracle.CHUNK_ELEMENTS, lambda counts of the small and large grids, 16 points
 # a lambda): 1024 elements hold fewer than the small grid's 32 points in every pass, so
 # both grids fill their chunks; None keeps the default, whose pruned chunks hold 496
-# points of the capped rule's 33 injected columns, so its grids have 512 and 1024
+# points of the capped rule's 33 injected columns, so its grids have 512 and 1024, or
+# 1024 and 4096
 @pytest.mark.parametrize("mode, elements, counts", [(PROOF_SET, 1024, (2, 16)),
                                                     (FULL_SYSTEM, 1024, (2, 16)),
-                                                    (FULL_SYSTEM, None, (32, 64))],
-                         ids=["proof-set", "full-system", "full-system-default-chunk"])
+                                                    (FULL_SYSTEM, None, (32, 64)),
+                                                    (FULL_SYSTEM, None, (64, 256))],
+                         ids=["proof-set", "full-system", "full-system-default-chunk",
+                              "full-system-default-chunk-4096"])
 def test_search_memory_does_not_grow_with_the_grid(monkeypatch, mode, elements, counts):
     if elements is not None:
         monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", elements)
