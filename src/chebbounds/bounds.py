@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .classop import ClassParams, ParamFactors, param_factors
@@ -169,8 +168,7 @@ def closed_form(
     return ClosedForm(f, a, d, *bounds_from_denominator(t, d, a, f.fs_flat_denom, etas, m_den))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Coefficient bounds at one parameter point."""
 
     params: ClassParams
@@ -182,8 +180,7 @@ class BoundReport:
     singular: bool           # d vanishes relative to A; the a2 bound is then +inf
 
 
-@dataclass(frozen=True)
-class FeketeSzegoReport:
+class FeketeSzegoReport(NamedTuple):
     """|a3 - eta a2^2| bound at one (parameter point, eta)."""
 
     params: ClassParams

@@ -16,7 +16,6 @@ bound and oracle layers agree on them by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .chebyshev import cheb_u
@@ -34,8 +33,8 @@ PARAM_MAX = 1e75
 # the oracle's two constraint sets (see chebbounds.oracle)
 PROOF_SET = "proof-set"
 FULL_SYSTEM = "full-system"
-# (field, label, floor) of the parameters checked by _checked
-_SCALES = (("lam", "lambda", 1.0), ("mu", "mu", 0.0), ("delta", "delta", 0.0))
+# (label, floor) of lambda, mu and delta, checked by _checked
+_SCALES = (("lambda", 1.0), ("mu", 0.0), ("delta", 0.0))
 
 
 class ParamFactors(NamedTuple):
@@ -80,24 +79,29 @@ def check_eta(eta) -> float:
     return _checked("eta", eta, -PARAM_MAX)
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Admissible parameter tuple (lam, mu, delta, t) of the class."""
-
+class _ClassParams(NamedTuple):
     lam: float
     mu: float
     delta: float
     t: float
 
-    def __post_init__(self) -> None:
-        for name, label, low in _SCALES:
-            object.__setattr__(self, name, _checked(label, getattr(self, name), low))
-        t = float(self.t)
+
+class ClassParams(_ClassParams):
+    """Admissible parameter tuple (lam, mu, delta, t) of the class."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam, mu, delta, t) -> ClassParams:
+        lam, mu, delta = (_checked(label, value, low)
+                          for value, (label, low) in zip((lam, mu, delta), _SCALES))
+        t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
         if not 0.5 < t < 1.0:
             raise ValueError(f"t must lie in the open interval (1/2, 1), got {t}")
-        object.__setattr__(self, "t", t)
+        return super().__new__(cls, lam, mu, delta, t)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     @property
     def factors(self) -> ParamFactors:
@@ -115,7 +119,7 @@ def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
     """
     import numpy as np
     axes = [np.asarray(axis, dtype=float) + 0.0 for axis in (lams, mus, deltas, ts)]  # -0.0 is 0.0
-    bad = [~((axis >= low) & (axis <= PARAM_MAX)) for axis, (*_, low) in zip(axes, _SCALES)]
+    bad = [~((axis >= low) & (axis <= PARAM_MAX)) for axis, (_, low) in zip(axes, _SCALES)]
     bad.append(~((axes[3] > 0.5) & (axes[3] < 1.0)))
     if first := [int(np.argmax(b)) for b in bad if b.any()]:
         ClassParams(*(float(axis[min(first) % len(axis)]) for axis in axes))
@@ -137,8 +141,7 @@ def param_points(lams, mus, deltas, ts) -> list[ClassParams]:
     return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid))]
 
 
-@dataclass(frozen=True)
-class SchwarzPair:
+class SchwarzPair(NamedTuple):
     """Leading Schwarz coefficients of the two subordinations.
 
     (c1, c2) come from the direct function, (d1, d2) from its inverse;

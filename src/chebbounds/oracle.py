@@ -420,19 +420,19 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     return _Draws(cols, a2, reach)
 
 
-def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig):
+def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups):
     """Search one rule at the grid indices ``points`` for each (positions, quantity)
-    of ``quantities`` in one sampling pass.  Returns, per entry of ``quantities``,
-    its sup at each of ``points``, its witness builder, whose build(row) is the
-    witness at points[row], and the samples each point counts."""
+    of ``quantities`` in one sampling pass, writing its sup at each of ``points``
+    into those rows of ``sups``.  Returns, per entry of ``quantities``, its
+    witness builder, whose build(row) is the witness at points[row], and the
+    samples each point counts."""
     names = _RULE_COLUMNS[rule]
     draws = _draws(names, cfg.seed, cfg.n_samples)
     # the injected columns come first: the shared extremes, then the capped maximizers
     lead = draws.cols["c2"].size - cfg.n_samples
     injected = lead + (2 * _PHASES.size if rule == "capped" else 0)
     width = injected + cfg.n_samples
-    # per (quantity, point): the sup and its incumbent columns
-    sup = np.empty((len(quantities), points.size))
+    # per (quantity, point): the incumbent columns of its sup
     best = np.empty((len(quantities), len(names), points.size), complex)
     # pruned: the injected columns alone, then in full where a random sample might beat them
     at = np.arange(points.size)
@@ -456,18 +456,19 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
                     cols[name] = np.concatenate(
                         [col[:, :lead], at_point.reshape(span.size, -1), col[:, lead:]], axis=1)
             a2sq, r = _evaluate(case, _terms(cols))
-            for k, (_, quantity) in enumerate(quantities):
+            for k, (positions, quantity) in enumerate(quantities):
                 vals = _scores(quantity, a2sq, r)
                 idx = np.argmax(vals, axis=1)
-                sup[k, span] = vals[rows, idx]
+                sups[np.ix_(positions, points[span])] = vals[rows, idx]
                 best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
             # so that the next chunk's arrays do not come on top of these
             del cols, a2sq, r, vals
         if scored < width:
             case = _Case(rule, *(c[points] for c in consts))
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
+            sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
-    return [(sup[k], functools.partial(_witness_at, rule, consts, names, best[k], points), width)
+    return [(functools.partial(_witness_at, rule, consts, names, best[k], points), width)
             for k in range(len(quantities))]
 
 
@@ -501,11 +502,10 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
                 key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
                 shared.setdefault(rule, {}).setdefault(key, ([], q))[0].append(k)
         for rule, groups in shared.items():
-            found = _search_rule(rule, points, list(groups.values()), consts, cfg)
-            for (positions, _), (sup, build, n_eval) in zip(groups.values(), found):
+            found = _search_rule(rule, points, list(groups.values()), consts, cfg, sups)
+            for (positions, _), searched_by in zip(groups.values(), found):
                 for k in positions:
-                    sups[k, points] = sup
-                    searched[singular][k] = (build, n_eval)
+                    searched[singular][k] = searched_by
     return OracleResults(quantities, p_grid, cfg, sups, bounds, searched, is_singular, rows)
 
 

@@ -18,7 +18,6 @@ in the caller, not a request for coercion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 DEFAULT_ORDER = 8
@@ -26,16 +25,25 @@ DEFAULT_ORDER = 8
 Coefficient = complex | float | int
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Taylor series truncated at a fixed order; immutable."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("_coeffs",)
+    coeffs = property(operator.attrgetter("_coeffs"))
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[complex, ...]) -> None:
+        if len(coeffs) == 0:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
+        self._coeffs = tuple(map(complex, coeffs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @classmethod
     def make(cls, coeffs: Iterable[Coefficient], order: int | None = None) -> "TruncatedSeries":
@@ -136,8 +144,10 @@ class TruncatedSeries:
 class NormalizedSeries(TruncatedSeries):
     """Series of the shape z + a2 z^2 + ... : f(0) = 0, f'(0) = 1 exactly."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, coeffs: tuple[complex, ...]) -> None:
+        super().__init__(coeffs)
         if self.order < 1:
             raise ValueError("a normalized series needs order >= 1")
         if self.coeffs[0] != 0 or self.coeffs[1] != 1:

@@ -2,7 +2,10 @@
 
 ``bound``, ``cheb`` and ``series`` never import numpy: the closed forms of
 one point run on Python floats, and ``cli`` imports numpy, the oracle and
-the reductions only inside the commands that need them.  ``verify`` calls
+the reductions only inside the commands that need them.  Only ``verify``
+imports ``dataclasses`` (and with it ``inspect``), through the oracle and the
+reductions: the records that every command builds are ``NamedTuple``s and
+``__slots__`` classes.  ``verify`` calls
 the oracle and the reductions through ``cli.sweep_verify`` and
 ``cli.reduction_check``; replacing either attribute must intercept the call,
 since the benchmark captures the oracle's results that way.
@@ -20,23 +23,24 @@ from chebbounds import cli
 from chebbounds.reductions import corollary_ids
 
 SRC = Path(chebbounds.__file__).resolve().parent.parent
-# runs cli.main on its arguments, then prints whether numpy was imported
+# runs cli.main on its arguments, then prints whether numpy and dataclasses were imported
 SCRIPT = ("import sys\n"
           "from chebbounds import cli\n"
           "code = cli.main(sys.argv[1:])\n"
-          "print('numpy' in sys.modules, code)")
+          "print('numpy' in sys.modules, 'dataclasses' in sys.modules, code)")
 POINT = ["--lambda", "1", "--mu", "1", "--delta", "0", "--t", "0.6"]
 
 
 def fresh_run(argv):
-    """(numpy imported, exit code) of cli.main(argv) in a new interpreter."""
+    """(numpy imported, dataclasses imported, exit code) of cli.main(argv) in a
+    new interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv], capture_output=True,
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    imported, code = proc.stdout.splitlines()[-1].split()
-    return imported == "True", int(code)
+    numpy, dataclasses, code = proc.stdout.splitlines()[-1].split()
+    return numpy == "True", dataclasses == "True", int(code)
 
 
 @pytest.mark.parametrize("argv", [
@@ -47,15 +51,17 @@ def fresh_run(argv):
     ["series", "--coeffs", "0.3,0.1", *POINT],
 ], ids=["bound", "bound-singular", "cheb", "series"])
 def test_one_point_commands_never_import_numpy(argv):
-    assert fresh_run(argv) == (False, cli.EXIT_OK)
+    assert fresh_run(argv) == (False, False, cli.EXIT_OK)
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--lambda", "1:2:2", "--mu", "0", "--delta", "0", "--t", "0.6", "--eta", "1"],
-    ["verify", "--lambda", "1", "--mu", "0.5", "--delta", "0", "--t", "0.6", "--samples", "50"],
+@pytest.mark.parametrize("argv, dataclasses", [
+    (["sweep", "--lambda", "1:2:2", "--mu", "0", "--delta", "0", "--t", "0.6", "--eta", "1"],
+     False),
+    (["verify", "--lambda", "1", "--mu", "0.5", "--delta", "0", "--t", "0.6", "--samples", "50"],
+     True),
 ], ids=["sweep", "verify"])
-def test_grid_commands_import_numpy_and_succeed(argv):
-    assert fresh_run(argv) == (True, cli.EXIT_OK)
+def test_grid_commands_import_numpy_and_succeed(argv, dataclasses):
+    assert fresh_run(argv) == (True, dataclasses, cli.EXIT_OK)
 
 
 def test_verify_calls_through_the_cli_names(monkeypatch, capsys):

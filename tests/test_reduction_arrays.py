@@ -61,8 +61,9 @@ def test_default_grid_runs_on_axis_columns(monkeypatch, cid):
     grid, etas = reduction_grid(cid)
     expected = reduction_check(cid, grid, etas)
     built = []
-    check = ClassParams.__post_init__
-    monkeypatch.setattr(ClassParams, "__post_init__", lambda p: built.append(check(p)))
+    new = ClassParams.__new__
+    monkeypatch.setattr(ClassParams, "__new__",
+                        lambda cls, *a: built.append(new(cls, *a)) or built[-1])
     assert reduction_check(cid) == expected
     # at most one ClassParams per axis value, not one per grid point
     assert len(built) <= sum(len(axis) for axis in _SLICES[cid][1:5])

@@ -1,6 +1,5 @@
 """The corollary reductions: each slice's pins, default grid and eta rule."""
 
-import dataclasses
 import math
 
 import pytest
@@ -50,7 +49,7 @@ def test_slice_pins(cid):
     base = grid[-1]
     eta = 0.0 if etas is not None else None
     for name, field in FIELDS.items():
-        moved = dataclasses.replace(base, **{field: getattr(base, field) + 0.25})
+        moved = base._replace(**{field: getattr(base, field) + 0.25})
         if name in pins:
             with pytest.raises(ValueError, match=f"pins {name} = {pins[name]:g}, got "):
                 corollary_bound(cid, moved, eta)
