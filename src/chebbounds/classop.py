@@ -129,10 +129,26 @@ def param_axes(lams, mus, deltas, ts) -> list[np.ndarray]:
 def param_grid(axes, start: int = 0, stop: int | None = None) -> list[np.ndarray]:
     """Points [start, stop) of the lexicographic grid over ``param_axes``,
     as four flat arrays; only those points are built."""
+    return [values[index] for values, index in _grid_columns(axes, start, stop)]
+
+
+def _grid_columns(axes, start: int = 0, stop: int | None = None) -> list[tuple]:
+    """Points [start, stop) of the grid as one (values, index) pair an axis:
+    the axis values that those rows touch, at most stop - start of them, and
+    each row's index into them."""
     import numpy as np
-    shape = [len(axis) for axis in axes]
-    rows = np.arange(start, math.prod(shape) if stop is None else stop)
-    return [axis[i] for axis, i in zip(axes, np.unravel_index(rows, shape))]
+    stride = math.prod(len(axis) for axis in axes)
+    rows = np.arange(start, stride if stop is None else stop)
+    pairs = []
+    for axis in axes:
+        stride //= len(axis)
+        q = rows // stride if stride > 1 else rows      # row number in the grid up to this axis
+        first = start // stride
+        if len(rows) and q[-1] - first < len(axis) - 1:
+            pairs.append((axis[np.arange(first, q[-1] + 1) % len(axis)], q - first))
+        else:
+            pairs.append((axis, q % len(axis)))
+    return pairs
 
 
 def param_points(lams, mus, deltas, ts) -> list[ClassParams]:

@@ -22,12 +22,12 @@ from .classop import (
     FULL_SYSTEM,
     PROOF_SET,
     ClassParams,
+    _grid_columns,
     apply_operator,
     check_eta,
     extract_schwarz,
     membership_feasibility,
     param_axes,
-    param_grid,
     param_points,
 )
 from .powerseries import DEFAULT_ORDER, NormalizedSeries, _compose, _inverse, invert_compositional
@@ -260,19 +260,28 @@ def sweep_header(etas) -> list[str]:
 
 def sweep_rows(
     axes: list[np.ndarray], start: int, stop: int, etas, variant: str
-) -> list[np.ndarray]:
+) -> list:
     """Rows [start, stop) of the sweep over the checked ``axes``, held as
-    one array per column of ``sweep_header``, in its order."""
-    lam, mu, delta, t = param_grid(axes, start, stop)
-    cf = closed_form(lam, mu, delta, t, etas, variant)
-    fs = [f.bound for f in cf.fs]
-    return [lam, mu, delta, t, cf.factors.xi, cf.a2, cf.a3, *fs, abs(cf.d), cf.singular]
+    one column per column of ``sweep_header``, in its order.  A column is
+    an array, or for lambda, mu, delta, t and xi, which repeat by
+    construction, a (values, index) pair: the distinct values of those rows,
+    at most stop - start of them, and each row's index into them."""
+    import numpy as np
+    grid = _grid_columns(axes, start, stop)
+    cf = closed_form(*(values[index] for values, index in grid), etas, variant)
+    # xi depends on (lambda, mu) only: one value a run of rows that share them
+    stride = len(axes[2]) * len(axes[3])
+    run = np.arange(start, stop) // stride
+    first = np.maximum(np.arange(run[0], run[-1] + 1) * stride - start, 0)
+    xi = (cf.factors.xi[first], run - run[0])
+    return [*grid, xi, cf.a2, cf.a3, *(f.bound for f in cf.fs), abs(cf.d), cf.singular]
 
 
 @functools.cache
-def _digit_words() -> tuple[np.ndarray, np.ndarray]:
-    """The powers of ten 1 .. 1e15, all exact doubles, and the 4-byte ASCII
-    words of 0 .. 9999 in the four blocks that _Z .. _L0 name."""
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The powers of ten 1 .. 1e15, all exact doubles, as float64 and as
+    int64, and the 4-byte ASCII words of 0 .. 9999 in the four blocks that
+    _Z .. _L0 name."""
     import numpy as np
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     nonzero = digits != ord("0")
@@ -280,7 +289,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     leading = digits * np.logical_or.accumulate(nonzero, axis=1)
     lone_zero = digits * np.logical_or.accumulate(nonzero | (np.arange(4) == 3), axis=1)
     words = np.concatenate([digits, trailing, leading, lone_zero]).astype(np.uint8).view("<u4")
-    return np.cumprod(np.full(16, 10.0)) / 10.0, words.ravel()
+    pow10 = np.cumprod(np.full(16, 10.0)) / 10.0
+    return pow10, pow10.astype(np.int64), words.ravel()
 
 
 def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,48 +301,54 @@ def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.nd
     With k = 11 - exponent, s = v * 10^k in [1e11, 1e12) is one rounding,
     at most 2^-14, from exact, so its nearest integer m holds the digits
     unless s is within 2.5e-4 of a half.  The words of m // 10^k, leading
-    zeros NUL, and of the fraction m % 10^k, trailing zeros NUL, follow.
+    zeros NUL, and of the fraction m % 10^k, trailing zeros NUL, follow;
+    m is an integer below 1e12, so int64 holds it and its parts exactly.
     """
     import numpy as np
-    pow10, words = _digit_words()
+    pow10, int_pow10, words = _digit_words()
     low = 12 - 4 * int_words                         # k lies in [low, low + 7]
-    candidate = (values > 0) & (values < 1e12)       # and so no product overflows
-    v = np.where(candidate, values, 1.0)
+    fast = (values > 0) & (values < 1e12)            # and so no product overflows
+    v = np.where(fast, values, 1.0)
     k = np.clip(11.0 - np.floor(np.log10(v)), low, low + 7).astype(np.intp)
-    k = np.clip(k - (v * pow10[k] >= 1e12) + (v * pow10[k] < 1e11), low, low + 7)
     s = v * pow10[k]
-    fast = candidate & (s >= 1e11) & (s < 1e12 - 0.5) & (np.abs(s - np.floor(s) - 0.5) > 2.5e-4)
-    m = np.rint(np.where(fast, s, 0.0))
-    ip, fp = np.divmod(m, pow10[k])
-    ip, fp = ip.astype(np.int64), (fp * pow10[low + 7 - k]).astype(np.int64)
-    out = np.empty((len(v), _FIELD // 4), "<u4")
+    k = np.clip(k - (s >= 1e12) + (s < 1e11), low, low + 7)
+    s = v * pow10[k]
+    del v
+    fast &= (s >= 1e11) & (s < 1e12 - 0.5) & (np.abs(s - np.floor(s) - 0.5) > 2.5e-4)
+    s[~fast] = 0.0
+    ip, fp = np.divmod(np.rint(s, out=s).astype(np.int64), int_pow10[k])
+    fp *= int_pow10[low + 7 - k]                     # the fraction to low + 7 digits
+    del s, k
+    out = np.empty((len(values), _FIELD // 4), "<u4")
     units = (1_000_000_000_000, 100_000_000, 10_000, 1)
-    higher = 0
-    for j, unit in enumerate(units[-int_words:]):            # leading zeros NUL, 0 kept
-        q = ip // unit
-        out[:, j] = words[q - 10_000 * higher
-                          + np.where(higher > 0, _Z, _L0 if unit == 1 else _L)]
-        higher = q
-    higher = 0
+    above = False                                    # a nonzero word so far
+    for j, unit in enumerate(units[-int_words:]):    # leading zeros NUL, 0 kept
+        q = ip // unit                               # not divmod: // by a scalar is faster
+        ip -= q * unit
+        lead = np.where(above, _Z, _L0 if unit == 1 else _L)
+        above = above | (q > 0)
+        out[:, j] = words[np.add(q, lead, out=q)]
+    del ip
+    point = fp > 0
     for j, unit in enumerate(units[int_words - 5:], start=int_words):   # trailing zeros NUL
         q = fp // unit
-        out[:, j] = words[q - 10_000 * higher + np.where(fp > unit * q, _Z, _T)]
-        higher = q
+        fp -= q * unit
+        out[:, j] = words[np.add(q, _T, out=q, where=fp == 0)]   # where no digit follows
     text = out.view(np.uint8)
-    text[:, 4 * int_words] = np.where(fp > 0, ord("."), 0)   # over the fraction's leading 0
+    text[:, 4 * int_words] = np.where(point, ord("."), 0)   # over the fraction's leading 0
     return text, fast
 
 
-def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """CSV lines of one chunk of rows; the header line is the writer's, and
-    ``header`` is taken only so that both renderers are called alike.
+def _pairs(columns: list) -> list[tuple]:
+    """Each column as (values, index); a plain array's index is None."""
+    return [col if isinstance(col, tuple) else (col, None) for col in columns]
 
-    Each field is written NUL-padded into one byte matrix: a number in
-    fixed notation by _fixed_fields, exponent -4 to 3 and then 4 to 11,
-    and any other number by _NUMBER itself."""
+
+def _number_text(values: np.ndarray) -> np.ndarray:
+    """The NUL-padded _NUMBER field of each value: in fixed notation by
+    _fixed_fields, exponent -4 to 3 and then 4 to 11, and any other number
+    by _NUMBER itself."""
     import numpy as np
-    n = len(columns[0])
-    values = np.concatenate([col for col in columns if col.dtype != bool])
     text, fast = _fixed_fields(values, 1)
     rest = np.flatnonzero(~fast)
     wide, fast = _fixed_fields(values[rest], 3)
@@ -340,31 +356,59 @@ def render_csv(header: list[str], columns: list[np.ndarray]) -> str:
     rest = rest[~fast]
     other = np.array([_NUMBER % x for x in values[rest].tolist()], dtype=f"S{_FIELD}")
     text[rest] = other.view(np.uint8).reshape(len(rest), _FIELD)
-    numbers = iter(text.reshape(-1, n, _FIELD))
-    bools = np.array([b"false", b"true"], dtype=f"S{_FIELD}").view(np.uint8).reshape(2, -1)
-    fields = np.empty((n, len(columns), _FIELD + 1), np.uint8)
+    return text
+
+
+def render_csv(header: list[str], columns: list) -> str:
+    """CSV lines of one chunk of rows, from the columns of sweep_rows; the
+    header line is the writer's, and ``header`` is taken only so that both
+    renderers are called alike.
+
+    Each field is written NUL-padded into one byte matrix.  The numbers,
+    each distinct value of a (values, index) column once, are formatted in
+    one _number_text pass; a column's fields are a slice of that text or,
+    by its index, a gather of the slice."""
+    import numpy as np
+    record = f"V{_FIELD}"                # a field as one item, so that it moves in one copy
+    pairs = _pairs(columns)
+    text = _number_text(np.concatenate([v for v, _ in pairs if v.dtype != bool])).view(record)
+    bools = np.array([b"false", b"true"], dtype=record)
+    v, index = pairs[0]
+    fields = np.empty((len(v if index is None else index), len(pairs), _FIELD + 1), np.uint8)
     fields[:, :, _FIELD] = ord(",")
     fields[:, -1, _FIELD] = ord("\n")
-    for j, col in enumerate(columns):
-        fields[:, j, :_FIELD] = bools[col.astype(np.intp)] if col.dtype == bool else next(numbers)
+    records = fields[:, :, :_FIELD].view(record)[..., 0]
+    offset = 0
+    for j, (v, index) in enumerate(pairs):
+        if v.dtype == bool:
+            block = bools[v.astype(np.intp)]
+        else:
+            block, offset = text[offset:offset + len(v), 0], offset + len(v)
+        records[:, j] = block if index is None else block[index]
+    del text, block                  # so that only the fields are held while copied
     return fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def render_json(header: list[str], columns: list[np.ndarray]) -> str:
-    """One chunk of rows as the items of an indented JSON list, without
-    the brackets and the newlines that join them to the list; inf is
-    the string "unbounded"."""
-    cells = [["true" if v else "false" for v in col.tolist()] if col.dtype == bool
-             else ['"unbounded"' if math.isinf(v) else repr(float(_NUMBER % v))
-                   for v in col.tolist()]
-             for col in columns]
+def render_json(header: list[str], columns: list) -> str:
+    """One chunk of rows, from the columns of sweep_rows, as the items of an
+    indented JSON list, without the brackets and the newlines that join
+    them to the list; inf is the string "unbounded".  Each distinct value of
+    a (values, index) column is formatted once."""
+    cells = []
+    for values, index in _pairs(columns):
+        text = (["true" if v else "false" for v in values.tolist()] if values.dtype == bool
+                else ['"unbounded"' if math.isinf(v) else repr(float(_NUMBER % v))
+                      for v in values.tolist()])
+        cells.append(text if index is None else [text[i] for i in index.tolist()])
     item = "  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  }"
     return ",\n".join([item % row for row in zip(*cells)])
 
 
 def _write_sweep(fh, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
     """Compute, render and write the sweep one chunk of rows at a time;
-    the output is the same for every chunk size."""
+    the output is the same for every chunk size.  Both renderers take the
+    chunk's lambda, mu, delta, t and xi as (values, index) pairs, and so
+    format each distinct grid value once a chunk."""
     header = sweep_header(etas)
     if out_format == "json":
         render, head, between, tail = render_json, "[\n", ",\n", "\n]\n"
@@ -407,9 +451,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    unchecked = _axes(args)
+    axes = _axes(args)
     etas = _check_etas(args.eta)
-    axes = param_axes(*unchecked)            # every value checked before any output
+    axes = param_axes(*axes)                 # every value checked before any output
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             _write_sweep(fh, axes, etas, args.variant, args.out_format)

@@ -65,5 +65,6 @@ def test_default_grid_runs_on_axis_columns(monkeypatch, cid):
     monkeypatch.setattr(ClassParams, "__new__",
                         lambda cls, *a: built.append(new(cls, *a)) or built[-1])
     assert reduction_check(cid) == expected
-    # at most one ClassParams per axis value, not one per grid point
+    # at most one ClassParams per axis value, and fewer than one per grid point
     assert len(built) <= sum(len(axis) for axis in _SLICES[cid][1:5])
+    assert len(built) < len(grid)

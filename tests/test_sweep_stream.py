@@ -167,6 +167,21 @@ def test_sweep_memory_does_not_grow_with_the_etas(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_memory_does_not_grow_with_an_inner_axis(out_format, tmp_path, monkeypatch):
+    # a chunk formats the t values that its rows touch, at most CSV_CHUNK_ROWS of
+    # them, not the whole axis; both sweeps fill several chunks
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 256)
+
+    def argv(n_t):
+        ranges = dict(SINGLE, t=f"0.55:0.95:{n_t}")
+        return _argv(ranges, tmp_path / "sweep.out") + ["--format", out_format]
+
+    _sweep_peak(argv(1))            # first-use imports and caches
+    short, long = _sweep_peak(argv(512)), _sweep_peak(argv(4096))
+    assert long < 1.2 * short, (short, long)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_rejected_sweep_leaves_no_file(out_format, tmp_path, capsys):
     # every axis value is checked before the output file is opened
     out = tmp_path / "sweep.out"
