@@ -52,8 +52,9 @@ _MAX_SAMPLES = 1_000_000
 # largest COUNT of a range, as a flag or a config key: an axis holds 16 bytes per
 # value while it is built and checked
 _MAX_COUNT = 1_000_000
-# largest verify grid at the default 3 etas, a limit on _MAX_POINTS * 5 results: a point holds
-# a ClassParams, about 0.2 KB, and 2 + len(eta) results, about 0.36 KB each (peak 3.3 KB)
+# largest verify grid at the default 3 etas, a limit on _MAX_POINTS * 5 results: a point
+# holds a ClassParams, about 0.19 KB, and its 2 + len(eta) results as columns, about 0.07 KB
+# each; a search peaks at about 0.65 KB a point, grid included (tracemalloc, 28,800 points)
 _MAX_POINTS = 100_000
 # (flag name, destination, domain) of the four class parameters
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),

@@ -3,51 +3,54 @@ admissible Schwarz-coefficient set.
 
 Search cases are data.  A mode is two rows of one table, for regular and
 for singular points, that give each quantity an a2^2 rule, or none where
-it is unbounded and skipped; a rule also fixes the disk columns drawn.
-``proof-set`` mode maximizes each quantity over independently chosen
-unit-disk coefficients, by exactly the relations its bound derivation
-uses, so its supremum should match the closed form wherever that bound
-is attained.  Its rules are summed (the summed degree-2 relation), linear
-(the linear relations) and pinned (a2 = 0 on a singular point's c2 + d2 =
-0 slice).  ``full-system`` mode keeps all four coefficient relations
-simultaneously consistent: capped (summed, with |c2 + d2| capped at R =
-min(2, u1 |prefactor| / A) through |c1| <= 1) and free (a2 drawn directly
-on that slice).  Its supremum may sit strictly below the closed form, and
-the gap is reported, not judged.  Each rule belongs to one mode, so nothing
-below the table reads the mode.
+it is unbounded and skipped.  ``proof-set`` mode maximizes each quantity
+over independent unit-disk coefficients by exactly the relations its bound
+derivation uses, so its supremum should match the closed form wherever that
+bound is attained: summed (the summed degree-2 relation), linear (the linear
+relations) and pinned (a2 = 0 on a singular point's c2 + d2 = 0 slice).
+``full-system`` mode keeps all four coefficient relations consistent, so its
+supremum may sit below the closed form, a gap reported, not judged: capped
+(summed, with |c2 + d2| capped at R = min(2, u1 |prefactor| / A) through
+|c1| <= 1) and free (a2 on that slice, where |c1| <= 1 is |a2| <= rho =
+u1/lin).  Each rule is one row of a second table: its unit-disk columns,
+a2^2 coefficient, score-bound form, injected maximizers and witness
+recovery.  Nothing below the tables reads the mode or a rule's name.
 
-Sampling is uniform in (modulus^2, argument) per coefficient, with the
-extreme combinations of {0, +-1, +-i} injected deterministically: the
-analytic maxima sit at boundary sign patterns, so injection makes the
-attained equalities exact rather than asymptotic.  Every sample is
-feasible: a capped drawn pair (c2, d2) in the bidisk stands for c2' =
-(R/2 s + w) / 2 and d2' = (R/2 s - w) / 2, with s = c2 + d2 and w = c2 - d2,
-so its a2^2 is the summed relation's scaled by R/2; both stay in the unit
-disk and |c2' + d2'| <= R.  The capped rule's exact maximizers, the vertices
-(1, R - 1) and (R - 1, 1) times {+-1, +-i}, are injected per point after the
-extremes, drawn as (2 - R/2, R/2) and its swap.  Every rule but the free one
-is pruned: its injected columns, which come first, are scored alone, and a
-point's random samples only where a bound on their scores, from the case
-constants and the largest random modulus, does not fall below the injected
-columns' sup.  Elsewhere they are bounded, not evaluated, and argmax over
-the injected columns is argmax over all.  |a3| is scored as fs@0, |a2^2 +
-r|, and quantities whose scores are the same numbers share one search.  The
-two square-root branches of a2 enter every verified quantity through a2^2
-alone, so one evaluation accounts for both (solve_member_coeffs exposes the
-branch choice explicitly for callers that want a concrete a2).
+Sampling is uniform in (modulus^2, argument) per coefficient, after the
+extreme combinations of {0, +-1, +-i}: the analytic maxima sit at boundary
+sign patterns, so the attained equalities are exact, not asymptotic.  Every
+sample is feasible: a capped drawn pair (c2, d2) in the bidisk stands for
+c2' = (R/2 s + w) / 2 and d2' = (R/2 s - w) / 2, with s = c2 + d2 and
+w = c2 - d2, both in the unit disk with |c2' + d2'| <= R, so its a2^2 is
+the summed one scaled by R/2.  The capped maxima, the vertices (1, R - 1)
+and (R - 1, 1) times {+-1, +-i}, are injected per point after the extremes,
+as (2 - R/2, R/2) and its swap.  A free a2 is drawn on the unit disk and
+scaled by rho.
 
-One evaluator and one witness builder serve every rule, and one search a
-whole grid (``empirical_sup`` is a one-point grid), with its bounds and
-case constants from one ``closed_form`` call.  Each rule's samples are
-drawn once per (seed, sample count).  One sampling pass scores them
-against chunks of points, whose a2^2 and r serve all of the rule's
-quantities, and keeps each quantity's sup as a column over the points.
-There is no local refinement: the maxima sit at the injected columns.
-Results equal a per-point search's bit for bit.  A search returns them as
-one record, OracleResults, of columns: per (quantity, point) the sup, the
-closed-form bound and a verdict code.  An OracleResult is built on first
-read of its index, and its witness on first read of that field, so a
-verify that only counts verdicts builds neither.
+Every rule is pruned: its injected columns come first and are scored alone,
+and a point's random samples only where a bound on their scores, the rule's
+form at the largest random modulus, does not fall below the injected sup by
+more than a relative 1e-12; elsewhere they are bounded, not evaluated, and
+n_samples still counts them.  No point of the default ``verify`` grid or of
+``verify-full``'s is scanned in full.  |a3| is scored as fs@0, and
+quantities whose scores are the same numbers share one search.  The two
+roots of a2 enter every verified quantity through a2^2 alone, so one
+evaluation serves both.
+
+One search serves a whole grid (``empirical_sup`` is a one-point grid), with
+its bounds and case constants from one ``closed_form`` call.  Each rule's
+samples are drawn once per (columns, seed, sample count) and shared by every
+point.  One pass scores them against chunks of points of at most
+CHUNK_ELEMENTS samples in all (at least a point), releasing each chunk's
+arrays before the next, and keeps each quantity's sup and incumbent as
+columns, so the search's transient memory hardly grows with the grid (full
+system, 2000 samples: 2.06 MB at 512 points, 2.08 MB at 4096, under
+tracemalloc).  Results equal a per-point search's bit for bit.  A search
+returns them as one record of columns, OracleResults; an OracleResult is
+built on first read of its index and its witness on first read of that
+field, so a verify that only counts verdicts builds neither.  The array
+passes multiply by the reciprocal of a real divisor, as numpy's complex
+division does; the scalar witness path divides, as Python rounds otherwise.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import cmath
 import functools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +68,7 @@ import numpy as np
 # perfbench wraps bound_a2, bound_a3, fekete_szego_bound and cheb_u here by name
 from .bounds import CORRECTED, bound_a2, bound_a3, closed_form, fekete_szego_bound  # noqa: F401
 from .chebyshev import cheb_u  # noqa: F401
-from .classop import ADMISSIBLE_TOL, FULL_SYSTEM, PROOF_SET, ClassParams, SchwarzPair, check_eta
+from .classop import FULL_SYSTEM, PROOF_SET, ClassParams, SchwarzPair, check_eta
 
 WITHIN_BOUND = "within-bound"
 VIOLATION = "violation"
@@ -196,23 +199,77 @@ class OracleResults(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-@dataclass(frozen=True)
-class MemberSolution:
-    """Outcome of solving the coefficient relations for one (c2, d2)."""
+class _Rule(NamedTuple):
+    """One a2^2 rule.  Its samples are unit-disk columns, and a2^2 = lead * factor
+    * q / divisor, in this order, with q a point-free term of the columns; every
+    rule has r = u1 (c2 - d2) / (2F) and a3 = a2^2 + r."""
 
-    status: str                  # "ok" | "infeasible" | "singular" | "free"
-    a2: complex | None = None
-    a3: complex | None = None
-    c1: complex | None = None
+    columns: tuple[str, ...]     # the disk columns drawn, in draw order
+    terms: Callable              # columns -> (q, c2 - d2)
+    coeff: Callable              # case -> (lead, factor, divisor)
+    form: Callable               # (|x|, |beta|, reach) -> a bound on |x q + beta (c2 - d2)|
+    recover: Callable            # (case, columns, a2^2) -> a witness's (a2, c1, c2, d1, d2)
+    injects: int = 0             # per point, the maximizers injected after the extremes
+    maximizers: Callable = lambda case: {}   # case -> {column: points x injects}
 
 
-# a2^2 rule -> the disk columns it draws, in draw order (the samples follow it)
-_RULE_COLUMNS = {
-    "summed": ("c2", "d2"),              # u1 (c2 + d2) / prefactor, the summed relation
-    "capped": ("c2", "d2"),              # summed, c2 + d2 scaled by R/2 so that |c1| <= 1
-    "linear": ("c1", "d1", "c2", "d2"),  # u1^2 (c1^2 + d1^2) / (2A), the linear relations
-    "free": ("c2", "a2"),                # a2 drawn on |a2| <= u1/lin, with d2 = -c2
-    "pinned": ("c2", "d2"),              # 0, on a singular point's c2 + d2 = 0 slice
+def _sum_diff(cols):
+    return cols["c2"] + cols["d2"], cols["c2"] - cols["d2"]
+
+
+def _joint(x, beta, reach):
+    return 2.0 * np.maximum(x, beta) * reach
+
+
+def _from_a2(case, a2, c2, d2):
+    """A witness's (a2, c1, c2, d1, d2), c1 = -d1 = lin a2 / u1 by the linear relations."""
+    c1 = case.lin * a2 / case.u1
+    return a2, c1, c2, -c1, d2
+
+
+def _drawn(case, cols, a2sq):
+    """The witness at the drawn (c2, d2), a2 the principal root of a2^2."""
+    return _from_a2(case, cmath.sqrt(a2sq), cols["c2"], cols["d2"])
+
+
+def _feasible(case, cols):
+    """The feasible pair that a capped drawn pair (c2, d2) in the bidisk stands
+    for, with c2 + d2 scaled by R/2: c2' = (R/2) c2 + (1 - R/2) (c2 - d2) / 2."""
+    s, w = case.half_cap * (cols["c2"] + cols["d2"]), cols["c2"] - cols["d2"]
+    return (s + w) / 2.0, (s - w) / 2.0
+
+
+def _vertices(case):
+    """The capped rule's maximizers per point, the vertices (1, R - 1) and
+    (R - 1, 1) times {+-1, +-i}, drawn as (2 - R/2, R/2) and its swap."""
+    v = np.stack([2.0 - case.half_cap, case.half_cap], axis=1) * _PHASES
+    return {"c2": v.reshape(len(v), -1), "d2": v[:, ::-1].reshape(len(v), -1)}
+
+
+_PHASES = np.array([1.0, -1.0, 1j, -1j])
+
+# a2^2 rule -> its row; a form bounds the score over columns of modulus <= reach <= 1
+_RULE_TABLE = {
+    # u1 (c2 + d2) / prefactor, the summed relation
+    "summed": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, 1.0, k.prefactor), _joint, _drawn),
+    # summed, c2 + d2 scaled by R/2 so that |c1| <= 1; the witness is (c2', d2')
+    "capped": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, k.half_cap, k.prefactor), _joint,
+                    lambda k, c, a2sq: _from_a2(k, cmath.sqrt(a2sq), *_feasible(k, c)),
+                    2 * _PHASES.size, _vertices),
+    # u1^2 (c1^2 + d1^2) / (2A), the linear relations
+    "linear": _Rule(("c1", "d1", "c2", "d2"),
+                    lambda c: (c["c1"] * c["c1"] + c["d1"] * c["d1"], c["c2"] - c["d2"]),
+                    lambda k: (k.u1, k.u1, 2.0 * k.a),
+                    lambda x, beta, reach: 2.0 * (x + beta) * reach,
+                    lambda k, c, a2sq: (cmath.sqrt(a2sq), c["c1"], c["c2"], c["d1"], c["d2"])),
+    # (rho a2)^2, rho = u1/lin: a2 free on |a2| <= rho, drawn on the unit disk; d2 = -c2
+    "free": _Rule(("c2", "a2"), lambda c: (c["a2"] * c["a2"], c["c2"] - -c["c2"]),
+                  lambda k: (k.u1 / k.lin, k.u1 / k.lin, 1.0),
+                  lambda x, beta, reach: (x * reach + 2.0 * beta) * reach,
+                  lambda k, c, a2sq: _from_a2(k, c["a2"] * (k.u1 / k.lin), c["c2"], -c["c2"])),
+    # 0, on a singular point's c2 + d2 = 0 slice
+    "pinned": _Rule(("c2", "d2"), lambda c: (0.0, c["c2"] - c["d2"]), lambda k: (k.u1, 0.0, 1.0),
+                    _joint, _drawn),
 }
 
 # mode -> its rows for a regular and a singular point, each {quantity: a2^2 rule}, where
@@ -227,17 +284,12 @@ _RULES = {
     FULL_SYSTEM: (dict.fromkeys(("a2", "a3", "fs@1", "fs"), "capped"),
                   dict.fromkeys(("a2", "a3", "fs@1", "fs"), "free")),
 }
-# the rules whose injected columns are scored first, and _score_bound prunes the random
-# samples that cannot beat them: all but the free rule, whose a2 disk has no such bound
-_PRUNED = frozenset(("summed", "capped", "linear", "pinned"))
-# the capped rule's maximizers, the vertices (1, R - 1) and (R - 1, 1) times these
-_PHASES = np.array([1.0, -1.0, 1j, -1j])
 
 
 class _Case(NamedTuple):
     """One rule's constants at one point, or per point of a chunk as columns."""
 
-    rule: str
+    rule: _Rule
     u1: float
     lin: float
     a: float
@@ -261,35 +313,14 @@ def _grid_cases(p_grid: list[ClassParams], etas=()):
                 np.minimum(1.0, np.abs(cf.d) / (2.0 * t * cf.A)))
 
 
-def _terms(cols):
-    """(q, c2 - d2), the point-free parts of a2^2 and r, for disk columns or
-    one point's scalars: q is c2 + d2 (summed and pinned columns),
-    c1^2 + d1^2 (linear) or a2^2 (free, d2 = -c2)."""
-    c2 = cols["c2"]
-    if "a2" in cols:
-        return cols["a2"] * cols["a2"], c2 - -c2
-    d2 = cols["d2"]
-    q = cols["c1"] * cols["c1"] + cols["d1"] * cols["d1"] if "c1" in cols else c2 + d2
-    return q, c2 - d2
-
-
 def _evaluate(case: _Case, terms):
-    """(a2^2, r) from the case's terms; r = u1 (c2 - d2) / (2F), a3 = a2^2 + r."""
+    """(a2^2, r) from the case's terms (q, c2 - d2), by its rule's coefficient."""
     q, diff = terms
-    u1 = case.u1
     # numpy divides complex x by real d as (x.real + x.imag * 0) * (1 / d), so arrays
     # multiply by 1 / d; Python's complex division rounds otherwise, so scalars divide
-    over = (lambda x, d: x * (1.0 / d)) if isinstance(u1, np.ndarray) else operator.truediv
-    if case.rule in ("summed", "capped"):
-        # a capped sample's c2 + d2 stands for R/2 of it (see _witness)
-        a2sq = over(u1 * (case.half_cap if case.rule == "capped" else 1.0) * q, case.prefactor)
-    elif case.rule == "linear":
-        a2sq = over(u1 * u1 * q, 2.0 * case.a)
-    elif case.rule == "free":
-        a2sq = q
-    else:
-        a2sq = 0.0
-    return a2sq, over(u1 * diff, case.two_f)
+    over = (lambda x, d: x * (1.0 / d)) if isinstance(case.u1, np.ndarray) else operator.truediv
+    lead, factor, divisor = case.rule.coeff(case)
+    return over(lead * factor * q, divisor), over(case.u1 * diff, case.two_f)
 
 
 def _scores(quantity: Quantity, a2sq, r):
@@ -300,88 +331,30 @@ def _scores(quantity: Quantity, a2sq, r):
 
 
 def _score_bound(quantity: Quantity, case: _Case, reach):
-    """Per point, a bound up to rounding on the proof-set score of a sample whose
-    columns have modulus <= reach <= 1.  With a2^2 = alpha q, r = beta (c2 - d2)
-    and x = (1 - eta) alpha, the score |x q + r| is at most 2 (|x| + |beta|) reach
-    for q = c1^2 + d1^2; for q = c2 + d2 it is |(x + beta) c2 + (x - beta) d2| <=
-    2 max(|x|, |beta|) reach.  And |a2| = sqrt|alpha q| <= sqrt(2 |alpha| reach)."""
+    """Per point, a bound up to rounding on the score of a sample whose columns
+    have modulus <= reach <= 1.  With a2^2 = alpha q and r = beta (c2 - d2), the
+    score |x q + r|, x = (1 - eta) alpha, is at most the rule's form of (|x|,
+    |beta|, reach): 2 max(|x|, |beta|) reach for q = c2 + d2, as the score is
+    |(x + beta) c2 + (x - beta) d2|; 2 (|x| + |beta|) reach for c1^2 + d1^2; and
+    |x| reach^2 + 2 |beta| reach for a2^2 with d2 = -c2.  And |a2| = sqrt|alpha q|
+    is at most the root of the form of (|alpha|, 0, reach)."""
     alpha, beta = _evaluate(case, (1.0, 1.0))
     if quantity.kind == "a2":
-        return np.sqrt(2.0 * np.abs(alpha) * reach)
-    x, beta = np.abs((1.0 - (quantity.eta or 0.0)) * alpha), np.abs(beta)
-    return 2.0 * (x + beta if case.rule == "linear" else np.maximum(x, beta)) * reach
+        return np.sqrt(case.rule.form(np.abs(alpha), 0.0, reach))
+    return case.rule.form(np.abs((1.0 - (quantity.eta or 0.0)) * alpha), np.abs(beta), reach)
 
 
 def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
     """The Schwarz data and (a2, a3) of one point of the case's columns."""
-    a2sq, r = _evaluate(case, _terms(pt))
-    c2 = pt["c2"]
-    if case.rule == "free":
-        a2, d2 = pt["a2"], -c2
-    else:
-        a2, d2 = cmath.sqrt(a2sq), pt["d2"]
-    if case.rule == "capped":
-        # a drawn pair (c2, d2) in the bidisk stands for the feasible one with
-        # c2 + d2 scaled by R/2: c2' = (R/2) c2 + (1 - R/2) (c2 - d2) / 2
-        s, w = case.half_cap * (c2 + d2), c2 - d2
-        c2, d2 = (s + w) / 2.0, (s - w) / 2.0
-    if case.rule == "linear":
-        c1, d1 = pt["c1"], pt["d1"]
-    else:
-        c1 = case.lin * a2 / case.u1
-        d1 = -c1
+    a2sq, r = _evaluate(case, case.rule.terms(pt))
+    a2, c1, c2, d1, d2 = case.rule.recover(case, pt, a2sq)
     return Witness(SchwarzPair.from_coeffs(c1, c2, d1, d2), a2, a2sq + r)
 
 
-def _witness_at(rule: str, consts, names, best, points, row: int) -> Witness:
+def _witness_at(rule: _Rule, consts, best, points, row: int) -> Witness:
     """The witness of grid point points[row], whose incumbent is best[:, row]."""
     at = _Case(rule, *(float(c[points[row]]) for c in consts))
-    return _witness(at, dict(zip(names, best[:, row].tolist())))
-
-
-def solve_member_coeffs(
-    c2: complex,
-    d2: complex,
-    sign: int,
-    p: ClassParams,
-    mode: str = PROOF_SET,
-    a2: complex | None = None,
-) -> MemberSolution:
-    """Solve the degree-2 relations for (a2, a3, c1) given (c2, d2).
-
-    The summed relation gives a2^2 = u1 (c2 + d2) / prefactor; ``sign``
-    picks the square root (both roots produce the same |a2|, |a3| and
-    |a3 - eta a2^2|).  When the prefactor vanishes the route degenerates:
-    status "singular" if c2 + d2 != 0 (no solution this way), otherwise
-    a2 is genuinely free — pass it explicitly or receive status "free";
-    d2 is then taken as exactly -c2.
-    In full-system mode solutions with |c1| > 1 are "infeasible".
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if mode not in _RULES:
-        raise ValueError(f"unknown mode {mode!r}")
-    c2, d2 = complex(c2), complex(d2)
-    for name, c in (("c2", c2), ("d2", d2)):
-        if abs(c) > 1.0 + ADMISSIBLE_TOL:
-            raise ValueError(f"{name} must lie in the closed unit disk, got |{name}| = {abs(c):g}")
-    # the summed relation, or a free a2 where it degenerates; (c2, d2) are the
-    # coefficients themselves, not a capped rule's scaled draw
-    cf, consts = _grid_cases([p])
-    case = _Case("free" if cf.singular[0] else "summed", *(float(c[0]) for c in consts))
-    if case.rule == "free":
-        if abs(c2 + d2) > 1e-12:
-            return MemberSolution("singular")
-        if a2 is None:
-            return MemberSolution("free")
-        w = _witness(case, {"c2": c2, "a2": complex(a2)})
-        a2v, c1 = w.a2, w.schwarz.c1
-    else:
-        w = _witness(case, {"c2": c2, "d2": d2})
-        a2v, c1 = (w.a2, w.schwarz.c1) if sign == 1 else (-w.a2, -w.schwarz.c1)
-    if mode == FULL_SYSTEM and not w.schwarz.admissible:
-        return MemberSolution("infeasible")
-    return MemberSolution("ok", a2v, w.a3, c1)
+    return _witness(at, dict(zip(rule.columns, best[:, row].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,6 @@ def solve_member_coeffs(
 
 class _Draws(NamedTuple):
     cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
-    a2: tuple | None             # free rule: the a2 draw as (extremes, sqrt(u), phase)
     reach: float                 # the largest modulus in the random part of cols
 
 
@@ -398,45 +370,38 @@ class _Draws(NamedTuple):
 def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     """One rule's samples, drawn once per (seed, n) and shared by every point
     searched.  The columns ``names`` come from ``default_rng(seed)`` in
-    order, each as sqrt(u) and exp(i theta) scaled to (sqrt(u) R) exp(i
-    theta) on a disk of radius R.  The free rule's a2 radius u1/lin varies
-    per point, so its draw is kept unscaled; {0, +-1, +-i} R gives the same
-    bits as {0, +-R, +-iR}.  The arrays are read-only."""
+    order, each as sqrt(u) exp(i theta) on the unit disk, after every
+    combination of {0, +-1, +-i}.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
-    # every combination of {0, +-1, +-i}; the literal -1j has real part -0.0
+    # the literal -1j has real part -0.0
     unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])
     extremes = dict(zip(names, np.meshgrid(*[unit] * len(names), indexing="ij")))
-    cols, a2 = {}, None
+    cols = {}
     for name in names:
         s = np.sqrt(rng.random(n))
         phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
-        if name == "a2":
-            a2 = (extremes[name].ravel(), s, phase)
-        else:
-            cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
-    for arr in [*cols.values(), *(a2 or ())]:
-        arr.flags.writeable = False
-    reach = max(float(np.max(np.abs(col[-n:]))) for col in cols.values())
-    return _Draws(cols, a2, reach)
+        cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
+        cols[name].flags.writeable = False
+    return _Draws(cols, max(float(np.max(np.abs(col[-n:]))) for col in cols.values()))
 
 
-def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups):
+def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups):
     """Search one rule at the grid indices ``points`` for each (positions, quantity)
     of ``quantities`` in one sampling pass, writing its sup at each of ``points``
     into those rows of ``sups``.  Returns, per entry of ``quantities``, its
     witness builder, whose build(row) is the witness at points[row], and the
     samples each point counts."""
-    names = _RULE_COLUMNS[rule]
+    names = rule.columns
     draws = _draws(names, cfg.seed, cfg.n_samples)
-    # the injected columns come first: the shared extremes, then the capped maximizers
+    # the injected columns come first: the shared extremes, then the rule's maximizers
     lead = draws.cols["c2"].size - cfg.n_samples
-    injected = lead + (2 * _PHASES.size if rule == "capped" else 0)
+    injected = lead + rule.injects
     width = injected + cfg.n_samples
     # per (quantity, point): the incumbent columns of its sup
     best = np.empty((len(quantities), len(names), points.size), complex)
-    # pruned: the injected columns alone, then in full where a random sample might beat them
+    # the injected columns alone, then in full where a random sample might beat them
     at = np.arange(points.size)
-    for scored in [injected, width] if rule in _PRUNED else [width]:
+    for scored in (injected, width):
         # as many points as hold ``scored`` elements each within CHUNK_ELEMENTS, at least one
         step = max(1, CHUNK_ELEMENTS // scored)
         for start in range(0, at.size, step):
@@ -444,18 +409,10 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             rows = np.arange(span.size)
             case = _Case(rule, *(c[points[span], None] for c in consts))
             cols = {name: col[:scored - injected + lead] for name, col in draws.cols.items()}
-            if rule == "free":
-                extremes, s, phase = draws.a2
-                radius = case.u1 / case.lin
-                cols["a2"] = np.concatenate([extremes * radius, (s * radius) * phase], axis=1)
-            if rule == "capped":
-                # the vertices drawn as (2 - R/2, R/2) and (R/2, 2 - R/2), times each phase
-                vertices = np.stack([2.0 - case.half_cap, case.half_cap], axis=1) * _PHASES
-                for name, at_point in (("c2", vertices), ("d2", vertices[:, ::-1])):
-                    col = np.broadcast_to(cols[name], (span.size, cols[name].size))
-                    cols[name] = np.concatenate(
-                        [col[:, :lead], at_point.reshape(span.size, -1), col[:, lead:]], axis=1)
-            a2sq, r = _evaluate(case, _terms(cols))
+            for name, at_point in rule.maximizers(case).items():
+                col = np.broadcast_to(cols[name], (span.size, cols[name].size))
+                cols[name] = np.concatenate([col[:, :lead], at_point, col[:, lead:]], axis=1)
+            a2sq, r = _evaluate(case, rule.terms(cols))
             for k, (positions, quantity) in enumerate(quantities):
                 vals = _scores(quantity, a2sq, r)
                 idx = np.argmax(vals, axis=1)
@@ -468,7 +425,7 @@ def _search_rule(rule: str, points: np.ndarray, quantities, consts, cfg: OracleC
             bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
             sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
             at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
-    return [(functools.partial(_witness_at, rule, consts, names, best[k], points), width)
+    return [(functools.partial(_witness_at, rule, consts, best[k], points), width)
             for k in range(len(quantities))]
 
 
@@ -502,7 +459,7 @@ def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleCo
                 key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
                 shared.setdefault(rule, {}).setdefault(key, ([], q))[0].append(k)
         for rule, groups in shared.items():
-            found = _search_rule(rule, points, list(groups.values()), consts, cfg, sups)
+            found = _search_rule(_RULE_TABLE[rule], points, [*groups.values()], consts, cfg, sups)
             for (positions, _), searched_by in zip(groups.values(), found):
                 for k in positions:
                     searched[singular][k] = searched_by

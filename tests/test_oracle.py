@@ -16,7 +16,6 @@ from chebbounds.oracle import (
     Quantity,
     empirical_sup,
     fs_quantity,
-    solve_member_coeffs,
     sweep_verify,
     violations,
 )
@@ -24,6 +23,7 @@ from chebbounds.oracle import (
 P0 = ClassParams(1.0, 1.0, 0.0, 0.6)
 P_SING = ClassParams(2.0, 0.0, 0.0, math.sqrt(0.5))
 FAST = OracleConfig(n_samples=400, seed=5)
+FULL = OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=5)
 
 
 def test_quantity_labels():
@@ -45,57 +45,58 @@ def test_quantity_validation():
             Quantity("fs", eta)
 
 
+# a member solved from its Schwarz data: the oracle's witnesses, checked with
+# membership_feasibility, which solves the relations back from (a2, a3)
+
+
 def test_solve_member_extreme_point():
     # c2 = 1, d2 = -1 kills a2 and puts a3 on the flat Fekete-Szego branch
-    sol = solve_member_coeffs(1.0, -1.0, 1, P0)
-    assert sol.status == "ok"
-    assert sol.a2 == 0.0
-    assert sol.a3 == pytest.approx(0.4, abs=1e-15)
-    assert sol.c1 == 0.0
+    w = empirical_sup(fs_quantity(1.0), P0, FAST).witness
+    assert (w.schwarz.c2, w.schwarz.d2) == (1.0, -1.0)
+    assert w.a2 == 0.0
+    assert w.a3 == pytest.approx(0.4, abs=1e-15)
+    assert w.schwarz.c1 == 0.0
 
 
 def test_solve_member_matches_membership_check():
-    sol = solve_member_coeffs(0.3 + 0.1j, 0.2, 1, P0, mode=FULL_SYSTEM)
-    assert sol.status == "ok"
-    pair = membership_feasibility(sol.a2, sol.a3, P0)
-    assert pair.admissible
-    assert pair.c1 == pytest.approx(sol.c1, abs=1e-12)
+    for q in (A2, A3, fs_quantity(0.0), fs_quantity(2.5)):
+        w = empirical_sup(q, P0, FULL).witness
+        pair = membership_feasibility(w.a2, w.a3, P0)
+        assert pair.admissible
+        assert pair.c1 == pytest.approx(w.schwarz.c1, abs=1e-12)
 
 
 def test_solve_member_keeps_the_given_coefficients():
     # at P0 |c1| <= 1 caps |c2 + d2| at R = 16/15 < 2; the search's capped rule
-    # scales a drawn c2 + d2 by R/2, but a caller's (c2, d2) are the coefficients
-    c2, d2 = 0.3 + 0.1j, 0.2
-    sol = solve_member_coeffs(c2, d2, 1, P0, mode=FULL_SYSTEM)
-    assert sol.status == "ok"
-    # u1 = 1.2 and d / (2 t^2) = 2.56 / 0.72
-    assert sol.a2 * sol.a2 == pytest.approx(1.2 * (c2 + d2) / (2.56 / 0.72), abs=1e-15)
-    pair = membership_feasibility(sol.a2, sol.a3, P0)
-    assert [pair.c2, pair.d2] == pytest.approx([c2, d2], abs=1e-12)
+    # scales a drawn c2 + d2 by R/2, and its witness holds the scaled coefficients
+    for q in (A2, A3, fs_quantity(2.5)):
+        w = empirical_sup(q, P0, FULL).witness
+        c2, d2 = w.schwarz.c2, w.schwarz.d2
+        # u1 = 1.2 and d / (2 t^2) = 2.56 / 0.72
+        assert w.a2 * w.a2 == pytest.approx(1.2 * (c2 + d2) / (2.56 / 0.72), abs=1e-15)
+        pair = membership_feasibility(w.a2, w.a3, P0)
+        assert [pair.c2, pair.d2] == pytest.approx([c2, d2], abs=1e-12)
 
 
 def test_solve_member_sign_symmetry():
-    plus = solve_member_coeffs(0.4, 0.1, 1, P0)
-    minus = solve_member_coeffs(0.4, 0.1, -1, P0)
-    assert plus.a2 == pytest.approx(-minus.a2, abs=1e-15)
-    assert abs(plus.a3) == pytest.approx(abs(minus.a3), abs=1e-15)
-
-
-def test_solve_member_validation():
-    with pytest.raises(ValueError, match="sign"):
-        solve_member_coeffs(0.5, 0.5, 2, P0)
-    with pytest.raises(ValueError, match="unit disk"):
-        solve_member_coeffs(1.5, 0.0, 1, P0)
-    with pytest.raises(ValueError, match="mode"):
-        solve_member_coeffs(0.5, 0.5, 1, P0, mode="bogus")
+    # both roots of a2^2 give one a3: the Schwarz data of -a2 mirror c1 and d1
+    for mode in (PROOF_SET, FULL_SYSTEM):
+        w = empirical_sup(A3, P0, OracleConfig(mode=mode, n_samples=400, seed=5)).witness
+        plus, minus = (membership_feasibility(sign * w.a2, w.a3, P0) for sign in (1, -1))
+        assert minus.c1 == pytest.approx(-plus.c1, abs=1e-15)
+        assert [minus.c2, minus.d2] == pytest.approx([plus.c2, plus.d2], abs=1e-15)
+        assert minus.admissible == plus.admissible
 
 
 def test_solve_member_singular_statuses():
-    assert solve_member_coeffs(1.0, 0.5, 1, P_SING).status == "singular"
-    assert solve_member_coeffs(1.0, -1.0, 1, P_SING).status == "free"
-    pinned = solve_member_coeffs(1.0, -1.0, 1, P_SING, a2=0.3)
-    assert pinned.status == "ok"
-    assert pinned.a2 == 0.3
+    # where the prefactor vanishes, the summed relation leaves c2 + d2 = 0 with a2
+    # free on |a2| <= u1/lin, and c1 = lin a2 / u1 by the linear relation
+    u1, lin = 2.0 * P_SING.t, P_SING.factors.op_linear_factor
+    for q in (A2, A3, fs_quantity(2.5)):
+        w = empirical_sup(q, P_SING, FULL).witness
+        assert w.schwarz.d2 == -w.schwarz.c2
+        assert abs(w.a2) <= u1 / lin * (1.0 + 1e-15)
+        assert w.schwarz.c1 == pytest.approx(lin * w.a2 / u1, abs=1e-15)
 
 
 def test_proof_set_a2_within_and_near_bound():

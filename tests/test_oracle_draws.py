@@ -17,7 +17,7 @@ from chebbounds.oracle import (
     FULL_SYSTEM,
     PROOF_SET,
     OracleConfig,
-    _RULE_COLUMNS,
+    _RULE_TABLE,
     _draws,
     empirical_sup,
     fs_quantity,
@@ -207,9 +207,9 @@ def test_free_rule_at_another_radius_is_cache_independent(label):
 
 def test_draw_cache_keeps_seeds_and_sample_counts_apart():
     def random_columns(seed, n):
-        """The free rule's random part: c2 after its extremes, a2's sqrt(u) and phase."""
-        draws = _draws(_RULE_COLUMNS["free"], seed, n)
-        return [draws.cols["c2"][-n:], *draws.a2[1:]]
+        """The free rule's random part: c2 and a2 after their extremes."""
+        draws = _draws(_RULE_TABLE["free"].columns, seed, n)
+        return [draws.cols["c2"][-n:], draws.cols["a2"][-n:]]
 
     calls = [(5, 400), (6, 400), (5, 401), (5, 400)]
     cached = [random_columns(seed, n) for seed, n in calls]

@@ -34,7 +34,7 @@ def _capped_candidates(monkeypatch):
     def spy(case, terms):
         a2sq, r = evaluate(case, terms)
         # columns or points x columns; _score_bound and a witness pass scalars
-        if case.rule == "capped" and np.ndim(terms[0]):
+        if case.rule is oracle._RULE_TABLE["capped"] and np.ndim(terms[0]):
             q, w = terms
             s = case.half_cap * q
             found.append(np.stack([np.abs(s + w) / 2.0, np.abs(s - w) / 2.0,
@@ -88,7 +88,7 @@ def test_verify_full_sampling_scores_no_random_capped_column(monkeypatch):
 
     def evaluate_spy(case, terms):
         # points x columns; _score_bound and a witness pass scalars
-        if case.rule == "capped" and np.ndim(terms[0]) == 2:
+        if case.rule is oracle._RULE_TABLE["capped"] and np.ndim(terms[0]) == 2:
             widths.append(np.shape(terms[0])[1])
         return evaluate(case, terms)
 

@@ -84,7 +84,7 @@ def test_late_read_equals_immediate_read():
         sweep_verify(POINTS, ETAS, OracleConfig(mode, n, seed))
     assert [repr(r.witness) for r in late] == now
     misses = oracle._draws.cache_info().misses
-    oracle._draws(oracle._RULE_COLUMNS["summed"], 5, 400)
+    oracle._draws(oracle._RULE_TABLE["summed"].columns, 5, 400)
     assert oracle._draws.cache_info().misses == misses + 1
 
 

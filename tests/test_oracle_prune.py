@@ -1,8 +1,8 @@
-"""The sampling pass of every rule but the free one scores the injected
-columns first and scans a point's random samples only where a bound on their
-scores does not fall below the injected columns' sup.  The bound must hold for
-every sample, the full scan must give the pinned results, and the default
-verify grid must never need it."""
+"""The sampling pass of every rule scores the injected columns first and
+scans a point's random samples only where a bound on their scores does not
+fall below the injected columns' sup.  The bound must hold for every sample,
+the full scan must give the pinned results, and neither the default verify
+grid nor the verify-full one may need it."""
 
 import itertools
 import math
@@ -29,7 +29,8 @@ T = st.one_of(st.floats(0.5, 0.5 + 1e-6, exclude_min=True),
 @hypothesis.given(lam=st.floats(1.0, PARAM_MAX), mu=st.floats(0.0, PARAM_MAX),
                   delta=st.floats(0.0, PARAM_MAX), t=T, eta=st.floats(-PARAM_MAX, PARAM_MAX),
                   seed=st.integers(0, 2**32 - 1))
-# a singular point: the pinned rule for fs at eta = 1, the linear one for |a3|
+# a singular point: the pinned rule for fs at eta = 1, the linear one for |a3|,
+# and the free rule for every quantity of the full system
 @hypothesis.example(lam=2.0, mu=0.0, delta=0.0, t=math.sqrt(0.5), eta=-3.0, seed=5)
 def test_no_sample_scores_above_the_bound_at_its_modulus(lam, mu, delta, t, eta, seed):
     # the bound reads the case constants only, never a closed-form column, so
@@ -38,13 +39,16 @@ def test_no_sample_scores_above_the_bound_at_its_modulus(lam, mu, delta, t, eta,
     for mode, quantity in itertools.product((PROOF_SET, FULL_SYSTEM),
                                             (A2, A3, fs_quantity(eta), fs_quantity(1.0))):
         rule = oracle._rule(quantity, mode, bool(cf.singular[0]))
-        if rule not in oracle._PRUNED:
+        if rule is None:
             continue
-        draws = oracle._draws(oracle._RULE_COLUMNS[rule], seed, 200)
-        case = oracle._Case(rule, *(c[:, None] for c in consts))
-        a2sq, r = oracle._evaluate(case, oracle._terms(draws.cols))
+        row = oracle._RULE_TABLE[rule]
+        draws = oracle._draws(row.columns, seed, 200)
+        case = oracle._Case(row, *(c[:, None] for c in consts))
+        a2sq, r = oracle._evaluate(case, row.terms(draws.cols))
         scores = oracle._scores(quantity, a2sq, r)[0]
+        # per sample, the largest modulus of its columns, the free rule's a2 among them
         modulus = np.max(np.abs(list(draws.cols.values())), axis=0)
+        assert np.max(modulus[-200:]) == draws.reach
         bound = oracle._score_bound(quantity, case, modulus)[0]
         assert np.all(scores <= bound * (1.0 + 1e-12)), (quantity, rule)
 
@@ -54,9 +58,9 @@ def _sampled_widths(monkeypatch) -> list[int]:
     widths, evaluate = [], oracle._evaluate
 
     def spy(case, terms):
-        # columns, or points x columns; _score_bound and a witness pass scalars
-        if np.ndim(terms[0]):
-            widths.append(np.shape(terms[0])[-1])
+        # columns, or points x columns, of c2 - d2; _score_bound and a witness pass scalars
+        if np.ndim(terms[1]):
+            widths.append(np.shape(terms[1])[-1])
         return evaluate(case, terms)
 
     monkeypatch.setattr(oracle, "_evaluate", spy)
@@ -76,10 +80,16 @@ def test_full_scan_gives_the_pinned_results(monkeypatch, name, chunk):
     assert max(widths) > samples         # the random samples were scored
 
 
-def test_default_verify_grid_prunes_every_point(monkeypatch):
-    ranges, mode, samples, pin = GRIDS["verify"]
+# grid -> its injected widths: 25 extremes of (c2, d2) or (c2, a2), 625 of (c1, d1,
+# c2, d2), and 25 + 8 for the capped rule's vertices
+INJECTED = {"verify": {25, 625}, "verify-full": {25, 33}}
+
+
+@pytest.mark.parametrize("name", list(INJECTED))
+def test_default_verify_grid_prunes_every_point(monkeypatch, name):
+    ranges, mode, samples, pin = GRIDS[name]
     widths = _sampled_widths(monkeypatch)
     cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
     assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
-    # 25 extremes of (c2, d2), 625 of (c1, d1, c2, d2); no random sample
-    assert widths and set(widths) <= {25, 625}, sorted(set(widths))
+    # no random sample
+    assert widths and set(widths) <= INJECTED[name], sorted(set(widths))

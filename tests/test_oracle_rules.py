@@ -23,7 +23,5 @@ def test_each_quantity_takes_the_rule_of_its_row(mode, singular, rules):
 def test_each_rule_belongs_to_one_mode():
     modes = {mode: {rule for row in rows for rule in row.values()}
              for mode, rows in oracle._RULES.items()}
-    # every rule but the free one is pruned
-    assert oracle._PRUNED == set(oracle._RULE_COLUMNS) - {"free"}
-    assert modes[PROOF_SET] | modes[FULL_SYSTEM] == set(oracle._RULE_COLUMNS)
+    assert modes[PROOF_SET] | modes[FULL_SYSTEM] == set(oracle._RULE_TABLE)
     assert not modes[PROOF_SET] & modes[FULL_SYSTEM]
