@@ -14,8 +14,6 @@ float multiplication, so each serves as an oracle for the other.
 
 from __future__ import annotations
 
-from .powerseries import TruncatedSeries
-
 
 def _check_t(t: float) -> float:
     t = float(t)
@@ -44,6 +42,7 @@ def gen_fun_coeffs(t: float, n_max: int) -> list[float]:
     Deliberately routed through TruncatedSeries.pow_real(-1) rather than
     the recurrence so the agreement test between the two is meaningful.
     """
+    from .powerseries import TruncatedSeries
     if n_max != int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
     t = _check_t(t)

@@ -19,10 +19,11 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .chebyshev import cheb_u
-from .powerseries import NormalizedSeries, TruncatedSeries
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .powerseries import NormalizedSeries, TruncatedSeries
 
 # admissibility is a closed-disk condition; the tolerance keeps witnesses
 # constructed at |c| = 1 admissible after a float round trip
@@ -180,6 +181,7 @@ class SchwarzPair(NamedTuple):
 
 def apply_operator(f: NormalizedSeries, p: ClassParams) -> TruncatedSeries:
     """L[f] as a truncated series of order f.order - 1 (constant term 1)."""
+    from .powerseries import NormalizedSeries, TruncatedSeries
     if not isinstance(f, NormalizedSeries):
         raise TypeError("apply_operator needs a normalized series (z + a2 z^2 + ...)")
     if f.order < 3:

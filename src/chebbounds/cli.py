@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import math
 import re
 import sys
 from typing import TYPE_CHECKING
 
-from .bounds import AS_PRINTED, CORRECTED, bound_report, closed_form, fekete_szego_bound
+from .bounds import AS_PRINTED, CORRECTED, bound_report, fekete_szego_bound
 from .chebyshev import cheb_u, gen_fun_coeffs
 from .classop import (
     FULL_SYSTEM,
     PROOF_SET,
     ClassParams,
-    _grid_columns,
     apply_operator,
     check_eta,
     extract_schwarz,
@@ -30,7 +28,7 @@ from .classop import (
     param_axes,
     param_points,
 )
-from .powerseries import DEFAULT_ORDER, NormalizedSeries, _compose, _inverse, invert_compositional
+from .text import fmt, fmt_complex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,6 +44,8 @@ CSV_CHUNK_ROWS = 4096
 # largest truncation order from the command line (cheb --n-max, series --order
 # or the length of --coeffs): the series arithmetic grows with its square or cube
 _MAX_ORDER = 256
+# series --order by default, and the order of verify's inverse-series fixtures
+_DEFAULT_ORDER = 8
 # largest verify --samples: the oracle's draws, shared by every point, peak at
 # under 300 bytes per sample, whatever the grid
 _MAX_SAMPLES = 1_000_000
@@ -60,29 +60,6 @@ _MAX_POINTS = 100_000
 _PARAMS = (("lambda", "lam", ">= 1"), ("mu", "mu", ">= 0"), ("delta", "delta", ">= 0"),
            ("t", "t", "in (1/2, 1)"))
 _PARAM_FLAGS = {f"--{name}": dest for name, dest, _ in _PARAMS}
-# 12 significant digits; inf renders as inf
-_NUMBER = "%.12g"
-# bytes of a CSV field before its separator: the widest _NUMBER text,
-# -1.23456789012e-308, and a NUL
-_FIELD = 20
-# blocks of _digit_words: zero-padded, trailing zeros NUL, leading zeros NUL,
-# and leading zeros NUL with 0 kept as one 0
-_Z, _T, _L, _L0 = 0, 10_000, 20_000, 30_000
-
-
-def fmt(x: float | bool) -> str:
-    """12-significant-digit rendering; booleans as true/false, inf as inf."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return _NUMBER % float(x)
-
-
-def fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return fmt(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
 
 
 # ---------------------------------------------------------------------------
@@ -259,150 +236,23 @@ def sweep_header(etas) -> list[str]:
     )
 
 
-def sweep_rows(
-    axes: list[np.ndarray], start: int, stop: int, etas, variant: str
-) -> list:
-    """Rows [start, stop) of the sweep over the checked ``axes``, held as
-    one column per column of ``sweep_header``, in its order.  A column is
-    an array, or for lambda, mu, delta, t and xi, which repeat by
-    construction, a (values, index) pair: the distinct values of those rows,
-    at most stop - start of them, and each row's index into them."""
-    import numpy as np
-    grid = _grid_columns(axes, start, stop)
-    cf = closed_form(*(values[index] for values, index in grid), etas, variant)
-    # xi depends on (lambda, mu) only: one value a run of rows that share them
-    stride = len(axes[2]) * len(axes[3])
-    run = np.arange(start, stop) // stride
-    first = np.maximum(np.arange(run[0], run[-1] + 1) * stride - start, 0)
-    xi = (cf.factors.xi[first], run - run[0])
-    return [*grid, xi, cf.a2, cf.a3, *(f.bound for f in cf.fs), abs(cf.d), cf.singular]
+# Only sweep imports the renderer, and it calls the renderer through these
+# names, so that they stay patchable on this module.
 
 
-@functools.cache
-def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The powers of ten 1 .. 1e15, all exact doubles, as float64 and as
-    int64, and the 4-byte ASCII words of 0 .. 9999 in the four blocks that
-    _Z .. _L0 name."""
-    import numpy as np
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    nonzero = digits != ord("0")
-    trailing = digits * np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    leading = digits * np.logical_or.accumulate(nonzero, axis=1)
-    lone_zero = digits * np.logical_or.accumulate(nonzero | (np.arange(4) == 3), axis=1)
-    words = np.concatenate([digits, trailing, leading, lone_zero]).astype(np.uint8).view("<u4")
-    pow10 = np.cumprod(np.full(16, 10.0)) / 10.0
-    return pow10, pow10.astype(np.int64), words.ravel()
-
-
-def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """NUL-padded _NUMBER fields of the values whose text is fixed notation
-    with at most 4 * int_words integer and 19 - 4 * int_words fraction
-    digits, and the mask of those values; the other fields are garbage.
-
-    With k = 11 - exponent, s = v * 10^k in [1e11, 1e12) is one rounding,
-    at most 2^-14, from exact, so its nearest integer m holds the digits
-    unless s is within 2.5e-4 of a half.  The words of m // 10^k, leading
-    zeros NUL, and of the fraction m % 10^k, trailing zeros NUL, follow;
-    m is an integer below 1e12, so int64 holds it and its parts exactly.
-    """
-    import numpy as np
-    pow10, int_pow10, words = _digit_words()
-    low = 12 - 4 * int_words                         # k lies in [low, low + 7]
-    fast = (values > 0) & (values < 1e12)            # and so no product overflows
-    v = np.where(fast, values, 1.0)
-    k = np.clip(11.0 - np.floor(np.log10(v)), low, low + 7).astype(np.intp)
-    s = v * pow10[k]
-    k = np.clip(k - (s >= 1e12) + (s < 1e11), low, low + 7)
-    s = v * pow10[k]
-    del v
-    fast &= (s >= 1e11) & (s < 1e12 - 0.5) & (np.abs(s - np.floor(s) - 0.5) > 2.5e-4)
-    s[~fast] = 0.0
-    ip, fp = np.divmod(np.rint(s, out=s).astype(np.int64), int_pow10[k])
-    fp *= int_pow10[low + 7 - k]                     # the fraction to low + 7 digits
-    del s, k
-    out = np.empty((len(values), _FIELD // 4), "<u4")
-    units = (1_000_000_000_000, 100_000_000, 10_000, 1)
-    above = False                                    # a nonzero word so far
-    for j, unit in enumerate(units[-int_words:]):    # leading zeros NUL, 0 kept
-        q = ip // unit                               # not divmod: // by a scalar is faster
-        ip -= q * unit
-        lead = np.where(above, _Z, _L0 if unit == 1 else _L)
-        above = above | (q > 0)
-        out[:, j] = words[np.add(q, lead, out=q)]
-    del ip
-    point = fp > 0
-    for j, unit in enumerate(units[int_words - 5:], start=int_words):   # trailing zeros NUL
-        q = fp // unit
-        fp -= q * unit
-        out[:, j] = words[np.add(q, _T, out=q, where=fp == 0)]   # where no digit follows
-    text = out.view(np.uint8)
-    text[:, 4 * int_words] = np.where(point, ord("."), 0)   # over the fraction's leading 0
-    return text, fast
-
-
-def _pairs(columns: list) -> list[tuple]:
-    """Each column as (values, index); a plain array's index is None."""
-    return [col if isinstance(col, tuple) else (col, None) for col in columns]
-
-
-def _number_text(values: np.ndarray) -> np.ndarray:
-    """The NUL-padded _NUMBER field of each value: in fixed notation by
-    _fixed_fields, exponent -4 to 3 and then 4 to 11, and any other number
-    by _NUMBER itself."""
-    import numpy as np
-    text, fast = _fixed_fields(values, 1)
-    rest = np.flatnonzero(~fast)
-    wide, fast = _fixed_fields(values[rest], 3)
-    text[rest[fast]] = wide[fast]
-    rest = rest[~fast]
-    other = np.array([_NUMBER % x for x in values[rest].tolist()], dtype=f"S{_FIELD}")
-    text[rest] = other.view(np.uint8).reshape(len(rest), _FIELD)
-    return text
+def sweep_rows(axes: list[np.ndarray], start: int, stop: int, etas, variant: str) -> list:
+    from .render import _sweep_rows
+    return _sweep_rows(axes, start, stop, etas, variant)
 
 
 def render_csv(header: list[str], columns: list) -> str:
-    """CSV lines of one chunk of rows, from the columns of sweep_rows; the
-    header line is the writer's, and ``header`` is taken only so that both
-    renderers are called alike.
-
-    Each field is written NUL-padded into one byte matrix.  The numbers,
-    each distinct value of a (values, index) column once, are formatted in
-    one _number_text pass; a column's fields are a slice of that text or,
-    by its index, a gather of the slice."""
-    import numpy as np
-    record = f"V{_FIELD}"                # a field as one item, so that it moves in one copy
-    pairs = _pairs(columns)
-    text = _number_text(np.concatenate([v for v, _ in pairs if v.dtype != bool])).view(record)
-    bools = np.array([b"false", b"true"], dtype=record)
-    v, index = pairs[0]
-    fields = np.empty((len(v if index is None else index), len(pairs), _FIELD + 1), np.uint8)
-    fields[:, :, _FIELD] = ord(",")
-    fields[:, -1, _FIELD] = ord("\n")
-    records = fields[:, :, :_FIELD].view(record)[..., 0]
-    offset = 0
-    for j, (v, index) in enumerate(pairs):
-        if v.dtype == bool:
-            block = bools[v.astype(np.intp)]
-        else:
-            block, offset = text[offset:offset + len(v), 0], offset + len(v)
-        records[:, j] = block if index is None else block[index]
-    del text, block                  # so that only the fields are held while copied
-    return fields.tobytes().translate(None, b"\0").decode("ascii")
+    from .render import _render_csv
+    return _render_csv(header, columns)
 
 
 def render_json(header: list[str], columns: list) -> str:
-    """One chunk of rows, from the columns of sweep_rows, as the items of an
-    indented JSON list, without the brackets and the newlines that join
-    them to the list; inf is the string "unbounded".  Each distinct value of
-    a (values, index) column is formatted once."""
-    cells = []
-    for values, index in _pairs(columns):
-        text = (["true" if v else "false" for v in values.tolist()] if values.dtype == bool
-                else ['"unbounded"' if math.isinf(v) else repr(float(_NUMBER % v))
-                      for v in values.tolist()])
-        cells.append(text if index is None else [text[i] for i in index.tolist()])
-    item = "  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  }"
-    return ",\n".join([item % row for row in zip(*cells)])
+    from .render import _render_json
+    return _render_json(header, columns)
 
 
 def _write_sweep(fh, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
@@ -475,11 +325,18 @@ def cmd_cheb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# only series imports the power series, through this patchable name and in cmd_series
+def invert_compositional(f):
+    from .powerseries import invert_compositional
+    return invert_compositional(f)
+
+
 def cmd_series(args: argparse.Namespace) -> int:
+    from .powerseries import NormalizedSeries, _compose_errors
     _require(args, {"--coeffs": "coeffs"})
     tail = args.coeffs
     # the one default that depends on another option: room for every coefficient
-    order = args.order if args.order is not None else max(DEFAULT_ORDER, len(tail) + 1)
+    order = args.order if args.order is not None else max(_DEFAULT_ORDER, len(tail) + 1)
     if order > _MAX_ORDER:
         raise ValueError(f"--coeffs takes at most {_MAX_ORDER - 1} values, got {len(tail)}")
     f = NormalizedSeries.from_tail(tail, order=order)
@@ -509,17 +366,12 @@ def cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compose_errors(f, g) -> list:
-    """|[z^k] g(f(z)) - [z^k] z| for each k, for complex coefficients or object
-    arrays of them."""
-    return [abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(_compose(g, f))]
-
-
 # ---------------------------------------------------------------------------
-# verify suites
+# verify
 #
-# Only verify imports the oracle and the reductions, and it calls them through
-# these names, so that they stay patchable on this module.
+# Only verify imports the oracle, the reductions and the suites of
+# chebbounds.verify, and its suites call the first two through these names,
+# so that they stay patchable on this module.
 
 
 def sweep_verify(grid, etas, cfg):
@@ -532,113 +384,17 @@ def reduction_check(cid: str):
     return reduction_check(cid)
 
 
-def _suite_reductions() -> tuple[bool, list[str]]:
-    from .reductions import corollary_ids
-    results = [reduction_check(cid) for cid in corollary_ids()]
-    line = (
-        f"corollary reductions: {len(results)} slices, {sum(r.n_points for r in results)} "
-        f"points, max deviation {max(r.max_deviation for r in results):.3e}"
-    )
-    failing = [f"  failing slice: {r.corollary} (max deviation {r.max_deviation:.3e})"
-               for r in results if not r.passed]
-    return not failing, [line] + failing
-
-
-def _suite_chebyshev() -> tuple[bool, list[str]]:
-    import numpy as np
-    closed = {
-        2: lambda t: 4.0 * t * t - 1.0,
-        3: lambda t: 8.0 * (t * t * t) - 4.0 * t,
-        4: lambda t: 16.0 * (t * t * t * t) - 12.0 * t * t + 1.0,
-    }
-    dev_closed = max(abs(cheb_u(n, t) - form(t))
-                     for n, form in closed.items() for t in np.linspace(-1.0, 1.0, 50))
-    dev_series = max(abs(ser - cheb_u(n, t))
-                     for t in (0.55, 0.75, 0.95) for n, ser in enumerate(gen_fun_coeffs(t, 30)))
-    ok = dev_closed <= 1e-13 and dev_series <= 1e-10
-    return ok, [
-        f"chebyshev cross-validation: closed-form dev {dev_closed:.3e}, "
-        f"series dev {dev_series:.3e}"
-    ]
-
-
-def _suite_inverse(seed: int) -> tuple[bool, list[str]]:
-    import numpy as np
-    # 100 draws of (a2, a3, a4), a modulus and then a phase each, as one object
-    # array of Python complex each: every operation on them is Python's own
-    u = np.random.default_rng(seed).random((100, 3, 2))
-    phase = np.exp(1j * ((2.0 * math.pi) * u[..., 1])).astype(object)
-    a2, a3, a4 = ((0.2 * np.sqrt(u[:, k, 0])).astype(object) * phase[:, k] for k in range(3))
-    f = [0j, 1.0 + 0j, a2, a3, a4] + [0j] * (DEFAULT_ORDER - 4)
-    g = _inverse(f)
-    expected = {2: -a2, 3: 2.0 * a2 * a2 - a3, 4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4)}
-    worst_coeff = float(np.max([abs(g[k] - v) for k, v in expected.items()]))
-    worst_resid = float(np.max(_compose_errors(f, g)))
-    ok = worst_coeff <= 1e-12 and worst_resid <= 1e-12
-    return ok, [
-        f"inverse-series fixtures: 100 draws, coefficient dev {worst_coeff:.3e}, "
-        f"compose residual {worst_resid:.3e}"
-    ]
-
-
-def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
-    """ok is None for the as-printed variant, whose gap is informational."""
-    import numpy as np
-    u = np.random.default_rng(seed).random((500, 4))
-    lam, mu, delta, t = 1.0 + 2.0 * u[:, 0], 2.0 * u[:, 1], u[:, 2], 0.55 + 0.4 * u[:, 3]
-    cf = closed_form(lam, mu, delta, t, (1.0,), variant)
-    regular = ~cf.singular
-    flat = (2.0 * t / cf.factors.fs_flat_denom)[regular]
-    t, d, m = t[regular], cf.d[regular], cf.fs[0].threshold_m[regular]
-    worst = float(np.max(np.abs(flat - 8.0 * m * (t * t * t) / np.abs(d)), initial=0.0))
-    line = f"fs branch continuity ({variant}): {len(t)} draws, max gap at threshold {worst:.3e}"
-    if variant == CORRECTED:
-        return worst <= 1e-10, [line]
-    return None, [line + " (discontinuity expected for delta > 0; informational)"]
-
-
-def _suite_oracle(
-    grid: list[ClassParams], etas: list[float], args: argparse.Namespace
-) -> tuple[bool, list[str]]:
-    from .oracle import SKIPPED, OracleConfig, verdict_indices, violations
-    cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)
-    results = sweep_verify(grid, etas, cfg)
-    viols = violations(results)
-    n_skipped = len(verdict_indices(results, SKIPPED))
-    line = (
-        f"oracle soundness ({cfg.mode}): {len(grid)} points x {2 + len(etas)} quantities, "
-        f"{len(results) - n_skipped} checked, {n_skipped} skipped (unbounded closed form), "
-        f"{len(viols)} violations"
-    )
-    extra: list[str] = []
-    for r in viols:
-        p = r.params
-        extra.append(
-            f"  violation: {r.quantity.label} at lambda={fmt(p.lam)} mu={fmt(p.mu)} "
-            f"delta={fmt(p.delta)} t={fmt(p.t)}: sup={fmt(r.sup_value)} "
-            f"bound={fmt(r.closed_form_bound)}"
-        )
-        w = r.witness
-        if w is not None:
-            s = w.schwarz
-            extra.append(
-                f"    witness: c1={fmt_complex(s.c1)} c2={fmt_complex(s.c2)} "
-                f"d1={fmt_complex(s.d1)} d2={fmt_complex(s.d2)} "
-                f"a2={fmt_complex(w.a2)} a3={fmt_complex(w.a3)}"
-            )
-    return not viols, [line] + extra
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = grid_points(args)
     etas = list(_check_etas(args.eta))
+    from . import verify
 
     suites = [
-        _suite_reductions(),
-        _suite_chebyshev(),
-        _suite_inverse(args.seed),
-        _suite_continuity(args.variant, args.seed),
-        _suite_oracle(grid, etas, args),
+        verify._suite_reductions(reduction_check),
+        verify._suite_chebyshev(cheb_u, gen_fun_coeffs),
+        verify._suite_inverse(args.seed, _DEFAULT_ORDER),
+        verify._suite_continuity(args.variant, args.seed),
+        verify._suite_oracle(grid, etas, args, sweep_verify),
     ]
     for ok, lines in suites:
         print(f"[{'INFO' if ok is None else 'PASS' if ok else 'FAIL'}]", "\n".join(lines))
@@ -707,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs", type=_parse_coeffs,
                     help="comma-separated a2,a3,... (complex allowed)")
     sp.add_argument("--order", type=_int_in(2, _MAX_ORDER),
-                    help=f"truncation order (default {DEFAULT_ORDER}, or more to fit --coeffs; "
+                    help=f"truncation order (default {_DEFAULT_ORDER}, or more to fit --coeffs; "
                     f"at most {_MAX_ORDER})")
     add_common(sp)
 

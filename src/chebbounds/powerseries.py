@@ -20,8 +20,6 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-DEFAULT_ORDER = 8
-
 Coefficient = complex | float | int
 
 
@@ -193,6 +191,12 @@ def _compose(outer, inner) -> list:
         acc = _product(acc, inner)
         acc[0] = acc[0] + c
     return acc
+
+
+def _compose_errors(f, g) -> list:
+    """|[z^k] g(f(z)) - [z^k] z| for each k, for complex coefficients or object
+    arrays of them."""
+    return [abs(c - (1.0 if k == 1 else 0.0)) for k, c in enumerate(_compose(g, f))]
 
 
 def _inverse(f) -> list:

@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from chebbounds import cli
+from chebbounds import verify
+from chebbounds.cli import _DEFAULT_ORDER as DEFAULT_ORDER
 from chebbounds.powerseries import (
-    DEFAULT_ORDER,
     NormalizedSeries,
     TruncatedSeries,
     _compose,
@@ -58,7 +58,7 @@ def bits(c):
 @pytest.mark.parametrize("first", range(0, 1000, 250))
 def test_batched_line_equals_the_scalar_line(first):
     for seed in range(first, first + 250):
-        assert cli._suite_inverse(seed) == scalar_suite(seed)[0], seed
+        assert verify._suite_inverse(seed, DEFAULT_ORDER) == scalar_suite(seed)[0], seed
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -152,12 +152,12 @@ def test_determinism_bit_identical():
     b = empirical_sup(A2, P0, FAST)
     assert a.sup_value == b.sup_value
     assert a.witness.schwarz == b.witness.schwarz
-    # in full-system mode the sup comes from random search, so the seed
-    # actually matters; same seed must still agree bit for bit
-    full_cfg = OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=5)
-    c = empirical_sup(A2, P0, full_cfg)
-    d = empirical_sup(A2, P0, full_cfg)
-    assert c.sup_value == d.sup_value
+    # in full-system mode the capped rule's vertices are injected, so the sup
+    # is the exact supremum, drawn by no seed: seeds 5 and 6 agree bit for bit
+    c, d = (empirical_sup(A2, P0, OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=seed))
+            for seed in (5, 6))
+    assert c.sup_value.hex() == d.sup_value.hex()
+    assert c.witness == d.witness
 
 
 def test_singular_point_proof_a2_skipped():

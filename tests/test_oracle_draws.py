@@ -193,16 +193,18 @@ def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
 
 
 @pytest.mark.parametrize("label", ["a2", "a3", "fs@2.5"])
-def test_free_rule_at_another_radius_is_cache_independent(label):
-    # singular like P_SING, but its a2 disk has radius u1/lin = 2t/3, not 2t/2
-    p = ClassParams(3.0, 0.0, 0.0, math.sqrt(0.375))
-    cfg = OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=5)
-    _draws.cache_clear()
-    cold = empirical_sup(QUANTITIES[label], p, cfg)
-    _draws.cache_clear()
-    empirical_sup(QUANTITIES[label], POINTS["P_SING"], cfg)
-    assert empirical_sup(QUANTITIES[label], p, cfg) == cold
-    assert math.isfinite(cold.sup_value) and cold.n_samples == 425
+def test_free_rule_at_singular_points_is_seed_independent(label):
+    # the free rule's a2 disk has radius u1/lin, 2t/2 at P_SING and 2t/3 at
+    # lambda = 3; its extremes are injected, so seeds 5 and 6 give the same
+    # sup and witness, and the |a2| sup is that radius bit for bit
+    for p in (POINTS["P_SING"], ClassParams(3.0, 0.0, 0.0, math.sqrt(0.375))):
+        five, six = (empirical_sup(QUANTITIES[label], p,
+                                   OracleConfig(mode=FULL_SYSTEM, n_samples=400, seed=seed))
+                     for seed in (5, 6))
+        assert five.sup_value.hex() == six.sup_value.hex() and five.witness == six.witness
+        assert math.isfinite(five.sup_value) and five.n_samples == six.n_samples == 425
+        if label == "a2":
+            assert five.sup_value.hex() == (2.0 * p.t / p.factors.op_linear_factor).hex()
 
 
 def test_draw_cache_keeps_seeds_and_sample_counts_apart():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from chebbounds.cli import _DEFAULT_ORDER as DEFAULT_ORDER
 from chebbounds.powerseries import (
-    DEFAULT_ORDER,
     NormalizedSeries,
     TruncatedSeries,
     invert_compositional,
