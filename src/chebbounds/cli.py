@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .bounds import AS_PRINTED, CORRECTED, bound_report, fekete_szego_bound
 from .chebyshev import cheb_u, gen_fun_coeffs
@@ -488,8 +489,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def run() -> None:
-    sys.exit(main())
+def run() -> NoReturn:
+    """The console script and ``python -m chebbounds.cli``: run ``main`` and
+    end the process right after flushing standard output and standard error.
+
+    The process skips the interpreter's teardown (clearing modules, a last
+    garbage collection and numpy's cleanup), so ``atexit`` handlers do not
+    run, and ``python -m cProfile -m chebbounds.cli`` prints no report:
+    profile, trace or measure coverage through ``main(argv)`` in process.
+    Where a flush fails (a closed pipe, a full disk), the process exits the
+    ordinary way, and the interpreter's teardown reports the error.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:                # OSError, or a closed (ValueError) or absent (None) stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
