@@ -16,6 +16,7 @@ bound and oracle layers agree on them by construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .chebyshev import cheb_u
@@ -152,10 +153,32 @@ def _grid_columns(axes, start: int = 0, stop: int | None = None) -> list[tuple]:
     return pairs
 
 
-def param_points(lams, mus, deltas, ts) -> list[ClassParams]:
-    """The whole grid over the given axes, one ClassParams per point."""
-    grid = param_grid(param_axes(lams, mus, deltas, ts))
-    return [ClassParams(*point) for point in zip(*(a.tolist() for a in grid))]
+class _Points(Sequence):
+    """A grid's points, read-only, as one (lam, mu, delta, t) float row each,
+    which np.asarray gives.  An item is its row's ClassParams, built when
+    read; the rows come from param_axes, so every item passes its checks."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._rows = rows
+        rows.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return ClassParams(*self._rows[index].tolist())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        import numpy as np
+        return np.array(self._rows, dtype=dtype, copy=copy)
+
+
+def param_points(lams, mus, deltas, ts) -> Sequence[ClassParams]:
+    """The whole grid over the given axes, a ClassParams per point as it is read."""
+    import numpy as np
+    return _Points(np.column_stack(param_grid(param_axes(lams, mus, deltas, ts))))
 
 
 class SchwarzPair(NamedTuple):

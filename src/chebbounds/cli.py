@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import gc
 import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NoReturn
 
 from .bounds import AS_PRINTED, CORRECTED, bound_report, fekete_szego_bound
@@ -54,7 +57,7 @@ _MAX_SAMPLES = 1_000_000
 # value while it is built and checked
 _MAX_COUNT = 1_000_000
 # largest verify grid at the default 3 etas, a limit on _MAX_POINTS * 5 results: a point
-# holds a ClassParams, about 0.19 KB, and its 2 + len(eta) results as columns, about 0.07 KB
+# holds 32 bytes of grid columns and its 2 + len(eta) results as columns, about 0.07 KB
 # each; a search peaks at about 0.65 KB a point, grid included (tracemalloc, 28,800 points)
 _MAX_POINTS = 100_000
 # (flag name, destination, domain) of the four class parameters
@@ -223,9 +226,9 @@ def _axes(args: argparse.Namespace, most: int | None = None) -> list[np.ndarray]
     return [np.linspace(*rng) for rng in ranges]
 
 
-def grid_points(args: argparse.Namespace) -> list[ClassParams]:
-    """The grid of the range flags, one ClassParams per point, with at most
-    _MAX_POINTS * 5 oracle results, 2 + len(eta) a point (2 without etas)."""
+def grid_points(args: argparse.Namespace) -> Sequence[ClassParams]:
+    """The grid of the range flags, a ClassParams per point as it is read, with
+    at most _MAX_POINTS * 5 oracle results, 2 + len(eta) a point (2 without etas)."""
     return param_points(*_axes(args, _MAX_POINTS * 5 // (2 + len(getattr(args, "eta", ())))))
 
 
@@ -472,40 +475,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every write to standard output that fails, a buffered
+    one included, fails inside, as exit code 3 with one error line."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            _merge_config(parser, args.command, read_config(args.config))
+        try:
             args = parser.parse_args(argv)
-        return args.func(args)
+            if args.config:
+                _merge_config(parser, args.command, read_config(args.config))
+                args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            print(end="", flush=True)    # flushes standard output, where there is one
     except SystemExit as exc:        # argparse already printed its message
         return int(exc.code or 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (ValueError, OSError) as exc:
+        with contextlib.suppress(OSError):   # an error line that cannot be written keeps the code
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 def run() -> NoReturn:
-    """The console script and ``python -m chebbounds.cli``: run ``main`` and
-    end the process right after flushing standard output and standard error.
+    """The console script and ``python -m chebbounds.cli``: run ``main``
+    without the cyclic garbage collector (no command makes reference cycles
+    but argparse's few, however large its grid), then end the process right
+    after flushing standard error.
 
     The process skips the interpreter's teardown (clearing modules, a last
     garbage collection and numpy's cleanup), so ``atexit`` handlers do not
     run, and ``python -m cProfile -m chebbounds.cli`` prints no report:
     profile, trace or measure coverage through ``main(argv)`` in process.
-    Where a flush fails (a closed pipe, a full disk), the process exits the
-    ordinary way, and the interpreter's teardown reports the error.
+    ``main`` has flushed standard output and reported what it could not
+    write, so the exit code is main's, whatever the last flush meets.
     """
+    gc.disable()
     code = main()
-    try:
-        sys.stdout.flush()
+    with contextlib.suppress(OSError, ValueError, AttributeError):  # unwritable, closed, absent
         sys.stderr.flush()
-    except Exception:                # OSError, or a closed (ValueError) or absent (None) stream
-        sys.exit(code)
     os._exit(code)
 
 

@@ -60,8 +60,7 @@ import functools
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -83,29 +82,32 @@ VERDICT_TOL = 1e-9
 CHUNK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     mode: str = PROOF_SET
     n_samples: int = 10_000
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """What to maximize: |a2|, |a3|, or |a3 - eta a2^2|."""
-
+class _Quantity(NamedTuple):
     kind: str                    # "a2" | "a3" | "fs"
     eta: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("a2", "a3", "fs"):
-            raise ValueError(f"unknown quantity kind {self.kind!r}")
-        if self.kind == "fs" and self.eta is None:
+
+class Quantity(_Quantity):
+    """What to maximize: |a2|, |a3|, or |a3 - eta a2^2|."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, eta: float | None = None) -> Quantity:
+        if kind not in ("a2", "a3", "fs"):
+            raise ValueError(f"unknown quantity kind {kind!r}")
+        if kind == "fs" and eta is None:
             raise ValueError("fs quantity needs an eta value")
-        if self.kind != "fs" and self.eta is not None:
-            raise ValueError(f"{self.kind} quantity takes no eta")
-        if self.eta is not None:
-            object.__setattr__(self, "eta", check_eta(self.eta))
+        if kind != "fs" and eta is not None:
+            raise ValueError(f"{kind} quantity takes no eta")
+        return super().__new__(cls, kind, None if eta is None else check_eta(eta))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     @property
     def label(self) -> str:
@@ -122,8 +124,7 @@ def fs_quantity(eta: float) -> Quantity:
     return Quantity("fs", float(eta))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Argmax sample, reported as the Schwarz data plus the (a2, a3) it implies."""
 
     schwarz: SchwarzPair
@@ -131,33 +132,43 @@ class Witness:
     a3: complex
 
 
-class _WitnessField:
-    """OracleResult.witness: a Witness or None, or (build, row), whose
-    build(row) gives the Witness on first read; it is then kept."""
+class OracleResult:
+    """One (point, quantity) result of a search, immutable and equal by value.
+    Its witness is a Witness or None, or a callable that builds it on first read."""
 
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("witness")  # so the field has no default
-        if isinstance(value := obj._witness_slot, tuple):
-            self.__set__(obj, value := value[0](value[1]))
+    __slots__ = ("quantity", "params", "mode", "sup_value", "_witness",
+                 "n_samples",            # random + injected; pruned ones bounded, not scored
+                 "n_infeasible",         # 0: every sample searched is feasible
+                 "seed", "closed_form_bound",
+                 "verdict")              # WITHIN_BOUND | VIOLATION | SKIPPED
+    _fields = tuple(name.lstrip("_") for name in __slots__)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _witness_value(self) -> Witness | None:
+        if callable(value := self._witness):    # built once, then kept; a Witness is no callable
+            object.__setattr__(self, "_witness", value := value())
         return value
 
-    def __set__(self, obj, value) -> None:
-        object.__setattr__(obj, "_witness_slot", value)
+    witness = property(_witness_value)
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
-@dataclass(frozen=True)
-class OracleResult:
-    quantity: Quantity
-    params: ClassParams
-    mode: str
-    sup_value: float
-    witness: Witness | None = _WitnessField()
-    n_samples: int               # random + injected; pruned ones bounded, not scored
-    n_infeasible: int            # 0: every sample searched is feasible
-    seed: int
-    closed_form_bound: float
-    verdict: str                 # WITHIN_BOUND | VIOLATION | SKIPPED
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"OracleResult({values})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class OracleResults(Sequence):
@@ -187,10 +198,10 @@ class OracleResults(Sequence):
         if (item := self._items.get(i)) is None:
             p, k = divmod(i, len(self.quantities))
             build, n_eval = self.searched[int(self.singular[p])][k]
+            witness = None if build is None else functools.partial(build, int(self.rows[p]))
             item = self._items[i] = OracleResult(
-                self.quantities[k], self.grid[p], self.mode, float(self.sups[k, p]),
-                None if build is None else (build, int(self.rows[p])), n_eval, 0, self.seed,
-                float(self.bounds[k, p]), _VERDICTS[self.codes[k, p]])
+                self.quantities[k], self.grid[p], self.mode, float(self.sups[k, p]), witness,
+                n_eval, 0, self.seed, float(self.bounds[k, p]), _VERDICTS[self.codes[k, p]])
         return item
 
     def __eq__(self, other):
@@ -303,10 +314,10 @@ def _rule(quantity: Quantity, mode: str, singular: bool) -> str | None:
     return _RULES[mode][singular].get("fs@1" if quantity.eta == 1.0 else quantity.kind)
 
 
-def _grid_cases(p_grid: list[ClassParams], etas=()):
+def _grid_cases(p_grid: Sequence[ClassParams], etas=()):
     """The grid's closed form (corrected, one Fekete-Szego column per eta)
     and the _Case constants (u1, lin, A, prefactor, 2F, R/2), one array each."""
-    lam, mu, delta, t = np.array([(p.lam, p.mu, p.delta, p.t) for p in p_grid]).T
+    lam, mu, delta, t = np.asarray(p_grid, dtype=float).T
     cf = closed_form(lam, mu, delta, t, etas, CORRECTED)
     f = cf.factors
     return cf, (2.0 * t, f.op_linear_factor, cf.A, cf.d / (2.0 * t * t), 2.0 * f.fs_flat_denom,
@@ -429,7 +440,7 @@ def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: Oracl
             for k in range(len(quantities))]
 
 
-def _search(p_grid: list[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
+def _search(p_grid: Sequence[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
     """The record of every (point, quantity): the one search behind
     empirical_sup and sweep_verify."""
     if cfg.mode not in _RULES:
@@ -480,7 +491,7 @@ def empirical_sup(
 
 
 def sweep_verify(
-    p_grid: list[ClassParams], eta_list: list[float], cfg: OracleConfig
+    p_grid: Sequence[ClassParams], eta_list: list[float], cfg: OracleConfig
 ) -> OracleResults:
     """empirical_sup for every (grid point, quantity) combination.
 

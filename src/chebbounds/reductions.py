@@ -12,7 +12,7 @@ arrays, like ``closed_form``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +150,7 @@ def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[
     return {key: float(value) for key, value in formula(*values, eta).items()}
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     corollary: str
     n_points: int
     max_deviation: float

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
 
 
 def _suite_oracle(
-    grid: list[ClassParams], etas: list[float], args: argparse.Namespace, sweep_verify
+    grid: Sequence[ClassParams], etas: list[float], args: argparse.Namespace, sweep_verify
 ) -> tuple[bool, list[str]]:
     from .oracle import SKIPPED, OracleConfig, verdict_indices, violations
     cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)

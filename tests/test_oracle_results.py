@@ -10,7 +10,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from chebbounds import cli, oracle
+from chebbounds import classop, cli, oracle
 from chebbounds.classop import ClassParams, param_points
 from chebbounds.oracle import (
     FULL_SYSTEM,
@@ -62,6 +62,14 @@ def test_passing_verify_builds_no_result(capsys, built):
     assert ("oracle soundness (full-system): 1125 points x 5 quantities, 5616 checked, "
             "9 skipped (unbounded closed form), 0 violations\n") in out
     assert "verify: PASS" in out
+    assert built == []
+
+
+def test_passing_verify_builds_no_grid_point(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(classop, "ClassParams", lambda *p: built.append(p) or ClassParams(*p))
+    assert cli.main(VERIFY_FULL) == cli.EXIT_OK
+    assert "1125 points x 5 quantities" in capsys.readouterr().out
     assert built == []
 
 

@@ -1,7 +1,9 @@
 """classop.param_axes checks its axes as arrays: it fails exactly where a
 per-point loop over ClassParams fails, with the same message, and a long
-axis builds no ClassParams per value."""
+axis builds no ClassParams per value.  param_points keeps the grid as
+columns and builds each point's ClassParams only when it is read."""
 
+import itertools
 import math
 
 import numpy as np
@@ -67,3 +69,23 @@ def test_a_long_axis_builds_no_params_per_value(monkeypatch):
     with pytest.raises(ValueError, match=r"t must lie in the open interval \(1/2, 1\), got 1.0"):
         param_axes([1.0], [0.0], [0.0], t)
     assert built == [(1.0, 0.0, 0.0, 1.0)]
+
+
+def test_points_are_built_as_they_are_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(classop, "ClassParams", lambda *p: built.append(p) or ClassParams(*p))
+    grid = classop.param_points(*GOOD)
+    assert built == []
+    # the points of a per-point loop, in order, bit for bit
+    loop = [ClassParams(*point) for point in itertools.product(*GOOD)]
+    assert len(grid) == len(loop) == 4 * 3 * 5 * 3
+    assert [[v.hex() for v in p] for p in grid] == [[v.hex() for v in p] for p in loop]
+    assert len(built) == len(loop)
+    assert (grid[-1], grid[1:4], grid[::60]) == (loop[-1], loop[1:4], loop[::60])
+    with pytest.raises(IndexError):
+        grid[len(loop)]
+    # np.asarray reads the rows, read-only, as it reads a list of ClassParams
+    rows = np.asarray(grid, dtype=float)
+    assert rows.tolist() == np.asarray(loop, dtype=float).tolist()
+    assert not rows.flags.writeable
+    assert len(built) == len(loop) + 1 + 3 + 3

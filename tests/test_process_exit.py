@@ -1,11 +1,12 @@
 """The console script ends its process right after flushing its output.
 
 ``cli.run`` (the ``chebbounds`` script and ``python -m chebbounds.cli``)
-runs ``main``, flushes standard output and standard error, and calls
-``os._exit`` with main's code, skipping the interpreter's teardown.  That
-must change no byte: every command's output, its messages and its exit
-code match ``main(argv)`` in process.  Where a flush fails, ``run`` exits
-the ordinary way, so a closed pipe or a full disk reports as it always has.
+runs ``main``, which flushes standard output, then flushes standard error
+and calls ``os._exit`` with main's code, skipping the interpreter's
+teardown.  That must change no byte: every command's output, its messages
+and its exit code match ``main(argv)`` in process.  A write to standard
+output that fails, buffered or not, fails inside ``main``: exit code 3 and
+one error line.  An error line that cannot be written keeps main's code.
 """
 
 import io
@@ -135,18 +136,23 @@ def test_run_flushes_both_streams_then_exits_once(monkeypatch, argv, code):
     assert log == ["stdout", "stderr", ("_exit", code)]
 
 
-@pytest.mark.parametrize("failing", ["stdout", "stderr"])
-def test_run_exits_the_ordinary_way_when_a_flush_fails(monkeypatch, failing):
-    log = []
+@pytest.mark.parametrize("failing, code, message", [
+    ("stdout", cli.EXIT_IO, BROKEN_PIPE),
+    ("stderr", cli.EXIT_OK, ""),
+], ids=["stdout", "stderr"])
+def test_run_exits_with_mains_code_when_a_flush_fails(monkeypatch, failing, code, message):
+    # main reports a failed flush of standard output; a failed flush of standard
+    # error has nothing left to tell it to
+    log, streams = [], {}
     monkeypatch.setattr(sys, "argv", ["chebbounds", "cheb", "--t", "0.6", "--n-max", "2"])
     for name in ("stdout", "stderr"):
         error = BrokenPipeError(32, "Broken pipe") if name == failing else None
-        monkeypatch.setattr(sys, name, Stream(name, log, error))
+        streams[name] = Stream(name, log, error)
+        monkeypatch.setattr(sys, name, streams[name])
     monkeypatch.setattr(os, "_exit", lambda status: log.append(("_exit", status)))
-    with pytest.raises(SystemExit) as exc:
-        cli.run()
-    assert exc.value.code == cli.EXIT_OK
-    assert log == ["stdout", "stderr"][: 1 + (failing == "stderr")]
+    cli.run()
+    assert log == ["stdout", "stderr", ("_exit", code)]
+    assert streams["stderr"].getvalue() == message
 
 
 @pytest.mark.parametrize("argv", [
@@ -166,10 +172,9 @@ def test_main_never_ends_the_process(monkeypatch, capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# output that cannot be written, reported as the interpreter's ordinary exit
-# reports it.  With standard output unbuffered, the failing write happens inside
-# main, which reports it and exits 3.  Buffered, a short output fails only at
-# the final flush, and the interpreter reports it in its own words with status 120.
+# output that cannot be written.  With standard output unbuffered, the failing
+# write happens in the command; buffered, a short output fails only at main's
+# flush.  Either way main reports it with one error line and exits 3.
 
 
 def closed_pipe():
@@ -185,16 +190,11 @@ def dev_full():
     return os.open("/dev/full", os.O_WRONLY)
 
 
-def ignored(error):
-    return ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-            f"encoding='utf-8'>\n{error}\n")
-
-
 @pytest.mark.parametrize("target, unbuffered, code, message", [
     (closed_pipe, True, cli.EXIT_IO, BROKEN_PIPE),
-    (closed_pipe, False, 120, ignored("BrokenPipeError: [Errno 32] Broken pipe")),
+    (closed_pipe, False, cli.EXIT_IO, BROKEN_PIPE),
     (dev_full, True, cli.EXIT_IO, NO_SPACE),
-    (dev_full, False, 120, ignored("OSError: [Errno 28] No space left on device")),
+    (dev_full, False, cli.EXIT_IO, NO_SPACE),
 ], ids=["closed-pipe", "closed-pipe-buffered", "dev-full", "dev-full-buffered"])
 def test_bound_into_unwritable_stdout(target, unbuffered, code, message):
     fd = target()
@@ -221,6 +221,23 @@ def test_large_sweep_into_a_reader_that_stops(unbuffered):
             proc.kill()
     assert "Traceback" not in err
     assert (code, err) == (cli.EXIT_IO, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["bound", *POINT], cli.EXIT_OK),
+    (["bound", "--lambda", "1"], cli.EXIT_USAGE),
+    (["sweep", *GRID, "--output", "."], cli.EXIT_IO),     # a directory cannot be opened
+], ids=["ok", "usage", "io"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    fd = dev_full()
+    try:
+        proc = subprocess.run(**fresh(["-m", "chebbounds.cli", *argv], unbuffered=unbuffered),
+                              stdout=subprocess.PIPE, stderr=fd, timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == code
+    assert proc.stdout.startswith(b"lambda = 1\n") == (code == cli.EXIT_OK)
 
 
 def test_bound_with_stdout_closed():

@@ -1,20 +1,32 @@
-"""The records that every command builds: ClassParams, SchwarzPair,
-BoundReport, FeketeSzegoReport and the two series classes.
+"""The records that the commands build: ClassParams, SchwarzPair,
+BoundReport, FeketeSzegoReport and the two series classes, and verify's
+OracleConfig, Quantity, Witness, OracleResult and ReductionResult.
 
-They are ``NamedTuple``s and ``__slots__`` classes, so that importing
-``chebbounds.cli`` imports no ``dataclasses``.  Each keeps its field names
-in order, its repr, its immutability, and equality and hash by value;
-ClassParams checks its values however it is built, and a series compares
-by its coefficients within its own class.
+They are ``NamedTuple``s and ``__slots__`` classes, so that no command
+imports ``dataclasses``.  Each keeps its field names in order, its repr,
+its immutability, and equality and hash by value; ClassParams and Quantity
+check their values however they are built, and a series compares by its
+coefficients within its own class.
 """
 
+import math
 import pickle
 
 import pytest
 
 from chebbounds.bounds import BoundReport, FeketeSzegoReport, bound_report, fekete_szego_bound
-from chebbounds.classop import ClassParams, SchwarzPair
+from chebbounds.classop import FULL_SYSTEM, PROOF_SET, ClassParams, SchwarzPair
+from chebbounds.oracle import (
+    A2,
+    WITHIN_BOUND,
+    OracleConfig,
+    OracleResult,
+    Quantity,
+    Witness,
+    fs_quantity,
+)
 from chebbounds.powerseries import NormalizedSeries, TruncatedSeries
+from chebbounds.reductions import ReductionResult, reduction_check
 
 P = ClassParams(1.0, 0.0, 0.0, 0.6)
 
@@ -24,6 +36,9 @@ def records():
     pair = SchwarzPair.from_coeffs(0.5, 0.25j, -0.5, 0)
     series = TruncatedSeries.make([1, 2], order=2)
     normalized = NormalizedSeries.from_tail([0.5], order=2)
+    witness = Witness(pair, 0.5j, 0.25 + 0j)
+    result = (A2, P, PROOF_SET, 0.5, witness, 30, 0, 5, 1.25, WITHIN_BOUND)
+    pair_text = "SchwarzPair(c1=(0.5+0j), c2=0.25j, d1=(-0.5+0j), d2=0j, admissible=True)"
     return {
         "ClassParams": (P, ClassParams(1, 0, -0.0, 0.6),
                         "ClassParams(lam=1.0, mu=0.0, delta=0.0, t=0.6)"),
@@ -43,6 +58,24 @@ def records():
                             "TruncatedSeries(coeffs=((1+0j), (2+0j), 0j))"),
         "NormalizedSeries": (normalized, NormalizedSeries((0, 1, 0.5)),
                              "NormalizedSeries(coeffs=(0j, (1+0j), (0.5+0j)))"),
+        "OracleConfig": (OracleConfig(FULL_SYSTEM, 200, 5),
+                         OracleConfig(mode=FULL_SYSTEM, n_samples=200, seed=5),
+                         "OracleConfig(mode='full-system', n_samples=200, seed=5)"),
+        "Quantity": (fs_quantity(2.0), Quantity("fs", 2), "Quantity(kind='fs', eta=2.0)"),
+        "Witness": (witness, Witness(SchwarzPair.from_coeffs(0.5, 0.25j, -0.5, 0), 0.5j, 0.25),
+                    f"Witness(schwarz={pair_text}, a2=0.5j, a3=(0.25+0j))"),
+        # a witness built on first read equals one given
+        "OracleResult": (OracleResult(*result),
+                         OracleResult(*result[:4], lambda: Witness(pair, 0.5j, 0.25), *result[5:]),
+                         "OracleResult(quantity=Quantity(kind='a2', eta=None), "
+                         "params=ClassParams(lam=1.0, mu=0.0, delta=0.0, t=0.6), "
+                         f"mode='proof-set', sup_value=0.5, witness=Witness(schwarz={pair_text}, "
+                         "a2=0.5j, a3=(0.25+0j)), n_samples=30, n_infeasible=0, seed=5, "
+                         "closed_form_bound=1.25, verdict='within-bound')"),
+        "ReductionResult": (reduction_check("coef-basic"),
+                            ReductionResult("coef-basic", 81, 0.0, True),
+                            "ReductionResult(corollary='coef-basic', n_points=81, "
+                            "max_deviation=0.0, passed=True)"),
     }
 
 
@@ -52,6 +85,12 @@ FIELDS = {
     BoundReport: ("params", "a2_bound", "a3_bound", "A", "B", "denom", "singular"),
     FeketeSzegoReport: ("params", "eta", "bound", "branch", "threshold_m", "h_eta",
                         "m_variant"),
+    OracleConfig: ("mode", "n_samples", "seed"),
+    Quantity: ("kind", "eta"),
+    Witness: ("schwarz", "a2", "a3"),
+    OracleResult: ("quantity", "params", "mode", "sup_value", "witness", "n_samples",
+                   "n_infeasible", "seed", "closed_form_bound", "verdict"),
+    ReductionResult: ("corollary", "n_points", "max_deviation", "passed"),
 }
 
 
@@ -103,6 +142,24 @@ def test_class_params_check_their_values_however_built():
     # a pickle carries the values, not the checked record: loading checks them again
     unchecked = tuple.__new__(ClassParams, (1.0, -1.0, 0.0, 0.6))
     with pytest.raises(ValueError, match="mu must be >= 0, got -1.0"):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def test_quantity_checks_its_values_however_built():
+    q = fs_quantity(2)
+    assert q == ("fs", 2.0) and q.label == "fs@2"
+    assert math.copysign(1.0, Quantity("fs", -0.0).eta) == 1.0
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert q._replace(eta=1) == fs_quantity(1.0)
+    with pytest.raises(ValueError, match="a2 quantity takes no eta"):
+        q._replace(kind="a2")
+    with pytest.raises(ValueError, match="eta must be finite, got nan"):
+        q._replace(eta=math.nan)
+    with pytest.raises(ValueError, match="fs quantity needs an eta value"):
+        Quantity._make(("fs", None))
+    # a pickle carries the values, not the checked record: loading checks them again
+    unchecked = tuple.__new__(Quantity, ("a4", None))
+    with pytest.raises(ValueError, match="unknown quantity kind 'a4'"):
         pickle.loads(pickle.dumps(unchecked))
 
 

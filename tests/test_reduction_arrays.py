@@ -37,7 +37,7 @@ def test_off_pin_point_in_a_custom_grid_is_rejected():
         reduction_check("coef-basic", grid=[ClassParams(1.0, 0.5, 0.0, 0.6)])
     # the first off-pin value of a column, wherever it stands in the grid
     grid = reduction_grid("fs-delta-eta1")[0]
-    grid = grid + [ClassParams(2.0, 1.5, 0.5, 0.6), ClassParams(2.0, 2.0, 0.5, 0.6)]
+    grid = list(grid) + [ClassParams(2.0, 1.5, 0.5, 0.6), ClassParams(2.0, 2.0, 0.5, 0.6)]
     with pytest.raises(ValueError, match="corollary 'fs-delta-eta1' pins mu = 1, got 1.5"):
         reduction_check("fs-delta-eta1", grid=grid)
 
