@@ -42,8 +42,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# sweep rows of 12 fields (3 etas) computed, rendered and written at a time; a chunk
-# holds at most CSV_CHUNK_ROWS * 12 fields whatever the etas, which bounds a sweep's memory
+# sweep rows of 3 etas computed, rendered and written at a time: whatever the etas, a
+# chunk holds CSV_CHUNK_ROWS * 7 values besides its grid columns (lambda, mu, delta, t
+# and xi, formatted once a distinct value), which bounds a sweep's memory
 CSV_CHUNK_ROWS = 4096
 # largest truncation order from the command line (cheb --n-max, series --order
 # or the length of --coeffs): the series arithmetic grows with its square or cube
@@ -249,33 +250,56 @@ def sweep_rows(axes: list[np.ndarray], start: int, stop: int, etas, variant: str
     return _sweep_rows(axes, start, stop, etas, variant)
 
 
-def render_csv(header: list[str], columns: list) -> str:
+def render_csv(header: list[str], columns: list, buf: bytearray | None = None) -> bytearray:
     from .render import _render_csv
-    return _render_csv(header, columns)
+    return _render_csv(header, columns, buf)
 
 
-def render_json(header: list[str], columns: list) -> str:
+def render_json(header: list[str], columns: list) -> bytes:
     from .render import _render_json
     return _render_json(header, columns)
 
 
-def _write_sweep(fh, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
-    """Compute, render and write the sweep one chunk of rows at a time;
-    the output is the same for every chunk size.  Both renderers take the
-    chunk's lambda, mu, delta, t and xi as (values, index) pairs, and so
-    format each distinct grid value once a chunk."""
+def _write_sweep(write, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
+    """Compute, render and ``write`` the sweep as bytes, one chunk of rows at
+    a time; the output is the same for every chunk size.  Both renderers take
+    the chunk's lambda, mu, delta, t and xi as (values, index) pairs, and so
+    format each distinct grid value once a chunk; every full CSV chunk is
+    rendered into one field matrix."""
     header = sweep_header(etas)
-    if out_format == "json":
-        render, head, between, tail = render_json, "[\n", ",\n", "\n]\n"
-    else:
-        render, head, between, tail = render_csv, ",".join(header) + "\n", "", ""
     n_rows = math.prod(len(axis) for axis in axes)
-    step = max(1, CSV_CHUNK_ROWS * 12 // len(header))
-    fh.write(head)
+    step = max(1, CSV_CHUNK_ROWS * 7 // (len(header) - 5))
+    if out_format == "json":
+        render, head, between, tail = render_json, b"[\n", b",\n", b"\n]\n"
+    else:
+        from .render import _field_matrix
+        fields = _field_matrix(min(step, n_rows), len(header))
+
+        def render(header, columns):
+            return render_csv(header, columns, fields)
+        head, between, tail = ",".join(header).encode("ascii") + b"\n", b"", b""
+    write(head)
     for start in range(0, n_rows, step):
         columns = sweep_rows(axes, start, min(start + step, n_rows), etas, variant)
-        fh.write((between if start else "") + render(header, columns))
-    fh.write(tail)
+        if start:
+            write(between)
+        write(render(header, columns))
+    write(tail)
+
+
+def _stdout_write():
+    """``write`` of bytes to standard output: its binary buffer, once the text
+    layer above it is flushed, or where it has none (an ``io.StringIO``), the
+    same text.  With descriptor 1 closed, sys.stdout is None and, as with
+    print, nothing is written."""
+    out = sys.stdout
+    if out is None:
+        return lambda data: None
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        return lambda data: out.write(data.decode("ascii"))
+    out.flush()
+    return buffer.write
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +334,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     etas = _check_etas(args.eta)
     axes = param_axes(*axes)                 # every value checked before any output
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            _write_sweep(fh, axes, etas, args.variant, args.out_format)
+        with open(args.output, "wb") as fh:
+            _write_sweep(fh.write, axes, etas, args.variant, args.out_format)
     else:
-        _write_sweep(sys.stdout, axes, etas, args.variant, args.out_format)
+        _write_sweep(_stdout_write(), axes, etas, args.variant, args.out_format)
     return EXIT_OK
 
 

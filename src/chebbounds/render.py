@@ -125,24 +125,38 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _render_csv(header: list[str], columns: list) -> str:
-    """CSV lines of one chunk of rows, from the columns of _sweep_rows; the
-    header line is the writer's, and ``header`` is taken only so that both
-    renderers are called alike.
+def _field_matrix(rows: int, n_columns: int) -> bytearray:
+    """The bytes of a (rows, n_columns, _FIELD + 1) CSV field matrix with
+    its separators written: a comma after each field, a newline after each
+    row's last.  A chunk overwrites every field whole, so one matrix serves
+    every chunk of its shape."""
+    buf = bytearray(rows * n_columns * (_FIELD + 1))
+    fields = np.frombuffer(buf, np.uint8).reshape(rows, n_columns, _FIELD + 1)
+    fields[:, :, _FIELD] = ord(",")
+    fields[:, -1, _FIELD] = ord("\n")
+    return buf
 
-    Each field is written NUL-padded into one byte matrix.  The numbers,
-    each distinct value of a (values, index) column once, are formatted in
-    one _number_text pass; a column's fields are a slice of that text or,
-    by its index, a gather of the slice."""
+
+def _render_csv(header: list[str], columns: list, buf: bytearray | None = None) -> bytearray:
+    """The ASCII bytes of the CSV lines of one chunk of rows, from the
+    columns of _sweep_rows; the header line is the writer's, and ``header``
+    is taken only so that both renderers are called alike.
+
+    Each field is written NUL-padded into the field matrix ``buf`` from
+    _field_matrix, or into a new one where ``buf`` is None or of another
+    size, and the matrix less its NULs is the text.  The numbers, each
+    distinct value of a (values, index) column once, are formatted in one
+    _number_text pass; a column's fields are a slice of that text or, by
+    its index, a gather of the slice."""
     record = f"V{_FIELD}"                # a field as one item, so that it moves in one copy
     pairs = _pairs(columns)
     text = _number_text(np.concatenate([v for v, _ in pairs if v.dtype != bool])).view(record)
     bools = np.array([b"false", b"true"], dtype=record)
     v, index = pairs[0]
-    fields = np.empty((len(v if index is None else index), len(pairs), _FIELD + 1), np.uint8)
-    fields[:, :, _FIELD] = ord(",")
-    fields[:, -1, _FIELD] = ord("\n")
-    records = fields[:, :, :_FIELD].view(record)[..., 0]
+    shape = (len(v if index is None else index), len(pairs), _FIELD + 1)
+    if buf is None or len(buf) != math.prod(shape):
+        buf = _field_matrix(*shape[:2])
+    records = np.frombuffer(buf, np.uint8).reshape(shape)[:, :, :_FIELD].view(record)[..., 0]
     offset = 0
     for j, (v, index) in enumerate(pairs):
         if v.dtype == bool:
@@ -150,15 +164,15 @@ def _render_csv(header: list[str], columns: list) -> str:
         else:
             block, offset = text[offset:offset + len(v), 0], offset + len(v)
         records[:, j] = block if index is None else block[index]
-    del text, block                  # so that only the fields are held while copied
-    return fields.tobytes().translate(None, b"\0").decode("ascii")
+    del text, block, records         # so that only the matrix is held while compacted
+    return buf.translate(None, b"\0")
 
 
-def _render_json(header: list[str], columns: list) -> str:
-    """One chunk of rows, from the columns of _sweep_rows, as the items of an
-    indented JSON list, without the brackets and the newlines that join
-    them to the list; inf is the string "unbounded".  Each distinct value of
-    a (values, index) column is formatted once."""
+def _render_json(header: list[str], columns: list) -> bytes:
+    """One chunk of rows, from the columns of _sweep_rows, as the ASCII
+    bytes of the items of an indented JSON list, without the brackets and
+    the newlines that join them to the list; inf is the string "unbounded".
+    Each distinct value of a (values, index) column is formatted once."""
     cells = []
     for values, index in _pairs(columns):
         text = (["true" if v else "false" for v in values.tolist()] if values.dtype == bool
@@ -166,4 +180,6 @@ def _render_json(header: list[str], columns: list) -> str:
                       for v in values.tolist()])
         cells.append(text if index is None else [text[i] for i in index.tolist()])
     item = "  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  }"
-    return ",\n".join([item % row for row in zip(*cells)])
+    text = ",\n".join([item % row for row in zip(*cells)])
+    del cells                        # so that only the text is held while encoded
+    return text.encode("ascii")

@@ -15,7 +15,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 def fields(values) -> list[str]:
     """The CSV lines of one column of ``values``."""
-    return cli.render_csv(["v"], [np.asarray(values, dtype=float)]).splitlines()
+    return cli.render_csv(["v"], [np.asarray(values, dtype=float)]).decode("ascii").splitlines()
 
 
 def assert_exact(values):
@@ -95,6 +95,6 @@ def test_render_csv_equals_row_by_row(seed):
         col[rng.random(n_rows) < 0.05] = 0.0
         columns.append(col)
     columns.insert(int(rng.integers(0, n_columns + 1)), rng.random(n_rows) < 0.5)
-    text = cli.render_csv([f"c{i}" for i in range(len(columns))], columns)
+    text = cli.render_csv([f"c{i}" for i in range(len(columns))], columns).decode("ascii")
     assert text == row_by_row(columns)
     assert "inf" in text and "true" in text
