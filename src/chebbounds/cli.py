@@ -344,12 +344,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_cheb(args: argparse.Namespace) -> int:
     _require(args, {"--t": "t"})
     series_vals = gen_fun_coeffs(args.t, args.n_max)
-    print(f"t = {fmt(args.t)}")
+    # x + 0.0 prints zero unsigned: the recurrence keeps the sign of a zero t
+    print(f"t = {fmt(args.t + 0.0)}")
     print(f"{'n':>3}  {'recurrence':>18}  {'series':>18}  {'abs_diff':>9}")
     for n in range(args.n_max + 1):
         rec = cheb_u(n, args.t)
         ser = series_vals[n]
-        print(f"{n:>3}  {fmt(rec):>18}  {fmt(ser):>18}  {abs(rec - ser):>9.2e}")
+        print(f"{n:>3}  {fmt(rec + 0.0):>18}  {fmt(ser + 0.0):>18}  {abs(rec - ser):>9.2e}")
     return EXIT_OK
 
 

@@ -27,24 +27,32 @@ and (R - 1, 1) times {+-1, +-i}, are injected per point after the extremes,
 as (2 - R/2, R/2) and its swap.  A free a2 is drawn on the unit disk and
 scaled by rho.
 
-Every rule is pruned: its injected columns come first and are scored alone,
-and a point's random samples only where a bound on their scores, the rule's
-form at the largest random modulus, does not fall below the injected sup by
-more than a relative 1e-12; elsewhere they are bounded, not evaluated, and
-n_samples still counts them.  No point of the default ``verify`` grid or of
-``verify-full``'s is scanned in full.  |a3| is scored as fs@0, and
+Every rule is pruned: its injected columns come first and are scored alone.
+Then the rule's form at modulus 1 bounds every score over the closed unit
+polydisk; when at every point it stays within a relative 1e-12 of the
+point's injected sup, the rule draws no random sample at all.  Otherwise
+it draws them, and scans a point's samples only where that point's bound
+exceeds its sup and the form at the largest drawn modulus does not fall
+below the sup by more than a relative 1e-12.  Unscanned samples are
+bounded, not evaluated, and n_samples still counts them.  No point of the
+default ``verify`` grid or of ``verify-full``'s needs the draws.  The
+results are those of a search that always draws, bit for bit, while the
+drawn reach is at most 1 - 4.01e-12: then the bound at the reach prunes
+every point that modulus 1 settles, the bound of |a2| scaling with the
+root of the reach.  A larger reach has a chance of 1.6e-7 (two columns) to
+3.2e-7 (four) a rule at 10,000 samples.  |a3| is scored as fs@0, and
 quantities whose scores are the same numbers share one search.  The two
 roots of a2 enter every verified quantity through a2^2 alone, so one
 evaluation serves both.
 
-One search serves a whole grid (``empirical_sup`` is a one-point grid), with
-its bounds and case constants from one ``closed_form`` call.  Each rule's
-samples are drawn once per (columns, seed, sample count) and shared by every
-point.  One pass scores them against chunks of points of at most
-CHUNK_ELEMENTS samples in all (at least a point), releasing each chunk's
-arrays before the next, and keeps each quantity's sup and incumbent as
-columns, so the search's transient memory hardly grows with the grid (full
-system, 2000 samples: 2.06 MB at 512 points, 2.08 MB at 4096, under
+One search serves a whole grid (``empirical_sup`` is a one-point grid),
+with its bounds and case constants from one ``closed_form`` call.  A rule's
+samples, where drawn, are drawn once per (columns, seed, sample count) and
+shared by every point.  One pass scores them against chunks of points of at
+most CHUNK_ELEMENTS samples in all (at least a point), releasing each
+chunk's arrays before the next, and keeps each quantity's sup and incumbent
+as columns, so the search's transient memory hardly grows with the grid
+(full system, 2000 samples: 2.06 MB at 512 points, 2.08 MB at 4096, under
 tracemalloc).  Results equal a per-point search's bit for bit.  A search
 returns them as one record of columns, OracleResults; an OracleResult is
 built on first read of its index and its witness on first read of that
@@ -377,21 +385,25 @@ class _Draws(NamedTuple):
     reach: float                 # the largest modulus in the random part of cols
 
 
+def _extremes(names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Every combination of {0, +-1, +-i} over the columns ``names``."""
+    # the literal -1j has real part -0.0
+    unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])
+    return dict(zip(names, (g.ravel() for g in np.meshgrid(*[unit] * len(names), indexing="ij"))))
+
+
 @functools.lru_cache(maxsize=4)
 def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
     """One rule's samples, drawn once per (seed, n) and shared by every point
     searched.  The columns ``names`` come from ``default_rng(seed)`` in
-    order, each as sqrt(u) exp(i theta) on the unit disk, after every
-    combination of {0, +-1, +-i}.  The arrays are read-only."""
+    order, each as sqrt(u) exp(i theta) on the unit disk, after the
+    extremes.  The arrays are read-only."""
     rng = np.random.default_rng(seed)
-    # the literal -1j has real part -0.0
-    unit = np.array([0.0, 1.0, -1.0, 1j, complex(0.0, -1.0)])
-    extremes = dict(zip(names, np.meshgrid(*[unit] * len(names), indexing="ij")))
     cols = {}
-    for name in names:
+    for name, extremes in _extremes(names).items():
         s = np.sqrt(rng.random(n))
         phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
-        cols[name] = np.concatenate([extremes[name].ravel(), s * phase])
+        cols[name] = np.concatenate([extremes, s * phase])
         cols[name].flags.writeable = False
     return _Draws(cols, max(float(np.max(np.abs(col[-n:]))) for col in cols.values()))
 
@@ -403,23 +415,23 @@ def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: Oracl
     witness builder, whose build(row) is the witness at points[row], and the
     samples each point counts."""
     names = rule.columns
-    draws = _draws(names, cfg.seed, cfg.n_samples)
+    extremes = _extremes(names)
     # the injected columns come first: the shared extremes, then the rule's maximizers
-    lead = draws.cols["c2"].size - cfg.n_samples
-    injected = lead + rule.injects
-    width = injected + cfg.n_samples
+    lead = extremes["c2"].size
+    width = lead + rule.injects + cfg.n_samples
     # per (quantity, point): the incumbent columns of its sup
     best = np.empty((len(quantities), len(names), points.size), complex)
-    # the injected columns alone, then in full where a random sample might beat them
-    at = np.arange(points.size)
-    for scored in (injected, width):
-        # as many points as hold ``scored`` elements each within CHUNK_ELEMENTS, at least one
-        step = max(1, CHUNK_ELEMENTS // scored)
+
+    def score(at, source):
+        """Score the columns of ``source``, the maximizers inserted after the
+        extremes, at points[at], and keep each quantity's sup and incumbent."""
+        # as many points as hold their scored columns within CHUNK_ELEMENTS, at least one
+        step = max(1, CHUNK_ELEMENTS // (source["c2"].size + rule.injects))
         for start in range(0, at.size, step):
             span = at[start:start + step]
             rows = np.arange(span.size)
             case = _Case(rule, *(c[points[span], None] for c in consts))
-            cols = {name: col[:scored - injected + lead] for name, col in draws.cols.items()}
+            cols = dict(source)
             for name, at_point in rule.maximizers(case).items():
                 col = np.broadcast_to(cols[name], (span.size, cols[name].size))
                 cols[name] = np.concatenate([col[:, :lead], at_point, col[:, lead:]], axis=1)
@@ -431,11 +443,21 @@ def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: Oracl
                 best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
             # so that the next chunk's arrays do not come on top of these
             del cols, a2sq, r, vals
-        if scored < width:
-            case = _Case(rule, *(c[points] for c in consts))
-            bounds = [_score_bound(q, case, draws.reach) for _, q in quantities]
-            sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
-            at = np.flatnonzero(~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup, axis=0))
+
+    # the injected columns alone; then the random samples, drawn only where the
+    # score bound over the closed unit polydisk exceeds a point's injected sup,
+    # and scanned there only where the bound at the drawn reach does not fall
+    # below it
+    score(np.arange(points.size), extremes)
+    case = _Case(rule, *(c[points] for c in consts))
+    sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
+    bounds = [_score_bound(q, case, 1.0) for _, q in quantities]
+    at = np.flatnonzero(~np.all(np.less_equal(bounds, sup * (1.0 + 1e-12)), axis=0))
+    if at.size:
+        draws = _draws(names, cfg.seed, cfg.n_samples)
+        bounds = [_score_bound(q, case, draws.reach)[at] for _, q in quantities]
+        at = at[~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup[:, at], axis=0)]
+        score(at, draws.cols)
     return [(functools.partial(_witness_at, rule, consts, best[k], points), width)
             for k in range(len(quantities))]
 

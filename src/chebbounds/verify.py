@@ -1,6 +1,12 @@
 """The suites of ``verify``, each returning (ok, lines), with ok None for an
 informational line.  ``cli`` passes in the names that the suites call, so
-that replacing them on ``cli`` still intercepts every call."""
+that replacing them on ``cli`` still intercepts every call.
+
+The inverse-series and continuity suites draw their fixtures from
+``_uniforms``, a pure-Python copy of ``np.random.default_rng(seed).random``,
+so that ``verify`` never imports ``numpy.random``: a few thousand doubles
+cost less than that import.  The oracle draws with numpy's own generator,
+and only where its closed-disk bound cannot settle a point."""
 
 from __future__ import annotations
 
@@ -14,6 +20,52 @@ from .bounds import CORRECTED, closed_form
 from .classop import ClassParams
 from .powerseries import _compose_errors, _inverse
 from .text import fmt, fmt_complex
+
+
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(n)`` bit for bit, for any int seed
+    >= 0.  numpy's SeedSequence hashes the seed's 32-bit words into a pool of
+    four and the pool into PCG64's 128-bit state and increment; each double
+    is the top 53 bits of one XSL-RR output times 2**-53 (O'Neill, PCG,
+    HMC-CS-2014-0905; numpy keeps the stream fixed under NEP 19)."""
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+    words = [seed >> shift & m32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashed(value, mult=0x931E8875):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & m32) & m32
+        return value ^ value >> 16
+
+    def mixed(x, y):
+        x = 0xCA01F9DD * x - 0x4973F715 * y & m32
+        return x ^ x >> 16
+
+    # the first four words (or zeros) hashed into the pool, every pool word mixed
+    # into every other, then each further word into every pool word
+    pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mixed(pool[dst], hashed(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mixed(pool[dst], hashed(word))
+    # generate_state(4, uint64): eight words hashed from the cycled pool
+    const = 0x8B51F9DD
+    w = [hashed(pool[i % 4], 0x58F38DED) for i in range(8)]
+    # four uint64 words, low half first: the state's high and low, the increment's
+    state = (w[1] << 32 | w[0]) << 64 | w[3] << 32 | w[2]
+    inc = ((w[5] << 32 | w[4]) << 64 | w[7] << 32 | w[6]) << 1 & m128 | 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    # PCG's seeding from state 0: a step, add the seed state, a step
+    state = (inc + state) * mult + inc & m128
+    out = []
+    for _ in range(n):
+        state = state * mult + inc & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        out.append((x >> rot | x << 64 - rot & m64) >> 11)
+    return np.array(out, dtype=float) * 2.0**-53
 
 
 def _suite_reductions(reduction_check) -> tuple[bool, list[str]]:
@@ -48,7 +100,7 @@ def _suite_chebyshev(cheb_u, gen_fun_coeffs) -> tuple[bool, list[str]]:
 def _suite_inverse(seed: int, order: int) -> tuple[bool, list[str]]:
     # 100 draws of (a2, a3, a4), a modulus and then a phase each, as one object
     # array of Python complex each: every operation on them is Python's own
-    u = np.random.default_rng(seed).random((100, 3, 2))
+    u = _uniforms(seed, 600).reshape(100, 3, 2)
     phase = np.exp(1j * ((2.0 * math.pi) * u[..., 1])).astype(object)
     a2, a3, a4 = ((0.2 * np.sqrt(u[:, k, 0])).astype(object) * phase[:, k] for k in range(3))
     f = [0j, 1.0 + 0j, a2, a3, a4] + [0j] * (order - 4)
@@ -65,7 +117,7 @@ def _suite_inverse(seed: int, order: int) -> tuple[bool, list[str]]:
 
 def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
     """ok is None for the as-printed variant, whose gap is informational."""
-    u = np.random.default_rng(seed).random((500, 4))
+    u = _uniforms(seed, 2000).reshape(500, 4)
     lam, mu, delta, t = 1.0 + 2.0 * u[:, 0], 2.0 * u[:, 1], u[:, 2], 0.55 + 0.4 * u[:, 3]
     cf = closed_form(lam, mu, delta, t, (1.0,), variant)
     regular = ~cf.singular

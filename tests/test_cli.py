@@ -223,6 +223,18 @@ def test_cheb_table(capsys):
     assert last[1] == "-1.2464"
 
 
+@pytest.mark.parametrize("t", ["0", "-0", "-0.0", "0e-300"])
+def test_cheb_prints_zero_unsigned(capsys, t):
+    # U_n(0) is 0 at odd n, where the recurrence 2t U(n-1) - U(n-2) gives -0.0
+    # for t = 0 at n = 3 and for t = -0.0 at n = 1 and 5
+    code, out, _ = run(capsys, ["cheb", "--t", t, "--n-max", "5"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "t = 0"
+    rows = [line.split() for line in lines[2:]]
+    assert [row[1:3] for row in rows] == [[v, v] for v in ("1", "0", "-1", "0", "1", "0")]
+
+
 def test_cheb_rejects_negative_degree(capsys):
     code, _, err = run(capsys, ["cheb", "--t", "0.6", "--n-max", "-1"])
     assert code == EXIT_USAGE

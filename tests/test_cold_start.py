@@ -9,6 +9,11 @@ the reductions only inside the commands that need them.  No command imports
 must intercept the call, since the benchmark captures the oracle's results
 that way.
 
+``verify`` imports numpy but not ``numpy.random``: its fixture suites
+draw from a pure-Python copy of numpy's generator, and the oracle draws
+only where its closed-disk bound cannot settle a point, which no point of
+the default grid or of the benchmark's full-system grid needs.
+
 Each command loads only its own modules: ``bound`` loads neither
 ``powerseries``, nor the suites of ``chebbounds.verify``, nor the sweep
 renderer, and ``sweep`` loads neither of the first two.  No module that a
@@ -41,6 +46,8 @@ BOUND_SINGULAR = ["bound", "--lambda", "2", "--mu", "0", "--delta", "0",
                   "--t", "0.7071067811865476", "--eta", "0", "--eta", "1", "--variant", "as-printed"]
 SWEEP = ["sweep", "--lambda", "1:2:2", "--mu", "0", "--delta", "0", "--t", "0.6", "--eta", "1"]
 VERIFY = ["verify", "--lambda", "1", "--mu", "0.5", "--delta", "0", "--t", "0.6", "--samples", "50"]
+VERIFY_FULL = ["verify", "--seed", "5", "--mode", "full-system", "--samples", "1000",
+               "--lambda", "1:3:5", "--mu", "0:2:5", "--delta", "0:1:5", "--t", "0.55:0.95:9"]
 
 
 def fresh(*args):
@@ -73,6 +80,18 @@ def test_one_point_commands_never_import_numpy(argv):
 @pytest.mark.parametrize("argv", [SWEEP, VERIFY], ids=["sweep", "verify"])
 def test_grid_commands_import_numpy_and_succeed(argv):
     assert fresh_run(argv)[:3] == (True, False, cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("argv", [["verify"], VERIFY_FULL, VERIFY],
+                         ids=["verify", "verify-full", "verify-point"])
+def test_verify_never_imports_numpy_random(argv):
+    proc = fresh("-c", "import sys\n"
+                       "from chebbounds import cli\n"
+                       "code = cli.main(sys.argv[1:])\n"
+                       "print('numpy' in sys.modules, 'numpy.random' in sys.modules, code)",
+                 *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"True False {cli.EXIT_OK}"
 
 
 @pytest.mark.parametrize("argv, loads, skips", [
