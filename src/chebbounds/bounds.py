@@ -48,7 +48,6 @@ class FeketeSzegoColumns(NamedTuple):
     bound: np.ndarray        # +inf on the sloped branch of a singular point
     flat: np.ndarray         # True on the flat branch, |eta - 1| <= M
     threshold_m: np.ndarray  # half-width of the flat band around eta = 1
-    h_eta: np.ndarray        # the weight whose size selects the branch
 
 
 class DenominatorBounds(NamedTuple):
@@ -131,10 +130,9 @@ def bounds_from_denominator(
     etas = tuple(etas)
     xp = _ops(t, d, scale, flat_den, m_den, *etas)
     singular = is_singular_denom(d, scale)
-    # d is zeroed where singular, so that each quotient by it is +-inf
+    # |d| is zeroed where singular, so that each quotient by it is +inf
     # there; the rare 0/0 sits on a branch that is not selected
-    d = xp.where(singular, 0.0, d)
-    absd = abs(d)
+    absd = xp.where(singular, 0.0, abs(d))
     flat_bound = 2.0 * t / flat_den
     a3 = 4.0 * t * t / scale + flat_bound
     t3 = t * t * t
@@ -149,7 +147,6 @@ def bounds_from_denominator(
                 bound=xp.where(flat, flat_bound, xp.divide(8.0 * dev * t3, absd)),
                 flat=flat,
                 threshold_m=m,
-                h_eta=xp.where(eta == 1.0, 0.0, xp.divide(2.0 * t * t * (1.0 - eta), d)),
             ))
     return DenominatorBounds(singular, a2, a3, tuple(fs))
 
@@ -188,7 +185,6 @@ class FeketeSzegoReport(NamedTuple):
     bound: float             # +inf on the sloped branch of a singular point
     branch: str              # FLAT | SLOPED
     threshold_m: float       # half-width of the flat band around eta = 1
-    h_eta: float             # the weight whose size selects the branch
     m_variant: str           # CORRECTED | AS_PRINTED
 
 
@@ -233,6 +229,5 @@ def fekete_szego_bound(
         bound=float(fs.bound),
         branch=FLAT if fs.flat else SLOPED,
         threshold_m=float(fs.threshold_m),
-        h_eta=float(fs.h_eta),
         m_variant=variant,
     )

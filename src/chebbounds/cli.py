@@ -250,40 +250,39 @@ def sweep_rows(axes: list[np.ndarray], start: int, stop: int, etas, variant: str
     return _sweep_rows(axes, start, stop, etas, variant)
 
 
-def render_csv(header: list[str], columns: list, buf: bytearray | None = None) -> bytearray:
-    from .render import _render_csv
-    return _render_csv(header, columns, buf)
+def render_csv(header: list[str], columns: list, matrix: tuple | None = None) -> bytearray:
+    from .render import _render_chunk
+    return _render_chunk(header, columns, matrix)
 
 
-def render_json(header: list[str], columns: list) -> bytes:
-    from .render import _render_json
-    return _render_json(header, columns)
+def render_json(header: list[str], columns: list, matrix: tuple | None = None) -> bytearray:
+    from .render import _render_chunk
+    return _render_chunk(header, columns, matrix, "json")
 
 
 def _write_sweep(write, axes: list[np.ndarray], etas, variant: str, out_format: str) -> None:
     """Compute, render and ``write`` the sweep as bytes, one chunk of rows at
-    a time; the output is the same for every chunk size.  Both renderers take
-    the chunk's lambda, mu, delta, t and xi as (values, index) pairs, and so
-    format each distinct grid value once a chunk; every full CSV chunk is
-    rendered into one field matrix."""
+    a time; the output is the same for every chunk size.  Every full chunk,
+    in either format, is rendered into one field matrix, and each distinct
+    lambda, mu, delta, t and xi formatted once a chunk.  The last JSON object
+    gives up its ",\n" for the closing bracket."""
+    from .render import _field_matrix
     header = sweep_header(etas)
     n_rows = math.prod(len(axis) for axis in axes)
     step = max(1, CSV_CHUNK_ROWS * 7 // (len(header) - 5))
+    matrix = _field_matrix(min(step, n_rows), header, out_format)
     if out_format == "json":
-        render, head, between, tail = render_json, b"[\n", b",\n", b"\n]\n"
+        render, head, tail, trim = render_json, b"[\n", b"\n]\n", 2
     else:
-        from .render import _field_matrix
-        fields = _field_matrix(min(step, n_rows), len(header))
-
-        def render(header, columns):
-            return render_csv(header, columns, fields)
-        head, between, tail = ",".join(header).encode("ascii") + b"\n", b"", b""
+        render, head, tail, trim = render_csv, ",".join(header).encode("ascii") + b"\n", b"", 0
     write(head)
     for start in range(0, n_rows, step):
-        columns = sweep_rows(axes, start, min(start + step, n_rows), etas, variant)
-        if start:
-            write(between)
-        write(render(header, columns))
+        stop = min(start + step, n_rows)
+        text = render(header, sweep_rows(axes, start, stop, etas, variant), matrix)
+        if stop == n_rows:
+            del text[len(text) - trim:]
+        write(text)
+        del text                     # so that the next chunk renders without it
     write(tail)
 
 

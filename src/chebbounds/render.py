@@ -1,5 +1,5 @@
-"""The rows of ``sweep`` and their CSV and JSON text; ``cli`` calls them
-through its own ``sweep_rows``, ``render_csv`` and ``render_json``."""
+"""The rows of ``sweep`` and their CSV and JSON text, from one renderer; ``cli``
+calls them through its own ``sweep_rows``, ``render_csv`` and ``render_json``."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from .bounds import closed_form
 from .classop import _grid_columns
 from .text import _NUMBER
 
-# bytes of a CSV field before its separator: the widest _NUMBER text,
-# -1.23456789012e-308, and a NUL
+# bytes of a field: the widest _NUMBER text, -1.23456789012e-308, or JSON
+# number, -1234567890120000.0, and a NUL
 _FIELD = 20
 # blocks of _digit_words: zero-padded, trailing zeros NUL, leading zeros NUL,
 # and leading zeros NUL with 0 kept as one 0
@@ -61,10 +61,11 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pow10, pow10.astype(np.int64), words.astype("<u4", copy=False)
 
 
-def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_fields(values: np.ndarray, int_words: int, json: bool) -> tuple[np.ndarray, np.ndarray]:
     """NUL-padded _NUMBER fields of the values whose text is fixed notation
     with at most 4 * int_words integer and 19 - 4 * int_words fraction
     digits, and the mask of those values; the other fields are garbage.
+    Where ``json``, a whole number ends in .0, as its repr does.
 
     With k = 11 - exponent, s = v * 10^k in [1e11, 1e12) is one rounding,
     at most 2^-14, from exact, so its nearest integer m holds the digits
@@ -102,7 +103,10 @@ def _fixed_fields(values: np.ndarray, int_words: int) -> tuple[np.ndarray, np.nd
         fp -= q * unit
         out[:, j] = words[np.add(q, _T, out=q, where=fp == 0)]   # where no digit follows
     text = out.view(np.uint8)
-    text[:, 4 * int_words] = np.where(point, ord("."), 0)   # over the fraction's leading 0
+    dot = 4 * int_words                              # over the fraction's leading 0
+    text[:, dot] = np.where(point | json, ord("."), 0)
+    if json:
+        text[~point, dot + 1] = ord("0")
     return text, fast
 
 
@@ -111,75 +115,71 @@ def _pairs(columns: list) -> list[tuple]:
     return [col if isinstance(col, tuple) else (col, None) for col in columns]
 
 
-def _number_text(values: np.ndarray) -> np.ndarray:
-    """The NUL-padded _NUMBER field of each value: in fixed notation by
-    _fixed_fields, exponent -4 to 3 and then 4 to 11, and any other number
-    by _NUMBER itself."""
-    text, fast = _fixed_fields(values, 1)
+def _number_text(values: np.ndarray, json: bool = False) -> np.ndarray:
+    """The NUL-padded field of each value: its _NUMBER text or, where ``json``,
+    repr(float(text)) and inf as "unbounded".  Fixed notation, exponent -4 to
+    3 and then 4 to 11, is written by _fixed_fields (a decimal of at most 12
+    significant digits is the shortest repr of its double, so only a whole
+    number's .0 tells JSON apart there), any other number by _NUMBER."""
+    text, fast = _fixed_fields(values, 1, json)
     rest = np.flatnonzero(~fast)
-    wide, fast = _fixed_fields(values[rest], 3)
+    wide, fast = _fixed_fields(values[rest], 3, json)
     text[rest[fast]] = wide[fast]
     rest = rest[~fast]
-    other = np.array([_NUMBER % x for x in values[rest].tolist()], dtype=f"S{_FIELD}")
-    text[rest] = other.view(np.uint8).reshape(len(rest), _FIELD)
+    if json:
+        other = ['"unbounded"' if math.isinf(x) else repr(float(_NUMBER % x))
+                 for x in values[rest].tolist()]
+    else:
+        other = [_NUMBER % x for x in values[rest].tolist()]
+    text[rest] = np.array(other, dtype=f"S{_FIELD}").view(np.uint8).reshape(len(rest), _FIELD)
     return text
 
 
-def _field_matrix(rows: int, n_columns: int) -> bytearray:
-    """The bytes of a (rows, n_columns, _FIELD + 1) CSV field matrix with
-    its separators written: a comma after each field, a newline after each
-    row's last.  A chunk overwrites every field whole, so one matrix serves
-    every chunk of its shape."""
-    buf = bytearray(rows * n_columns * (_FIELD + 1))
-    fields = np.frombuffer(buf, np.uint8).reshape(rows, n_columns, _FIELD + 1)
-    fields[:, :, _FIELD] = ord(",")
-    fields[:, -1, _FIELD] = ord("\n")
-    return buf
+def _field_matrix(rows: int, header: list[str], out_format: str) -> tuple[bytearray, list]:
+    """The bytes of ``rows`` rows of ``out_format`` text with every field NUL,
+    and a V{_FIELD} view of each column's fields in them: a CSV line, or an
+    indented JSON object and its ",\n".  A chunk overwrites every field
+    whole, so one matrix, its fixed text written once, serves every chunk of
+    its shape."""
+    if out_format == "json":
+        before = ['  {\n    "%s": ' % header[0]] + [',\n    "%s": ' % key for key in header[1:]]
+        after = "\n  },\n"
+    else:
+        before, after = [""] + [","] * (len(header) - 1), "\n"
+    blank = "\0" * _FIELD
+    row = np.frombuffer((blank.join(before) + blank + after).encode("ascii"), np.uint8)
+    buf = bytearray(rows * len(row))
+    matrix = np.frombuffer(buf, np.uint8).reshape(rows, len(row))
+    matrix[:] = row
+    starts = np.cumsum([len(text) for text in before]) + _FIELD * np.arange(len(before))
+    return buf, [matrix[:, j:j + _FIELD].view(f"V{_FIELD}")[:, 0] for j in starts.tolist()]
 
 
-def _render_csv(header: list[str], columns: list, buf: bytearray | None = None) -> bytearray:
-    """The ASCII bytes of the CSV lines of one chunk of rows, from the
-    columns of _sweep_rows; the header line is the writer's, and ``header``
-    is taken only so that both renderers are called alike.
-
-    Each field is written NUL-padded into the field matrix ``buf`` from
-    _field_matrix, or into a new one where ``buf`` is None or of another
-    size, and the matrix less its NULs is the text.  The numbers, each
+def _render_chunk(header: list[str], columns: list, matrix=None, out_format="csv") -> bytearray:
+    """The ASCII bytes of one chunk of rows, from the columns of _sweep_rows:
+    CSV lines without the header line, or the items of an indented JSON list
+    without the brackets.  Each field is written NUL-padded into ``matrix``
+    from _field_matrix, or a new one where it is None or of another row
+    count, and the matrix less its NULs is the text.  The numbers, each
     distinct value of a (values, index) column once, are formatted in one
-    _number_text pass; a column's fields are a slice of that text or, by
-    its index, a gather of the slice."""
+    _number_text pass; a column's fields are a slice of that text or, by its
+    index, a gather of the slice."""
     record = f"V{_FIELD}"                # a field as one item, so that it moves in one copy
     pairs = _pairs(columns)
-    text = _number_text(np.concatenate([v for v, _ in pairs if v.dtype != bool])).view(record)
+    text = _number_text(np.concatenate([v for v, _ in pairs if v.dtype != bool]),
+                        out_format == "json").view(record)
     bools = np.array([b"false", b"true"], dtype=record)
     v, index = pairs[0]
-    shape = (len(v if index is None else index), len(pairs), _FIELD + 1)
-    if buf is None or len(buf) != math.prod(shape):
-        buf = _field_matrix(*shape[:2])
-    records = np.frombuffer(buf, np.uint8).reshape(shape)[:, :, :_FIELD].view(record)[..., 0]
+    rows = len(v if index is None else index)
+    if matrix is None or len(matrix[1][0]) != rows:
+        matrix = _field_matrix(rows, header, out_format)
+    buf, fields = matrix
     offset = 0
-    for j, (v, index) in enumerate(pairs):
+    for field, (v, index) in zip(fields, pairs):
         if v.dtype == bool:
             block = bools[v.astype(np.intp)]
         else:
             block, offset = text[offset:offset + len(v), 0], offset + len(v)
-        records[:, j] = block if index is None else block[index]
-    del text, block, records         # so that only the matrix is held while compacted
+        field[:] = block if index is None else block[index]
+    del text, block                  # so that only the matrix is held while compacted
     return buf.translate(None, b"\0")
-
-
-def _render_json(header: list[str], columns: list) -> bytes:
-    """One chunk of rows, from the columns of _sweep_rows, as the ASCII
-    bytes of the items of an indented JSON list, without the brackets and
-    the newlines that join them to the list; inf is the string "unbounded".
-    Each distinct value of a (values, index) column is formatted once."""
-    cells = []
-    for values, index in _pairs(columns):
-        text = (["true" if v else "false" for v in values.tolist()] if values.dtype == bool
-                else ['"unbounded"' if math.isinf(v) else repr(float(_NUMBER % v))
-                      for v in values.tolist()])
-        cells.append(text if index is None else [text[i] for i in index.tolist()])
-    item = "  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  }"
-    text = ",\n".join([item % row for row in zip(*cells)])
-    del cells                        # so that only the text is held while encoded
-    return text.encode("ascii")

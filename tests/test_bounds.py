@@ -73,7 +73,6 @@ def test_fs_flat_at_eta_one():
     fr = fekete_szego_bound(P0, 1.0)
     assert fr.bound == 2 * 0.6 / 3.0
     assert fr.branch == FLAT
-    assert fr.h_eta == 0.0
 
 
 def test_fs_sloped_far_from_one():
@@ -117,7 +116,6 @@ def test_fs_as_printed_threshold_differs_only_with_delta():
 def test_fs_singular_point():
     fr = fekete_szego_bound(P_SING, 0.0)
     assert math.isinf(fr.bound)
-    assert math.isinf(fr.h_eta)
     at_one = fekete_szego_bound(P_SING, 1.0)
     assert at_one.branch == FLAT
     assert math.isfinite(at_one.bound)

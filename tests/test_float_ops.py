@@ -59,6 +59,6 @@ def test_floats_in_give_python_floats_out():
     # a singular point: every quotient by d is taken at d = 0
     cf = closed_form(2.0, 0.0, 0.0, math.sqrt(0.5), (0.0, 1.0, 3.0))
     values = [cf.a2, cf.a3, *(getattr(fs, key) for fs in cf.fs
-                              for key in ("bound", "threshold_m", "h_eta"))]
+                              for key in ("bound", "threshold_m"))]
     assert all(type(value) is float for value in values)
     assert cf.singular is True and cf.a2 == math.inf

@@ -172,13 +172,16 @@ def test_standalone_equals_sweep_entry(mode):
     assert results == standalone[len(quantities):] + standalone[:len(quantities)]
 
 
-@pytest.mark.parametrize(
-    "warm, key",
-    [((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2")),
-     ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5")),
-     ((A3, POINTS["P_SING"]), ("P_SING", "full-system", "a2"))],
-    ids=["summed", "summed-fs", "free"],
-)
+# rule -> (a search that draws the rule's samples, the PINS key of a search
+# that then reads them)
+WARM = {
+    "summed": ((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2")),
+    "summed-fs": ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5")),
+    "free": ((A3, POINTS["P_SING"]), ("P_SING", "full-system", "a2")),
+}
+
+
+@pytest.mark.parametrize("warm, key", list(WARM.values()), ids=list(WARM))
 def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
     point, mode, label = key
     cfg = OracleConfig(mode=mode, n_samples=400, seed=5)

@@ -52,8 +52,7 @@ def records():
         "FeketeSzegoReport": (fekete_szego_bound(P, 2.0), fekete_szego_bound(P, 2),
                               "FeketeSzegoReport(params=ClassParams(lam=1.0, mu=0.0, "
                               "delta=0.0, t=0.6), eta=2.0, bound=1.728, branch='sloped', "
-                              "threshold_m=0.3472222222222222, h_eta=-0.72, "
-                              "m_variant='corrected')"),
+                              "threshold_m=0.3472222222222222, m_variant='corrected')"),
         "TruncatedSeries": (series, TruncatedSeries((1, 2.0, 0j)),
                             "TruncatedSeries(coeffs=((1+0j), (2+0j), 0j))"),
         "NormalizedSeries": (normalized, NormalizedSeries((0, 1, 0.5)),
@@ -83,8 +82,7 @@ FIELDS = {
     ClassParams: ("lam", "mu", "delta", "t"),
     SchwarzPair: ("c1", "c2", "d1", "d2", "admissible"),
     BoundReport: ("params", "a2_bound", "a3_bound", "A", "B", "denom", "singular"),
-    FeketeSzegoReport: ("params", "eta", "bound", "branch", "threshold_m", "h_eta",
-                        "m_variant"),
+    FeketeSzegoReport: ("params", "eta", "bound", "branch", "threshold_m", "m_variant"),
     OracleConfig: ("mode", "n_samples", "seed"),
     Quantity: ("kind", "eta"),
     Witness: ("schwarz", "a2", "a3"),

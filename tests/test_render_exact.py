@@ -1,6 +1,7 @@
-"""The sweep's CSV renderer writes each number from its digits in numpy;
-every field must be the text that ``"%.12g" % v`` gives, byte for byte,
-and a rendered chunk must equal the row-by-row ``%`` rendering."""
+"""The sweep's renderer writes each number from its digits in numpy; every
+CSV field must be the text that ``"%.12g" % v`` gives, byte for byte, every
+JSON number ``repr(float("%.12g" % v))``, with inf as ``"unbounded"``, and a
+rendered chunk must equal the row-by-row ``%`` rendering."""
 
 import math
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from chebbounds import cli
+from chebbounds.render import _number_text
+from chebbounds.text import _NUMBER
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -73,6 +76,35 @@ def test_any_float(values):
 @hypothesis.given(st.lists(st.floats(1e-5, 1e13), min_size=1, max_size=40))
 def test_fixed_notation_floats(values):
     assert_exact(values)
+
+
+def json_numbers(values) -> list[str]:
+    """The JSON fields of ``values``, their NUL padding dropped."""
+    text = _number_text(np.asarray(values, dtype=float), json=True)
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in text]
+
+
+def assert_json_exact(values):
+    values = [float(v) for v in values]
+    assert json_numbers(values) == ['"unbounded"' if math.isinf(v) else repr(float(_NUMBER % v))
+                                    for v in values]
+
+
+def test_json_edge_values():
+    # whole numbers in fixed notation gain .0; from 1e12, repr is fixed notation
+    # up to 1e16 where %.12g is exponent form
+    edges = [0.0, -0.0, 1e12, 1e16, 9999.99999999999, 999999999999.5]
+    assert json_numbers(edges) == ["0.0", "-0.0", "1000000000000.0", "1e+16", "10000.0",
+                                   "1000000000000.0"]
+    assert_json_exact(edges + edge_values())
+
+
+@hypothesis.settings(database=None, max_examples=300, deadline=None)
+@hypothesis.given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                           | st.floats(1e12, 1e16) | st.floats(-1e16, -1e12),
+                           min_size=1, max_size=40))
+def test_json_any_float(values):
+    assert_json_exact(values)
 
 
 def row_by_row(columns) -> str:

@@ -54,10 +54,8 @@ def test_scalar_path_equals_grid_row(grid, eta_list, variant):
             bits(abs(cf.d[i])), bool(cf.singular[i])]
         for eta, fs in zip(eta_list, cf.fs):
             fr = fekete_szego_bound(p, eta, variant)
-            assert [bits(fr.bound), fr.branch == "flat", bits(fr.threshold_m),
-                    bits(fr.h_eta)] == [
-                bits(fs.bound[i]), bool(fs.flat[i]), bits(fs.threshold_m[i]),
-                bits(fs.h_eta[i])]
+            assert [bits(fr.bound), fr.branch == "flat", bits(fr.threshold_m)] == [
+                bits(fs.bound[i]), bool(fs.flat[i]), bits(fs.threshold_m[i])]
             # an accepted eta keeps both branches finite on a regular point
             if abs(eta) <= PARAM_MAX and not rep.singular:
-                assert math.isfinite(fr.bound) and math.isfinite(fr.h_eta)
+                assert math.isfinite(fr.bound)

@@ -1,7 +1,7 @@
 """Where the sweep's bytes go.  Both renderers return bytes; ``--output``
 is a binary file, and standard output is written through its binary buffer,
-or as text where it has none.  Every route carries the same bytes.  The CSV
-renderer writes every full chunk into one field matrix per sweep."""
+or as text where it has none.  Every route carries the same bytes.  Both
+formats render every full chunk into one field matrix per sweep."""
 
 import io
 import subprocess
@@ -64,26 +64,34 @@ def test_sweep_with_stdout_closed():
                          ids=["short-last-chunk", "whole-chunks", "one-chunk"])
 def test_one_field_matrix_per_sweep(chunk, builds, tmp_path, monkeypatch):
     # 9225 rows: 9 full chunks of 1000 rows and one of 225, 41 of 225, or one chunk
-    sizes = []
-
-    def counted(rows, n_columns):
-        sizes.append(rows)
-        return field_matrix(rows, n_columns)
-
     field_matrix = render._field_matrix
-    expected = _file_bytes(tmp_path, ["sweep", *GRID])
-    monkeypatch.setattr(render, "_field_matrix", counted)
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
-    assert _file_bytes(tmp_path, ["sweep", *GRID]) == expected
-    # three etas: a chunk is CSV_CHUNK_ROWS rows
-    assert sizes == [min(chunk, N_ROWS), N_ROWS % chunk][:builds]
+    for out_format in ("csv", "json"):
+        sizes = []
+
+        def counted(rows, header, out_format):
+            sizes.append(rows)
+            return field_matrix(rows, header, out_format)
+
+        argv = ["sweep", *GRID, "--format", out_format]
+        expected = _file_bytes(tmp_path, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(render, "_field_matrix", counted)
+            patch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+            assert _file_bytes(tmp_path, argv) == expected
+        # three etas: a chunk is CSV_CHUNK_ROWS rows
+        assert sizes == [min(chunk, N_ROWS), N_ROWS % chunk][:builds], out_format
 
 
 def test_render_csv_overwrites_every_field():
     # one matrix, a chunk of wide fields and then a chunk of narrow ones
-    buf = render._field_matrix(2, 2)
-    wide = cli.render_csv(["a", "b"], [np.array([-1.23456789012e-308, 1e300]),
-                                       np.array([True, False])], buf)
-    narrow = cli.render_csv(["a", "b"], [np.array([0.0, 1.0]), np.array([False, True])], buf)
-    assert wide == b"-1.23456789012e-308,true\n1e+300,false\n"
-    assert narrow == b"0,false\n1,true\n"
+    wide = [np.array([-1.23456789012e-308, 1e300]), np.array([True, False])]
+    narrow = [np.array([0.0, 1.0]), np.array([False, True])]
+    buf = render._field_matrix(2, ["a", "b"], "csv")
+    assert cli.render_csv(["a", "b"], wide, buf) == b"-1.23456789012e-308,true\n1e+300,false\n"
+    assert cli.render_csv(["a", "b"], narrow, buf) == b"0,false\n1,true\n"
+    buf = render._field_matrix(2, ["a", "b"], "json")
+    item = b'  {\n    "a": %s,\n    "b": %s\n  },\n'
+    assert cli.render_json(["a", "b"], wide, buf) == (item % (b"-1.23456789012e-308", b"true")
+                                                      + item % (b"1e+300", b"false"))
+    assert cli.render_json(["a", "b"], narrow, buf) == (item % (b"0.0", b"false")
+                                                        + item % (b"1.0", b"true"))
