@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import bounds_from_denominator, closed_form
-from .classop import ClassParams, check_eta, param_axes, param_factors, param_grid
+from .classop import param_axes, param_factors, param_grid
 
 REDUCTION_TOL = 1e-12
 
@@ -108,48 +108,6 @@ def _entry(cid: str) -> tuple:
         raise ValueError(f"unknown corollary id {cid!r}; valid ids: {valid}") from None
 
 
-def _require_pins(cid: str, axes, columns, names=("lambda", "mu", "delta", "t")) -> None:
-    """Reject the first value of a column (a float or an array) off its pin."""
-    for name, axis, values in zip(names, axes, columns):
-        values = np.atleast_1d(values)
-        off = values[np.abs(values - axis[0]) > 1e-12] if len(axis) == 1 else ()
-        if len(off):
-            raise ValueError(f"corollary {cid!r} pins {name} = {axis[0]:g}, got {off[0]:g}")
-
-
-def _slice_etas(
-    cid: str, etas: list[float] | None, needs: str = "an eta value"
-) -> list[float | None]:
-    """The eta values a slice is evaluated at: [None] for a coefficient
-    slice, the pin when an eta-pinned slice is given none, else ``etas``,
-    each of which must pass ``check_eta``."""
-    eta_axis = _entry(cid)[-1]
-    if eta_axis is None:
-        if etas:
-            raise ValueError(f"corollary {cid!r} takes no eta")
-        return [None]
-    etas = [check_eta(eta) for eta in etas or ()]
-    _require_pins(cid, [eta_axis], [etas], ["eta"])
-    if etas:
-        return etas
-    if len(eta_axis) == 1:
-        return list(eta_axis)
-    raise ValueError(f"corollary {cid!r} needs {needs}")
-
-
-def corollary_bound(cid: str, p: ClassParams, eta: float | None = None) -> dict[str, float]:
-    """Printed specialized bound(s) at one point of the pinned slice.
-
-    Returns {"a2": ..., "a3": ...} for the coefficient corollaries and
-    {"fs": ...} for the Fekete-Szego ones.
-    """
-    formula, *axes, _ = _entry(cid)
-    values = (p.lam, p.mu, p.delta, p.t)
-    _require_pins(cid, axes, values)
-    (eta,) = _slice_etas(cid, None if eta is None else [eta])
-    return {key: float(value) for key, value in formula(*values, eta).items()}
-
-
 class ReductionResult(NamedTuple):
     corollary: str
     n_points: int
@@ -166,29 +124,18 @@ def _deviation(special, general):
     return np.where(np.isinf(special) & np.isinf(general), 0.0, dev)
 
 
-def reduction_check(
-    cid: str, grid: list[ClassParams] | None = None, etas: list[float] | None = None
-) -> ReductionResult:
+def reduction_check(cid: str) -> ReductionResult:
     """Compare a printed specialization against the general bounds.
 
-    Every point of the grid (crossed with the eta values for the
-    Fekete-Szego entries) must agree within REDUCTION_TOL; each side is
-    evaluated once per eta over the whole grid.  With no grid, the slice
-    runs on the columns of its own axes and, unless given, its eta axis.
+    The slice runs on the columns of its own axes, crossed with its eta
+    axis for the Fekete-Szego entries, and every point must agree within
+    REDUCTION_TOL; each side is evaluated once per eta over the whole grid.
     """
     formula, *axes, eta_axis = _entry(cid)
-    eta_values = _slice_etas(cid, eta_axis if grid is None and etas is None else etas,
-                             "eta values to sweep")
-    if grid is None:
-        columns = param_grid(param_axes(*axes))
-    elif not grid:
-        raise ValueError("empty parameter grid")
-    else:
-        columns = [np.array([getattr(p, n) for p in grid]) for n in ("lam", "mu", "delta", "t")]
-        _require_pins(cid, axes, columns)
-    fs_etas = [eta for eta in eta_values if eta is not None]
-    cf = closed_form(*columns, fs_etas)
+    columns = param_grid(param_axes(*axes))
+    cf = closed_form(*columns, eta_axis or ())
     general = [{"fs": fs.bound} for fs in cf.fs] or [{"a2": cf.a2, "a3": cf.a3}]
+    eta_values = eta_axis or [None]
     worst = float(np.max([_deviation(special, side[key]) for eta, side in zip(eta_values, general)
                           for key, special in formula(*columns, eta).items()]))
     return ReductionResult(cid, len(columns[0]) * len(eta_values), worst, worst <= REDUCTION_TOL)

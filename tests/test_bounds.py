@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from chebbounds.bounds import (
@@ -16,11 +15,7 @@ from chebbounds.bounds import (
     is_singular_denom,
 )
 from chebbounds.classop import ClassParams
-from chebbounds.reductions import (
-    corollary_bound,
-    corollary_ids,
-    reduction_check,
-)
+from chebbounds.reductions import _SLICES, corollary_ids, reduction_check
 from reduction_grids import reduction_grid
 
 P0 = ClassParams(1.0, 1.0, 0.0, 0.6)
@@ -139,22 +134,14 @@ def test_corollary_registry():
 
 
 def test_corollary_pin_enforcement():
+    # a pin is a one-value axis of the slice's own grid (test_reduction_table)
     with pytest.raises(ValueError, match="unknown"):
-        corollary_bound("nope", P0)
-    # coefficient slices never take eta
-    with pytest.raises(ValueError, match="eta"):
-        corollary_bound("coef-basic", P0, eta=1.0)
-    # free-eta slices require it
-    with pytest.raises(ValueError, match="eta"):
-        corollary_bound("fs-basic", P0)
-    # off-pin parameters are rejected
-    with pytest.raises(ValueError, match="pins"):
-        corollary_bound("coef-basic", ClassParams(1.0, 0.5, 0.0, 0.6))
+        reduction_check("nope")
 
 
 def test_corollary_fixture_value():
-    p = ClassParams(1.5, 1.0, 0.25, 0.9)
-    got = corollary_bound("fs-delta-eta1", p)
+    formula = _SLICES["fs-delta-eta1"][0]
+    got = formula(1.5, 1.0, 0.25, 0.9, 1.0)
     assert got["fs"] == pytest.approx(1.8 / 5.5, abs=1e-15)
 
 
@@ -168,13 +155,7 @@ def test_all_reductions_pass():
 def test_reduction_handles_singular_grid_points():
     # the lambda slice at mu = 1, delta = 0 crosses a singular point near
     # lam = 2.5, t = 0.7; both sides must agree (infinity matched to
-    # infinity counts as deviation zero)
-    res = reduction_check("fs-lambda", etas=[0.0])
+    # infinity counts as deviation zero) at every eta of its axis, 0 included
+    assert 0.0 in _SLICES["fs-lambda"][-1]
+    res = reduction_check("fs-lambda")
     assert res.passed
-
-
-def test_reduction_custom_grid():
-    grid = [ClassParams(1.0, 1.0, 0.0, t) for t in np.linspace(0.55, 0.95, 81)]
-    res = reduction_check("coef-basic", grid=grid)
-    assert res.passed
-    assert res.n_points == 81

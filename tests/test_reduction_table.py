@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from chebbounds.classop import ClassParams
 from chebbounds.reductions import (
+    _SLICES,
     REDUCTION_TOL,
     _deviation,
-    corollary_bound,
     corollary_ids,
     reduction_check,
 )
@@ -40,25 +39,18 @@ def test_slice_ids():
 
 @pytest.mark.parametrize("cid", list(SLICES))
 def test_slice_pins(cid):
-    pins, _, etas = SLICES[cid]
+    # a pin is a one-value axis: every point the check runs on holds it
+    pins, _, _ = SLICES[cid]
     grid, _ = reduction_grid(cid)
     for p in grid:
         for name, value in pins.items():
             if name != "eta":
                 assert getattr(p, FIELDS[name]) == value
-    base = grid[-1]
-    eta = 0.0 if etas is not None else None
-    for name, field in FIELDS.items():
-        moved = base._replace(**{field: getattr(base, field) + 0.25})
-        if name in pins:
-            with pytest.raises(ValueError, match=f"pins {name} = {pins[name]:g}, got "):
-                corollary_bound(cid, moved, eta)
-        else:
-            corollary_bound(cid, moved, eta)
+    axes = dict(zip(["lambda", "mu", "delta"], _SLICES[cid][1:4]))
+    for name, axis in axes.items():
+        assert (len(axis) == 1) == (name in pins)
     if "eta" in pins:
-        assert corollary_bound(cid, base) == corollary_bound(cid, base, 1.0)
-        with pytest.raises(ValueError, match="pins eta = 1, got 2"):
-            corollary_bound(cid, base, 2.0)
+        assert _SLICES[cid][-1] == [1.0]
 
 
 @pytest.mark.parametrize("cid", list(SLICES))
@@ -70,39 +62,18 @@ def test_slice_default_grid(cid):
     assert res.passed
 
 
-def test_reduction_check_rejects_empty_grid():
-    with pytest.raises(ValueError, match="empty"):
-        reduction_check("coef-basic", grid=[])
+def test_reduction_check_eta_values(monkeypatch):
+    # an eta-pinned slice runs at its pin, a free one at each eta of its axis
+    for cid, eta in [("fs-eta1", 1.0), ("fs-lambda", 0.0), ("fs-lambda", 4.0)]:
+        formula, *axes = _SLICES[cid]
 
+        def off_at_eta(lam, mu, delta, t, at, formula=formula, eta=eta):
+            out = formula(lam, mu, delta, t, at)
+            return {"fs": out["fs"] + 1e-9} if at == eta else out
 
-@pytest.mark.parametrize("cid, etas, message", [
-    ("coef-basic", [1.0], "corollary 'coef-basic' takes no eta"),
-    ("fs-eta1", [1.0, 2.0], "corollary 'fs-eta1' pins eta = 1, got 2"),
-])
-def test_reduction_check_shares_the_eta_rule(cid, etas, message):
-    # the same rejections as corollary_bound, not a silent substitution
-    with pytest.raises(ValueError, match=message):
-        reduction_check(cid, etas=etas)
-    with pytest.raises(ValueError, match=message):
-        corollary_bound(cid, reduction_grid(cid)[0][0], etas[-1])
-
-
-def test_reduction_check_eta_values():
-    with pytest.raises(ValueError, match="needs eta values to sweep"):
-        reduction_check("fs-basic", grid=[ClassParams(1.0, 1.0, 0.0, 0.6)])
-    assert reduction_check("fs-eta1", etas=[1.0]).n_points == 81
-    assert reduction_check("fs-lambda", etas=[0.0]).n_points == 25
-
-
-@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
-def test_non_finite_eta_is_rejected(eta):
-    # a nan or inf eta gives nan or inf on both sides, which would pass vacuously
-    p = reduction_grid("fs-basic")[0][0]
-    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
-        corollary_bound("fs-basic", p, eta)
-    for cid in ("fs-basic", "fs-lambda", "fs-eta1"):
-        with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
-            reduction_check(cid, etas=[eta])
+        with monkeypatch.context() as patch:
+            patch.setitem(_SLICES, cid, (off_at_eta, *axes))
+            assert not reduction_check(cid).passed
 
 
 @pytest.mark.parametrize("special, general", [
