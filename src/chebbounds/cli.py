@@ -265,8 +265,12 @@ def _write_sweep(write, axes: list[np.ndarray], etas, variant: str, out_format: 
     a time; the output is the same for every chunk size.  Every full chunk,
     in either format, is rendered into one field matrix, and each distinct
     lambda, mu, delta, t and xi formatted once a chunk.  The last JSON object
-    gives up its ",\n" for the closing bracket."""
-    from .render import _field_matrix
+    gives up its ",\n" for the closing bracket.
+
+    Of two or more chunks, a forked worker renders every other one, back
+    from the last but one, into its copy of the matrix; this process renders
+    the others, the last included, and writes every chunk in order."""
+    from .render import _field_matrix, _worker
     header = sweep_header(etas)
     n_rows = math.prod(len(axis) for axis in axes)
     step = max(1, CSV_CHUNK_ROWS * 7 // (len(header) - 5))
@@ -275,14 +279,25 @@ def _write_sweep(write, axes: list[np.ndarray], etas, variant: str, out_format: 
         render, head, tail, trim = render_json, b"[\n", b"\n]\n", 2
     else:
         render, head, tail, trim = render_csv, ",".join(header).encode("ascii") + b"\n", b"", 0
+
+    def chunk(start: int) -> bytearray:
+        return render(header, sweep_rows(axes, start, min(start + step, n_rows), etas, variant),
+                      matrix)
+
+    starts = range(0, n_rows, step)
+    worker_starts = starts[len(starts) % 2:-1:2] if hasattr(os, "fork") else range(0)
     write(head)
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        text = render(header, sweep_rows(axes, start, stop, etas, variant), matrix)
-        if stop == n_rows:
-            del text[len(text) - trim:]
-        write(text)
-        del text                     # so that the next chunk renders without it
+    with _worker(worker_starts, chunk) as receive:
+        for start in starts:
+            if start in worker_starts:
+                continue
+            text = chunk(start)
+            if start - step in worker_starts:
+                write(receive())
+            if start + step >= n_rows:
+                del text[len(text) - trim:]
+            write(text)
+            del text                 # so that the next chunk renders without it
     write(tail)
 
 

@@ -82,8 +82,11 @@ VIOLATION = "violation"
 SKIPPED = "skipped"
 _VERDICTS = (WITHIN_BOUND, VIOLATION, SKIPPED)   # by OracleResults verdict code
 
-# sup may exceed the bound by float noise at an attained maximum, never more
+# sup may exceed the bound by float noise at an attained maximum, never more:
+# VERDICT_TOL plus VERDICT_ULPS ulps of the bound, so that a bound above about
+# 4.5e6, whose ulp exceeds VERDICT_TOL, still admits its own rounding
 VERDICT_TOL = 1e-9
+VERDICT_ULPS = 4
 
 # elements per working array of the search, whatever the grid size: points x
 # (injected columns + samples); at least a point
@@ -192,8 +195,10 @@ class OracleResults(Sequence):
             sups, bounds, searched, singular, rows)
         # per singular flag and quantity, whether it went unsearched
         unsearched = np.array([[build is None for build, _ in flag] for flag in searched])
-        self.codes = np.where(unsearched[singular.astype(int)].T | np.isinf(bounds), 2,
-                              np.where(sups <= bounds + VERDICT_TOL, 0, 1)).astype(np.int8)
+        skipped = unsearched[singular.astype(int)].T | np.isinf(bounds)
+        finite = np.where(skipped, 0.0, bounds)
+        slack = VERDICT_TOL + VERDICT_ULPS * np.finfo(float).eps * np.abs(finite)
+        self.codes = np.where(skipped, 2, np.where(sups <= finite + slack, 0, 1)).astype(np.int8)
         self._items: dict[int, OracleResult] = {}
 
     def __len__(self) -> int:
@@ -505,7 +510,8 @@ def empirical_sup(
     """Empirical supremum of one quantity at one parameter point.
 
     Deterministic given cfg.seed.  Verdict: within-bound iff the supremum
-    stays under the closed-form bound plus 1e-9; points whose closed form
+    stays under the closed-form bound plus 1e-9 and 4 ulps of the bound
+    (VERDICT_TOL and VERDICT_ULPS); points whose closed form
     is unbounded are verdict "skipped" (nothing to violate).  The result is
     item 0 of a one-point search's record.
     """

@@ -131,13 +131,6 @@ class TruncatedSeries:
             out[k] = acc / k
         return TruncatedSeries(tuple(out))
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)) by Horner evaluation; inner must vanish at 0."""
-        self._check_same_order(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError(f"composition needs inner constant term 0, got {inner.coeffs[0]!r}")
-        return TruncatedSeries(tuple(_compose(self.coeffs, inner.coeffs)))
-
 
 class NormalizedSeries(TruncatedSeries):
     """Series of the shape z + a2 z^2 + ... : f(0) = 0, f'(0) = 1 exactly."""
@@ -176,7 +169,7 @@ def invert_compositional(f: NormalizedSeries) -> NormalizedSeries:
     return NormalizedSeries(tuple(_inverse(f.coeffs)))
 
 
-# The recurrences behind mul, compose and invert_compositional, on coefficient
+# The recurrences behind mul, invert_compositional and the compose residual, on coefficient
 # sequences of one length and of any type whose +, - and * mix with complex.
 
 def _product(a, b) -> list:

@@ -1,10 +1,14 @@
 """The rows of ``sweep`` and their CSV and JSON text, from one renderer; ``cli``
-calls them through its own ``sweep_rows``, ``render_csv`` and ``render_json``."""
+calls them through its own ``sweep_rows``, ``render_csv`` and ``render_json``,
+in its process and in the forked worker of ``_worker``."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import signal
 
 import numpy as np
 
@@ -183,3 +187,66 @@ def _render_chunk(header: list[str], columns: list, matrix=None, out_format="csv
         field[:] = block if index is None else block[index]
     del text, block                  # so that only the matrix is held while compacted
     return buf.translate(None, b"\0")
+
+
+@contextlib.contextmanager
+def _worker(starts: range, render):
+    """Fork a worker that sends ``render(start)`` for each of ``starts``, in
+    order, through a pipe, and yield the call that receives the next one;
+    with no starts, fork nothing.  The pipe holds the worker to about a
+    chunk ahead.  The worker ends through ``os._exit``, whatever happens, so
+    it never returns into its caller; this process kills and reaps it however
+    the block ends.  A worker that fails or ends early fails ``receive`` with
+    an OSError."""
+    if not starts:
+        yield None
+        return
+    read_fd, write_fd = os.pipe()
+    # a pipe that holds a whole CSV chunk, about 0.6 MB, where the platform allows
+    # (F_SETPIPE_SZ is Linux's, and gives an unprivileged process at most 1 MiB)
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                try:
+                    for start in starts:
+                        _send(pipe, render(start), 1)
+                    code = 0
+                except Exception as exc:
+                    _send(pipe, f"{type(exc).__name__}: {exc}".encode(), -1)
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+
+    def receive() -> bytes:
+        size = pipe.read(8)
+        n = int.from_bytes(size, "little", signed=True)
+        data = pipe.read(abs(n))
+        if len(size) < 8 or len(data) < abs(n):
+            raise OSError("the sweep's worker ended early")
+        if n < 0:
+            raise OSError(f"the sweep's worker failed: {data.decode()}")
+        return data
+
+    try:
+        yield receive
+    finally:
+        # a caller that ignores SIGCHLD has its children reaped for it
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        pipe.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _send(pipe, data, sign: int) -> None:
+    """One message of the worker: its signed length, negative for an error, then its bytes."""
+    pipe.write((sign * len(data)).to_bytes(8, "little", signed=True))
+    pipe.write(data)
+    pipe.flush()

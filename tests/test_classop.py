@@ -12,7 +12,7 @@ from chebbounds.classop import (
     quad_coeff_inverse,
 )
 from chebbounds.chebyshev import cheb_u, gen_fun_coeffs
-from chebbounds.powerseries import NormalizedSeries, TruncatedSeries, invert_compositional
+from chebbounds.powerseries import NormalizedSeries, TruncatedSeries, _compose, invert_compositional
 
 
 def test_xi_values():
@@ -104,7 +104,7 @@ def test_extract_schwarz_round_trip():
         c1, c2 = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         omega = TruncatedSeries.make([0.0, c1, c2], order=4)
         gen = TruncatedSeries.make(gen_fun_coeffs(t, 4), order=4)
-        sub = gen.compose(omega)
+        sub = TruncatedSeries(tuple(_compose(gen.coeffs, omega.coeffs)))
         got_c1, got_c2 = extract_schwarz(sub, t)
         assert abs(got_c1 - c1) <= 1e-12
         assert abs(got_c2 - c2) <= 1e-12

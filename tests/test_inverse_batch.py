@@ -12,7 +12,6 @@ from chebbounds import verify
 from chebbounds.cli import _DEFAULT_ORDER as DEFAULT_ORDER
 from chebbounds.powerseries import (
     NormalizedSeries,
-    TruncatedSeries,
     _compose,
     _inverse,
     invert_compositional,
@@ -30,7 +29,7 @@ def scalar_suite(seed):
                       for _ in range(3))
         f = NormalizedSeries.from_tail([a2, a3, a4], order=DEFAULT_ORDER)
         g = invert_compositional(f)
-        residual = g.compose(TruncatedSeries(f.coeffs)).coeffs
+        residual = _compose(g.coeffs, f.coeffs)
         expected = {2: -a2, 3: 2.0 * a2 * a2 - a3, 4: -(5.0 * (a2 * a2 * a2) - 5.0 * a2 * a3 + a4)}
         worst_coeff = max(worst_coeff, max(abs(g.coeffs[k] - v) for k, v in expected.items()))
         worst_resid = max(worst_resid, max(abs(c - (1.0 if k == 1 else 0.0))
