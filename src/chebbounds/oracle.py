@@ -28,22 +28,15 @@ as (2 - R/2, R/2) and its swap.  A free a2 is drawn on the unit disk and
 scaled by rho.
 
 Every rule is pruned: its injected columns come first and are scored alone.
-Then the rule's form at modulus 1 bounds every score over the closed unit
-polydisk; when at every point it stays within a relative 1e-12 of the
-point's injected sup, the rule draws no random sample at all.  Otherwise
-it draws them, and scans a point's samples only where that point's bound
-exceeds its sup and the form at the largest drawn modulus does not fall
-below the sup by more than a relative 1e-12.  Unscanned samples are
-bounded, not evaluated, and n_samples still counts them.  No point of the
-default ``verify`` grid or of ``verify-full``'s needs the draws.  The
-results are those of a search that always draws, bit for bit, while the
-drawn reach is at most 1 - 4.01e-12: then the bound at the reach prunes
-every point that modulus 1 settles, the bound of |a2| scaling with the
-root of the reach.  A larger reach has a chance of 1.6e-7 (two columns) to
-3.2e-7 (four) a rule at 10,000 samples.  |a3| is scored as fs@0, and
-quantities whose scores are the same numbers share one search.  The two
-roots of a2 enter every verified quantity through a2^2 alone, so one
-evaluation serves both.
+Then the rule's form bounds every score over the closed unit polydisk; when
+at every point it stays within a relative 1e-12 of the point's injected
+sup, the rule draws no random sample at all.  Otherwise it draws them and
+scans them at every point whose bound exceeds its sup by more than that.
+Unscanned samples are bounded, not evaluated, and n_samples still counts
+them.  No point of the default ``verify`` grid or of ``verify-full``'s
+needs the draws.  |a3| is scored as fs@0, and quantities whose scores are
+the same numbers share one search.  The two roots of a2 enter every
+verified quantity through a2^2 alone, so one evaluation serves both.
 
 One search serves a whole grid (``empirical_sup`` is a one-point grid),
 with its bounds and case constants from one ``closed_form`` call.  A rule's
@@ -231,7 +224,7 @@ class _Rule(NamedTuple):
     columns: tuple[str, ...]     # the disk columns drawn, in draw order
     terms: Callable              # columns -> (q, c2 - d2)
     coeff: Callable              # case -> (lead, factor, divisor)
-    form: Callable               # (|x|, |beta|, reach) -> a bound on |x q + beta (c2 - d2)|
+    form: Callable               # (|x|, |beta|) -> the max of |x q + beta (c2 - d2)|
     recover: Callable            # (case, columns, a2^2) -> a witness's (a2, c1, c2, d1, d2)
     injects: int = 0             # per point, the maximizers injected after the extremes
     maximizers: Callable = lambda case: {}   # case -> {column: points x injects}
@@ -241,8 +234,8 @@ def _sum_diff(cols):
     return cols["c2"] + cols["d2"], cols["c2"] - cols["d2"]
 
 
-def _joint(x, beta, reach):
-    return 2.0 * np.maximum(x, beta) * reach
+def _joint(x, beta):
+    return 2.0 * np.maximum(x, beta)
 
 
 def _from_a2(case, a2, c2, d2):
@@ -272,7 +265,7 @@ def _vertices(case):
 
 _PHASES = np.array([1.0, -1.0, 1j, -1j])
 
-# a2^2 rule -> its row; a form bounds the score over columns of modulus <= reach <= 1
+# a2^2 rule -> its row; a form is the max of the score over the closed unit polydisk
 _RULE_TABLE = {
     # u1 (c2 + d2) / prefactor, the summed relation
     "summed": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, 1.0, k.prefactor), _joint, _drawn),
@@ -284,12 +277,12 @@ _RULE_TABLE = {
     "linear": _Rule(("c1", "d1", "c2", "d2"),
                     lambda c: (c["c1"] * c["c1"] + c["d1"] * c["d1"], c["c2"] - c["d2"]),
                     lambda k: (k.u1, k.u1, 2.0 * k.a),
-                    lambda x, beta, reach: 2.0 * (x + beta) * reach,
+                    lambda x, beta: 2.0 * (x + beta),
                     lambda k, c, a2sq: (cmath.sqrt(a2sq), c["c1"], c["c2"], c["d1"], c["d2"])),
     # (rho a2)^2, rho = u1/lin: a2 free on |a2| <= rho, drawn on the unit disk; d2 = -c2
     "free": _Rule(("c2", "a2"), lambda c: (c["a2"] * c["a2"], c["c2"] - -c["c2"]),
                   lambda k: (k.u1 / k.lin, k.u1 / k.lin, 1.0),
-                  lambda x, beta, reach: (x * reach + 2.0 * beta) * reach,
+                  lambda x, beta: x + 2.0 * beta,
                   lambda k, c, a2sq: _from_a2(k, c["a2"] * (k.u1 / k.lin), c["c2"], -c["c2"])),
     # 0, on a singular point's c2 + d2 = 0 slice
     "pinned": _Rule(("c2", "d2"), lambda c: (0.0, c["c2"] - c["d2"]), lambda k: (k.u1, 0.0, 1.0),
@@ -354,18 +347,18 @@ def _scores(quantity: Quantity, a2sq, r):
     return np.abs((1.0 - (quantity.eta or 0.0)) * a2sq + r)
 
 
-def _score_bound(quantity: Quantity, case: _Case, reach):
-    """Per point, a bound up to rounding on the score of a sample whose columns
-    have modulus <= reach <= 1.  With a2^2 = alpha q and r = beta (c2 - d2), the
+def _score_bound(quantity: Quantity, case: _Case):
+    """Per point, a bound up to rounding on the score of a sample over the
+    closed unit polydisk.  With a2^2 = alpha q and r = beta (c2 - d2), the
     score |x q + r|, x = (1 - eta) alpha, is at most the rule's form of (|x|,
-    |beta|, reach): 2 max(|x|, |beta|) reach for q = c2 + d2, as the score is
-    |(x + beta) c2 + (x - beta) d2|; 2 (|x| + |beta|) reach for c1^2 + d1^2; and
-    |x| reach^2 + 2 |beta| reach for a2^2 with d2 = -c2.  And |a2| = sqrt|alpha q|
-    is at most the root of the form of (|alpha|, 0, reach)."""
+    |beta|): 2 max(|x|, |beta|) for q = c2 + d2, as the score is |(x + beta) c2
+    + (x - beta) d2|; 2 (|x| + |beta|) for c1^2 + d1^2; and |x| + 2 |beta| for
+    a2^2 with d2 = -c2.  And |a2| = sqrt|alpha q| is at most the root of the
+    form of (|alpha|, 0)."""
     alpha, beta = _evaluate(case, (1.0, 1.0))
     if quantity.kind == "a2":
-        return np.sqrt(case.rule.form(np.abs(alpha), 0.0, reach))
-    return case.rule.form(np.abs((1.0 - (quantity.eta or 0.0)) * alpha), np.abs(beta), reach)
+        return np.sqrt(case.rule.form(np.abs(alpha), 0.0))
+    return case.rule.form(np.abs((1.0 - (quantity.eta or 0.0)) * alpha), np.abs(beta))
 
 
 def _witness(case: _Case, pt: dict[str, complex]) -> Witness:
@@ -385,11 +378,6 @@ def _witness_at(rule: _Rule, consts, best, points, row: int) -> Witness:
 # sampling engine
 
 
-class _Draws(NamedTuple):
-    cols: dict[str, np.ndarray]  # unit-disk columns, injected extremes first
-    reach: float                 # the largest modulus in the random part of cols
-
-
 def _extremes(names: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Every combination of {0, +-1, +-i} over the columns ``names``."""
     # the literal -1j has real part -0.0
@@ -398,7 +386,7 @@ def _extremes(names: tuple[str, ...]) -> dict[str, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
+def _draws(names: tuple[str, ...], seed: int, n: int) -> dict[str, np.ndarray]:
     """One rule's samples, drawn once per (seed, n) and shared by every point
     searched.  The columns ``names`` come from ``default_rng(seed)`` in
     order, each as sqrt(u) exp(i theta) on the unit disk, after the
@@ -410,7 +398,7 @@ def _draws(names: tuple[str, ...], seed: int, n: int) -> _Draws:
         phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
         cols[name] = np.concatenate([extremes, s * phase])
         cols[name].flags.writeable = False
-    return _Draws(cols, max(float(np.max(np.abs(col[-n:]))) for col in cols.values()))
+    return cols
 
 
 def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups):
@@ -449,20 +437,15 @@ def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: Oracl
             # so that the next chunk's arrays do not come on top of these
             del cols, a2sq, r, vals
 
-    # the injected columns alone; then the random samples, drawn only where the
-    # score bound over the closed unit polydisk exceeds a point's injected sup,
-    # and scanned there only where the bound at the drawn reach does not fall
-    # below it
+    # the injected columns alone; then the random samples, drawn and scanned only
+    # where the score bound over the closed unit polydisk exceeds a point's injected sup
     score(np.arange(points.size), extremes)
     case = _Case(rule, *(c[points] for c in consts))
     sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
-    bounds = [_score_bound(q, case, 1.0) for _, q in quantities]
+    bounds = [_score_bound(q, case) for _, q in quantities]
     at = np.flatnonzero(~np.all(np.less_equal(bounds, sup * (1.0 + 1e-12)), axis=0))
     if at.size:
-        draws = _draws(names, cfg.seed, cfg.n_samples)
-        bounds = [_score_bound(q, case, draws.reach)[at] for _, q in quantities]
-        at = at[~np.all(np.multiply(bounds, 1.0 + 1e-12) < sup[:, at], axis=0)]
-        score(at, draws.cols)
+        score(at, _draws(names, cfg.seed, cfg.n_samples))
     return [(functools.partial(_witness_at, rule, consts, best[k], points), width)
             for k in range(len(quantities))]
 

@@ -1,8 +1,9 @@
 """The input contract as a property: for any argv of ``bound``, ``sweep``,
-``cheb`` and ``series``, flags and config file alike, ``main`` exits 0, 2
-or 3 and raises nothing; a rejected input prints one ``error:`` line or
-argparse's usage; standard output holds no nan; and an inf in a sweep row
-sits on a row whose singular_flag is true."""
+``cheb``, ``series`` and ``verify``, flags and config file alike, ``main``
+exits 0, 2 or 3, or 1 from a verify that prints a FAIL line, and raises
+nothing; a rejected input prints one ``error:`` line or argparse's usage;
+standard output holds no nan; and an inf in a sweep row sits on a row whose
+singular_flag is true."""
 
 import contextlib
 import io
@@ -128,6 +129,12 @@ INVOCATIONS = {
                           ("format", st.sampled_from(["csv", "json"]), st.just("xml"), False)),
     "cheb": _invocations("cheb", ("t", st.floats(-1.0, 1.0).map(repr), NUMBERS),
                          ("n-max", st.integers(0, 256).map(str), WILD_INTEGERS, False)),
+    "verify": _invocations("verify", *((p, _range(p), WILD_RANGES, False) for p in PARAMS),
+                           ("eta", _valid("eta"), NUMBERS, False), VARIANT,
+                           ("samples", st.integers(1, 50).map(str), WILD_INTEGERS, False),
+                           ("seed", st.integers(0, 2**64).map(str), WILD_INTEGERS, False),
+                           ("mode", st.sampled_from(["proof-set", "full-system"]),
+                            st.just("x"), False)),
     "series": _invocations("series",
                            ("coeffs", st.lists(COEFF, min_size=1, max_size=4).map(",".join),
                             st.lists(WILD_COEFF, max_size=4).map(",".join)),
@@ -150,9 +157,11 @@ def _check(argv, config, path):
         path.write_text("\n".join(config) + "\n")
         argv = argv + ["--config", str(path)]
     code, out, err = _run(argv)
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO), (code, err)
+    failed = any(line.startswith("[FAIL]") for line in out.splitlines())
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO) or (
+        code == cli.EXIT_VERIFY and failed), (code, err)
     assert "Traceback" not in err
-    if code == cli.EXIT_OK:
+    if code in (cli.EXIT_OK, cli.EXIT_VERIFY):
         assert err == ""
     else:
         lines = err.splitlines()
@@ -201,6 +210,12 @@ def test_cheb_contract(config_path, invocation):
 @SETTINGS
 @hypothesis.given(INVOCATIONS["series"])
 def test_series_contract(config_path, invocation):
+    _check(*invocation, config_path)
+
+
+@SETTINGS
+@hypothesis.given(INVOCATIONS["verify"])
+def test_verify_contract(config_path, invocation):
     _check(*invocation, config_path)
 
 

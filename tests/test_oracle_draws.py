@@ -213,8 +213,8 @@ def test_free_rule_at_singular_points_is_seed_independent(label):
 def test_draw_cache_keeps_seeds_and_sample_counts_apart():
     def random_columns(seed, n):
         """The free rule's random part: c2 and a2 after their extremes."""
-        draws = _draws(_RULE_TABLE["free"].columns, seed, n)
-        return [draws.cols["c2"][-n:], draws.cols["a2"][-n:]]
+        cols = _draws(_RULE_TABLE["free"].columns, seed, n)
+        return [cols["c2"][-n:], cols["a2"][-n:]]
 
     calls = [(5, 400), (6, 400), (5, 401), (5, 400)]
     cached = [random_columns(seed, n) for seed, n in calls]

@@ -69,7 +69,7 @@ def test_capped_candidates_are_feasible_and_pruning_changes_nothing(points, eta,
         results = sweep_verify(grid, [eta, 0.0, 1.0], cfg)
         # a full scan: no point's random samples are bounded away
         monkeypatch.setattr(oracle, "_score_bound",
-                            lambda quantity, case, reach: np.full(case.u1.shape, np.inf))
+                            lambda quantity, case: np.full(case.u1.shape, np.inf))
         scanned = sweep_verify(grid, [eta, 0.0, 1.0], cfg)
     if not all(oracle._grid_cases(grid)[0].singular):
         assert found

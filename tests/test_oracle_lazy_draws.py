@@ -1,15 +1,10 @@
 """A rule draws its random samples only where the bound on their scores over
 the closed unit polydisk exceeds a point's injected sup by more than a
-relative 1e-12, and there scans them only where the bound at the drawn
-reach does not fall below that sup, as before.  Lazy or not, a search must
-give a full scan's results bit for bit; a point that needs the draws must
-give the pinned results; and neither the default verify grid nor the
-verify-full one may draw at all.  Where the drawn reach is at most
-1 - 4.01e-12, every point that the closed-disk bound settles, the bound at
-the reach prunes too, so the results are those of a search that always
-draws."""
+relative 1e-12, and scans them at every such point.  Lazy or not, a search
+must give a full scan's results bit for bit; a point that needs the draws
+must give the pinned results; and neither the default verify grid nor the
+verify-full one may draw at all."""
 
-import itertools
 import math
 
 import numpy as np
@@ -17,8 +12,7 @@ import pytest
 
 from chebbounds import oracle
 from chebbounds.classop import PARAM_MAX, ClassParams
-from chebbounds.oracle import (A2, A3, FULL_SYSTEM, PROOF_SET, OracleConfig, fs_quantity,
-                               sweep_verify)
+from chebbounds.oracle import FULL_SYSTEM, PROOF_SET, OracleConfig, sweep_verify
 from test_oracle_digest import GRIDS, digest, grid_of
 from test_oracle_draws import pinned
 from test_oracle_prune import T
@@ -26,15 +20,11 @@ from test_oracle_prune import T
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-# the prune's factor, and a drawn reach up to which settling equals pruning
-SLACK = 1.0 + 1e-12
-REACH = 1.0 - 4.01e-12
-
 
 def full_scan(monkeypatch):
     """From now on every point draws and scans every sample."""
     monkeypatch.setattr(oracle, "_score_bound",
-                        lambda quantity, case, reach: np.full(case.u1.shape, np.inf))
+                        lambda quantity, case: np.full(case.u1.shape, np.inf))
 
 
 POINT = dict(lam=st.floats(1.0, PARAM_MAX), mu=st.floats(0.0, PARAM_MAX),
@@ -53,31 +43,6 @@ def test_lazy_search_equals_a_full_scan(lam, mu, delta, t, eta, seed):
         with pytest.MonkeyPatch.context() as patch:
             full_scan(patch)
             assert lazy == [pinned(r) for r in sweep_verify(grid, [eta, 1.0], cfg)], mode
-
-
-@hypothesis.settings(database=None, max_examples=200, deadline=None)
-@hypothesis.given(**POINT)
-@hypothesis.example(lam=2.0, mu=0.0, delta=0.0, t=math.sqrt(0.5), eta=-3.0)
-def test_a_settled_point_is_pruned_at_the_reach(lam, mu, delta, t, eta):
-    # a sup barely settled by the closed-disk bound, the least one with
-    # bound(1) <= sup * SLACK, still lies above bound(REACH) * SLACK
-    cf, consts = oracle._grid_cases([ClassParams(lam, mu, delta, t)], [eta])
-    for mode, quantity in itertools.product((PROOF_SET, FULL_SYSTEM),
-                                            (A2, A3, fs_quantity(eta), fs_quantity(1.0))):
-        rule = oracle._rule(quantity, mode, bool(cf.singular[0]))
-        if rule is None:
-            continue
-        case = oracle._Case(oracle._RULE_TABLE[rule], *(c[:1] for c in consts))
-        closed = float(oracle._score_bound(quantity, case, 1.0)[0])
-        if not (closed >= np.finfo(float).tiny and math.isfinite(closed * SLACK)):
-            continue
-        sup = closed / SLACK
-        while sup * SLACK < closed:
-            sup = math.nextafter(sup, math.inf)
-        while math.nextafter(sup, 0.0) * SLACK >= closed:
-            sup = math.nextafter(sup, 0.0)
-        reached = float(oracle._score_bound(quantity, case, REACH)[0])
-        assert reached * SLACK < sup, (mode, quantity, rule)
 
 
 def _count_draws(monkeypatch):
@@ -103,11 +68,9 @@ def test_one_unsettled_point_draws_once_per_rule(monkeypatch, name):
     ranges, mode, samples, pin = GRIDS[name]
     score_bound = oracle._score_bound
 
-    def failing_at_the_first_point(quantity, case, reach):
-        bound = score_bound(quantity, case, reach)
-        if reach == 1.0:
-            bound = np.where(np.arange(bound.size) == 0, np.inf, bound)
-        return bound
+    def failing_at_the_first_point(quantity, case):
+        bound = score_bound(quantity, case)
+        return np.where(np.arange(bound.size) == 0, np.inf, bound)
 
     monkeypatch.setattr(oracle, "_score_bound", failing_at_the_first_point)
     searched, drawn = _count_draws(monkeypatch)
