@@ -51,8 +51,8 @@ CSV_CHUNK_ROWS = 4096
 _MAX_ORDER = 256
 # series --order by default, and the order of verify's inverse-series fixtures
 _DEFAULT_ORDER = 8
-# largest verify --samples: the oracle's draws, shared by every point, peak at
-# under 300 bytes per sample, whatever the grid
+# largest verify --samples: the oracle draws no sample and only reports the count
+# (injected columns + --samples) per result, so the limit costs no memory
 _MAX_SAMPLES = 1_000_000
 # largest COUNT of a range, as a flag or a config key: an axis holds 16 bytes per
 # value while it is built and checked
@@ -492,9 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, typ=str, defaults=("1:3:3", "0:2:3", "0:1:3", "0.55:0.95:3"),
                etas=(0.0, 1.0, 2.0), eta_help="; default 0 1 2")
     sp.add_argument("--samples", type=_int_in(1, _MAX_SAMPLES), default=10_000,
-                    help=f"oracle samples per point (default %(default)s, at most {_MAX_SAMPLES})")
+                    help="added to each oracle result's reported sample count; nothing is "
+                         f"drawn (default %(default)s, at most {_MAX_SAMPLES})")
     sp.add_argument("--seed", type=_int_in(0), default=1729,
-                    help="oracle seed (default %(default)s)")
+                    help="fixture seed, also reported by the oracle (default %(default)s)")
     sp.add_argument("--mode", choices=(PROOF_SET, FULL_SYSTEM), default=PROOF_SET)
 
     sp = add_command("cheb", cmd_cheb, "second-kind Chebyshev values, two routes")

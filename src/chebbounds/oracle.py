@@ -16,42 +16,38 @@ u1/lin).  Each rule is one row of a second table: its unit-disk columns,
 a2^2 coefficient, score-bound form, injected maximizers and witness
 recovery.  Nothing below the tables reads the mode or a rule's name.
 
-Sampling is uniform in (modulus^2, argument) per coefficient, after the
-extreme combinations of {0, +-1, +-i}: the analytic maxima sit at boundary
-sign patterns, so the attained equalities are exact, not asymptotic.  Every
-sample is feasible: a capped drawn pair (c2, d2) in the bidisk stands for
+Every rule scores the extreme combinations of {0, +-1, +-i} per unit-disk
+column, where the analytic maxima sit, so the attained equalities are
+exact, not asymptotic.  The capped maxima, the vertices (1, R - 1) and
+(R - 1, 1) times {+-1, +-i}, are injected per point after the extremes, as
+(2 - R/2, R/2) and its swap: a capped pair (c2, d2) in the bidisk stands for
 c2' = (R/2 s + w) / 2 and d2' = (R/2 s - w) / 2, with s = c2 + d2 and
-w = c2 - d2, both in the unit disk with |c2' + d2'| <= R, so its a2^2 is
-the summed one scaled by R/2.  The capped maxima, the vertices (1, R - 1)
-and (R - 1, 1) times {+-1, +-i}, are injected per point after the extremes,
-as (2 - R/2, R/2) and its swap.  A free a2 is drawn on the unit disk and
-scaled by rho.
+w = c2 - d2, both in the unit disk with |c2' + d2'| <= R, so its a2^2 is the
+summed one scaled by R/2.  A free a2 is scored on the unit disk and scaled
+by rho.
 
-Every rule is pruned: its injected columns come first and are scored alone.
-Then the rule's form bounds every score over the closed unit polydisk; when
-at every point it stays within a relative 1e-12 of the point's injected
-sup, the rule draws no random sample at all.  Otherwise it draws them and
-scans them at every point whose bound exceeds its sup by more than that.
-Unscanned samples are bounded, not evaluated, and n_samples still counts
-them.  No point of the default ``verify`` grid or of ``verify-full``'s
-needs the draws.  |a3| is scored as fs@0, and quantities whose scores are
-the same numbers share one search.  The two roots of a2 enter every
-verified quantity through a2^2 alone, so one evaluation serves both.
+No random sample is drawn.  A rule's form bounds every score over the
+closed unit polydisk; a result whose bound exceeds its sup by more than a
+relative 1e-12 has the verdict unsettled, which ``verify`` fails, and no
+point of the default ``verify`` grid or of ``verify-full``'s has one.
+n_samples counts the injected columns plus cfg.n_samples, a count only.
+|a3| is scored as fs@0, and quantities whose scores are the same numbers
+share one search.  The two roots of a2 enter every verified quantity
+through a2^2 alone, so one evaluation serves both.
 
 One search serves a whole grid (``empirical_sup`` is a one-point grid),
-with its bounds and case constants from one ``closed_form`` call.  A rule's
-samples, where drawn, are drawn once per (columns, seed, sample count) and
-shared by every point.  One pass scores them against chunks of points of at
-most CHUNK_ELEMENTS samples in all (at least a point), releasing each
-chunk's arrays before the next, and keeps each quantity's sup and incumbent
-as columns, so the search's transient memory hardly grows with the grid
-(full system, 2000 samples: 2.06 MB at 512 points, 2.08 MB at 4096, under
-tracemalloc).  Results equal a per-point search's bit for bit.  A search
-returns them as one record of columns, OracleResults; an OracleResult is
-built on first read of its index and its witness on first read of that
-field, so a verify that only counts verdicts builds neither.  The array
-passes multiply by the reciprocal of a real divisor, as numpy's complex
-division does; the scalar witness path divides, as Python rounds otherwise.
+with its bounds and case constants from one ``closed_form`` call.  One
+pass scores a rule's columns against chunks of points of at most
+CHUNK_ELEMENTS columns in all (at least a point), releasing each chunk's
+arrays before the next, and keeps each quantity's sup and incumbent as
+columns, so the search's transient memory hardly grows with the grid (full
+system: 2.07 MB at 512 points and at 4096, under tracemalloc).  Results
+equal a per-point search's bit for bit.  A search returns them as one
+record of columns, OracleResults; an OracleResult is built on first read of
+its index and its witness on first read of that field, so a verify that
+only counts verdicts builds neither.  The array passes multiply by the
+reciprocal of a real divisor, as numpy's complex division does; the scalar
+witness path divides, as Python rounds otherwise.
 """
 
 from __future__ import annotations
@@ -73,7 +69,8 @@ from .classop import FULL_SYSTEM, PROOF_SET, ClassParams, SchwarzPair, check_eta
 WITHIN_BOUND = "within-bound"
 VIOLATION = "violation"
 SKIPPED = "skipped"
-_VERDICTS = (WITHIN_BOUND, VIOLATION, SKIPPED)   # by OracleResults verdict code
+UNSETTLED = "unsettled"
+_VERDICTS = (WITHIN_BOUND, VIOLATION, SKIPPED, UNSETTLED)   # by OracleResults verdict code
 
 # sup may exceed the bound by float noise at an attained maximum, never more:
 # VERDICT_TOL plus VERDICT_ULPS ulps of the bound, so that a bound above about
@@ -82,7 +79,7 @@ VERDICT_TOL = 1e-9
 VERDICT_ULPS = 4
 
 # elements per working array of the search, whatever the grid size: points x
-# (injected columns + samples); at least a point
+# injected columns; at least a point
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -141,10 +138,10 @@ class OracleResult:
     Its witness is a Witness or None, or a callable that builds it on first read."""
 
     __slots__ = ("quantity", "params", "mode", "sup_value", "_witness",
-                 "n_samples",            # random + injected; pruned ones bounded, not scored
+                 "n_samples",            # injected + cfg.n_samples; only the injected are scored
                  "n_infeasible",         # 0: every sample searched is feasible
                  "seed", "closed_form_bound",
-                 "verdict")              # WITHIN_BOUND | VIOLATION | SKIPPED
+                 "verdict")              # WITHIN_BOUND | VIOLATION | SKIPPED | UNSETTLED
     _fields = tuple(name.lstrip("_") for name in __slots__)
 
     def __init__(self, *values) -> None:
@@ -179,10 +176,11 @@ class OracleResults(Sequence):
     """Every (point, quantity) result of one search, points outermost, as
     columns: per (quantity, point) the sup, the closed-form bound and a verdict
     code; per singular flag and quantity, (build, n_samples); per point, its row
-    among the points of its flag.  Each OracleResult is built on first read and
-    then kept; the record equals any sequence of equal results."""
+    among the points of its flag.  A violation outranks an unsettled sup.  Each
+    OracleResult is built on first read and then kept; the record equals any
+    sequence of equal results."""
 
-    def __init__(self, quantities, grid, cfg, sups, bounds, searched, singular, rows):
+    def __init__(self, quantities, grid, cfg, sups, bounds, unsettled, searched, singular, rows):
         self.quantities, self.grid, self.mode, self.seed = quantities, grid, cfg.mode, cfg.seed
         self.sups, self.bounds, self.searched, self.singular, self.rows = (
             sups, bounds, searched, singular, rows)
@@ -191,7 +189,8 @@ class OracleResults(Sequence):
         skipped = unsearched[singular.astype(int)].T | np.isinf(bounds)
         finite = np.where(skipped, 0.0, bounds)
         slack = VERDICT_TOL + VERDICT_ULPS * np.finfo(float).eps * np.abs(finite)
-        self.codes = np.where(skipped, 2, np.where(sups <= finite + slack, 0, 1)).astype(np.int8)
+        ok = np.where(unsettled, 3, 0)          # within the bound: settled or not
+        self.codes = np.where(skipped, 2, np.where(sups <= finite + slack, ok, 1)).astype(np.int8)
         self._items: dict[int, OracleResult] = {}
 
     def __len__(self) -> int:
@@ -221,7 +220,7 @@ class _Rule(NamedTuple):
     * q / divisor, in this order, with q a point-free term of the columns; every
     rule has r = u1 (c2 - d2) / (2F) and a3 = a2^2 + r."""
 
-    columns: tuple[str, ...]     # the disk columns drawn, in draw order
+    columns: tuple[str, ...]     # the unit-disk columns scored
     terms: Callable              # columns -> (q, c2 - d2)
     coeff: Callable              # case -> (lead, factor, divisor)
     form: Callable               # (|x|, |beta|) -> the max of |x q + beta (c2 - d2)|
@@ -244,13 +243,13 @@ def _from_a2(case, a2, c2, d2):
     return a2, c1, c2, -c1, d2
 
 
-def _drawn(case, cols, a2sq):
-    """The witness at the drawn (c2, d2), a2 the principal root of a2^2."""
+def _scored(case, cols, a2sq):
+    """The witness at the scored (c2, d2), a2 the principal root of a2^2."""
     return _from_a2(case, cmath.sqrt(a2sq), cols["c2"], cols["d2"])
 
 
 def _feasible(case, cols):
-    """The feasible pair that a capped drawn pair (c2, d2) in the bidisk stands
+    """The feasible pair that a capped pair (c2, d2) in the bidisk stands
     for, with c2 + d2 scaled by R/2: c2' = (R/2) c2 + (1 - R/2) (c2 - d2) / 2."""
     s, w = case.half_cap * (cols["c2"] + cols["d2"]), cols["c2"] - cols["d2"]
     return (s + w) / 2.0, (s - w) / 2.0
@@ -258,7 +257,7 @@ def _feasible(case, cols):
 
 def _vertices(case):
     """The capped rule's maximizers per point, the vertices (1, R - 1) and
-    (R - 1, 1) times {+-1, +-i}, drawn as (2 - R/2, R/2) and its swap."""
+    (R - 1, 1) times {+-1, +-i}, scored as (2 - R/2, R/2) and its swap."""
     v = np.stack([2.0 - case.half_cap, case.half_cap], axis=1) * _PHASES
     return {"c2": v.reshape(len(v), -1), "d2": v[:, ::-1].reshape(len(v), -1)}
 
@@ -268,7 +267,7 @@ _PHASES = np.array([1.0, -1.0, 1j, -1j])
 # a2^2 rule -> its row; a form is the max of the score over the closed unit polydisk
 _RULE_TABLE = {
     # u1 (c2 + d2) / prefactor, the summed relation
-    "summed": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, 1.0, k.prefactor), _joint, _drawn),
+    "summed": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, 1.0, k.prefactor), _joint, _scored),
     # summed, c2 + d2 scaled by R/2 so that |c1| <= 1; the witness is (c2', d2')
     "capped": _Rule(("c2", "d2"), _sum_diff, lambda k: (k.u1, k.half_cap, k.prefactor), _joint,
                     lambda k, c, a2sq: _from_a2(k, cmath.sqrt(a2sq), *_feasible(k, c)),
@@ -279,14 +278,14 @@ _RULE_TABLE = {
                     lambda k: (k.u1, k.u1, 2.0 * k.a),
                     lambda x, beta: 2.0 * (x + beta),
                     lambda k, c, a2sq: (cmath.sqrt(a2sq), c["c1"], c["c2"], c["d1"], c["d2"])),
-    # (rho a2)^2, rho = u1/lin: a2 free on |a2| <= rho, drawn on the unit disk; d2 = -c2
+    # (rho a2)^2, rho = u1/lin: a2 free on |a2| <= rho, scored on the unit disk; d2 = -c2
     "free": _Rule(("c2", "a2"), lambda c: (c["a2"] * c["a2"], c["c2"] - -c["c2"]),
                   lambda k: (k.u1 / k.lin, k.u1 / k.lin, 1.0),
                   lambda x, beta: x + 2.0 * beta,
                   lambda k, c, a2sq: _from_a2(k, c["a2"] * (k.u1 / k.lin), c["c2"], -c["c2"])),
     # 0, on a singular point's c2 + d2 = 0 slice
     "pinned": _Rule(("c2", "d2"), lambda c: (0.0, c["c2"] - c["d2"]), lambda k: (k.u1, 0.0, 1.0),
-                    _joint, _drawn),
+                    _joint, _scored),
 }
 
 # mode -> its rows for a regular and a singular point, each {quantity: a2^2 rule}, where
@@ -348,8 +347,8 @@ def _scores(quantity: Quantity, a2sq, r):
 
 
 def _score_bound(quantity: Quantity, case: _Case):
-    """Per point, a bound up to rounding on the score of a sample over the
-    closed unit polydisk.  With a2^2 = alpha q and r = beta (c2 - d2), the
+    """Per point, a bound up to rounding on the score over the closed unit
+    polydisk.  With a2^2 = alpha q and r = beta (c2 - d2), the
     score |x q + r|, x = (1 - eta) alpha, is at most the rule's form of (|x|,
     |beta|): 2 max(|x|, |beta|) for q = c2 + d2, as the score is |(x + beta) c2
     + (x - beta) d2|; 2 (|x| + |beta|) for c1^2 + d1^2; and |x| + 2 |beta| for
@@ -375,7 +374,7 @@ def _witness_at(rule: _Rule, consts, best, points, row: int) -> Witness:
 
 
 # ---------------------------------------------------------------------------
-# sampling engine
+# search engine
 
 
 def _extremes(names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -385,69 +384,46 @@ def _extremes(names: tuple[str, ...]) -> dict[str, np.ndarray]:
     return dict(zip(names, (g.ravel() for g in np.meshgrid(*[unit] * len(names), indexing="ij"))))
 
 
-@functools.lru_cache(maxsize=4)
-def _draws(names: tuple[str, ...], seed: int, n: int) -> dict[str, np.ndarray]:
-    """One rule's samples, drawn once per (seed, n) and shared by every point
-    searched.  The columns ``names`` come from ``default_rng(seed)`` in
-    order, each as sqrt(u) exp(i theta) on the unit disk, after the
-    extremes.  The arrays are read-only."""
-    rng = np.random.default_rng(seed)
-    cols = {}
-    for name, extremes in _extremes(names).items():
-        s = np.sqrt(rng.random(n))
-        phase = np.exp(1j * (rng.random(n) * (2.0 * math.pi)))
-        cols[name] = np.concatenate([extremes, s * phase])
-        cols[name].flags.writeable = False
-    return cols
-
-
-def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups):
+def _search_rule(rule: _Rule, points: np.ndarray, quantities, consts, cfg: OracleConfig, sups,
+                 unsettled):
     """Search one rule at the grid indices ``points`` for each (positions, quantity)
-    of ``quantities`` in one sampling pass, writing its sup at each of ``points``
-    into those rows of ``sups``.  Returns, per entry of ``quantities``, its
-    witness builder, whose build(row) is the witness at points[row], and the
-    samples each point counts."""
+    of ``quantities`` in one pass, writing its sup at each of ``points`` into
+    those rows of ``sups``, and whether the score bound leaves it unsettled into
+    those of ``unsettled``.  Returns, per entry of ``quantities``, its witness
+    builder, whose build(row) is the witness at points[row], and the samples
+    each point counts."""
     names = rule.columns
     extremes = _extremes(names)
-    # the injected columns come first: the shared extremes, then the rule's maximizers
-    lead = extremes["c2"].size
-    width = lead + rule.injects + cfg.n_samples
+    injected = extremes["c2"].size + rule.injects
     # per (quantity, point): the incumbent columns of its sup
     best = np.empty((len(quantities), len(names), points.size), complex)
-
-    def score(at, source):
-        """Score the columns of ``source``, the maximizers inserted after the
-        extremes, at points[at], and keep each quantity's sup and incumbent."""
-        # as many points as hold their scored columns within CHUNK_ELEMENTS, at least one
-        step = max(1, CHUNK_ELEMENTS // (source["c2"].size + rule.injects))
-        for start in range(0, at.size, step):
-            span = at[start:start + step]
-            rows = np.arange(span.size)
-            case = _Case(rule, *(c[points[span], None] for c in consts))
-            cols = dict(source)
-            for name, at_point in rule.maximizers(case).items():
-                col = np.broadcast_to(cols[name], (span.size, cols[name].size))
-                cols[name] = np.concatenate([col[:, :lead], at_point, col[:, lead:]], axis=1)
-            a2sq, r = _evaluate(case, rule.terms(cols))
-            for k, (positions, quantity) in enumerate(quantities):
-                vals = _scores(quantity, a2sq, r)
-                idx = np.argmax(vals, axis=1)
-                sups[np.ix_(positions, points[span])] = vals[rows, idx]
-                best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
-            # so that the next chunk's arrays do not come on top of these
-            del cols, a2sq, r, vals
-
-    # the injected columns alone; then the random samples, drawn and scanned only
-    # where the score bound over the closed unit polydisk exceeds a point's injected sup
-    score(np.arange(points.size), extremes)
+    # as many points as hold their scored columns within CHUNK_ELEMENTS, at least one
+    step = max(1, CHUNK_ELEMENTS // injected)
+    for start in range(0, points.size, step):
+        span = np.arange(start, min(start + step, points.size))
+        rows = np.arange(span.size)
+        case = _Case(rule, *(c[points[span], None] for c in consts))
+        # the shared extremes, then the rule's maximizers at each point
+        cols = dict(extremes)
+        for name, at_point in rule.maximizers(case).items():
+            col = np.broadcast_to(cols[name], (span.size, cols[name].size))
+            cols[name] = np.concatenate([col, at_point], axis=1)
+        a2sq, r = _evaluate(case, rule.terms(cols))
+        for k, (positions, quantity) in enumerate(quantities):
+            vals = _scores(quantity, a2sq, r)
+            idx = np.argmax(vals, axis=1)
+            sups[np.ix_(positions, points[span])] = vals[rows, idx]
+            best[k][:, span] = [np.broadcast_to(cols[n], vals.shape)[rows, idx] for n in names]
+        # so that the next chunk's arrays do not come on top of these
+        del cols, a2sq, r, vals
+    # settled where the score bound over the closed unit polydisk stays within a
+    # relative 1e-12 of the sup
     case = _Case(rule, *(c[points] for c in consts))
-    sup = sups[np.ix_([positions[0] for positions, _ in quantities], points)]
-    bounds = [_score_bound(q, case) for _, q in quantities]
-    at = np.flatnonzero(~np.all(np.less_equal(bounds, sup * (1.0 + 1e-12)), axis=0))
-    if at.size:
-        score(at, _draws(names, cfg.seed, cfg.n_samples))
-    return [(functools.partial(_witness_at, rule, consts, best[k], points), width)
-            for k in range(len(quantities))]
+    for positions, quantity in quantities:
+        at = np.ix_(positions, points)
+        unsettled[at] = ~np.less_equal(_score_bound(quantity, case), sups[at] * (1.0 + 1e-12))
+    return [(functools.partial(_witness_at, rule, consts, best[k], points),
+             injected + cfg.n_samples) for k in range(len(quantities))]
 
 
 def _search(p_grid: Sequence[ClassParams], quantities: list[Quantity], cfg: OracleConfig):
@@ -465,9 +441,10 @@ def _search(p_grid: Sequence[ClassParams], quantities: list[Quantity], cfg: Orac
     is_singular = cf.singular
     del cf, fs
     # per (quantity, point) the sup, inf where unsearched: no finite constraint, the
-    # quantity is unbounded; per singular flag and quantity, (build, n_samples); per
-    # point, its row in the points of its flag
+    # quantity is unbounded, and whether it is unsettled; per singular flag and
+    # quantity, (build, n_samples); per point, its row in the points of its flag
     sups = np.full(bounds.shape, math.inf)
+    unsettled = np.zeros(bounds.shape, bool)
     searched = [[(None, 0)] * len(quantities) for _ in (False, True)]
     rows = np.empty(len(p_grid), int)
     for singular in (False, True):
@@ -480,11 +457,13 @@ def _search(p_grid: Sequence[ClassParams], quantities: list[Quantity], cfg: Orac
                 key = "a2" if q.kind == "a2" else 1.0 - (q.eta or 0.0)   # never a2 == fs@1
                 shared.setdefault(rule, {}).setdefault(key, ([], q))[0].append(k)
         for rule, groups in shared.items():
-            found = _search_rule(_RULE_TABLE[rule], points, [*groups.values()], consts, cfg, sups)
+            found = _search_rule(_RULE_TABLE[rule], points, [*groups.values()], consts, cfg, sups,
+                                 unsettled)
             for (positions, _), searched_by in zip(groups.values(), found):
                 for k in positions:
                     searched[singular][k] = searched_by
-    return OracleResults(quantities, p_grid, cfg, sups, bounds, searched, is_singular, rows)
+    return OracleResults(quantities, p_grid, cfg, sups, bounds, unsettled, searched, is_singular,
+                         rows)
 
 
 def empirical_sup(
@@ -492,11 +471,11 @@ def empirical_sup(
 ) -> OracleResult:
     """Empirical supremum of one quantity at one parameter point.
 
-    Deterministic given cfg.seed.  Verdict: within-bound iff the supremum
-    stays under the closed-form bound plus 1e-9 and 4 ulps of the bound
-    (VERDICT_TOL and VERDICT_ULPS); points whose closed form
-    is unbounded are verdict "skipped" (nothing to violate).  The result is
-    item 0 of a one-point search's record.
+    Deterministic.  Verdict: within-bound iff the supremum stays under the
+    closed-form bound plus 1e-9 and 4 ulps of the bound (VERDICT_TOL and
+    VERDICT_ULPS) and the score bound settles it, else violation or
+    unsettled; "skipped" where the closed form is unbounded (nothing to
+    violate).  The result is item 0 of a one-point search's record.
     """
     return _search([p], [quantity], cfg)[0]
 
@@ -508,7 +487,7 @@ def sweep_verify(
 
     Quantities are |a2|, |a3|, then one Fekete-Szego entry per eta (an
     empty eta list means coefficient rows only).  Row order follows the
-    grid, so results are reproducible from (grid, cfg.seed).  The record
+    grid, so results are reproducible from the grid.  The record
     holds them as columns and builds each OracleResult on first read, so
     counting verdicts with verdict_indices builds none.
     """

@@ -5,8 +5,8 @@ that replacing them on ``cli`` still intercepts every call.
 The inverse-series and continuity suites draw their fixtures from
 ``_uniforms``, a pure-Python copy of ``np.random.default_rng(seed).random``,
 so that ``verify`` never imports ``numpy.random``: a few thousand doubles
-cost less than that import.  The oracle draws with numpy's own generator,
-and only where its closed-disk bound cannot settle a point."""
+cost less than that import.  The oracle draws nothing: a result that its
+closed-disk bound cannot settle fails the oracle suite by name."""
 
 from __future__ import annotations
 
@@ -130,13 +130,21 @@ def _suite_continuity(variant: str, seed: int) -> tuple[bool | None, list[str]]:
     return None, [line + " (discontinuity expected for delta > 0; informational)"]
 
 
+def _named(kind: str, r) -> str:
+    p = r.params
+    return (f"  {kind}: {r.quantity.label} at lambda={fmt(p.lam)} mu={fmt(p.mu)} "
+            f"delta={fmt(p.delta)} t={fmt(p.t)}: sup={fmt(r.sup_value)} "
+            f"bound={fmt(r.closed_form_bound)}")
+
+
 def _suite_oracle(
     grid: Sequence[ClassParams], etas: list[float], args: argparse.Namespace, sweep_verify
 ) -> tuple[bool, list[str]]:
-    from .oracle import SKIPPED, OracleConfig, verdict_indices, violations
+    from .oracle import SKIPPED, UNSETTLED, OracleConfig, verdict_indices, violations
     cfg = OracleConfig(mode=args.mode, n_samples=args.samples, seed=args.seed)
     results = sweep_verify(grid, etas, cfg)
     viols = violations(results)
+    unsettled = [results[i] for i in verdict_indices(results, UNSETTLED)]
     n_skipped = len(verdict_indices(results, SKIPPED))
     line = (
         f"oracle soundness ({cfg.mode}): {len(grid)} points x {2 + len(etas)} quantities, "
@@ -145,12 +153,7 @@ def _suite_oracle(
     )
     extra: list[str] = []
     for r in viols:
-        p = r.params
-        extra.append(
-            f"  violation: {r.quantity.label} at lambda={fmt(p.lam)} mu={fmt(p.mu)} "
-            f"delta={fmt(p.delta)} t={fmt(p.t)}: sup={fmt(r.sup_value)} "
-            f"bound={fmt(r.closed_form_bound)}"
-        )
+        extra.append(_named("violation", r))
         w = r.witness
         if w is not None:
             s = w.schwarz
@@ -159,4 +162,5 @@ def _suite_oracle(
                 f"d1={fmt_complex(s.d1)} d2={fmt_complex(s.d2)} "
                 f"a2={fmt_complex(w.a2)} a3={fmt_complex(w.a3)}"
             )
-    return not viols, [line] + extra
+    extra += [_named("unsettled", r) for r in unsettled]
+    return not (viols or unsettled), [line] + extra

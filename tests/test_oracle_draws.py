@@ -1,9 +1,8 @@
 """Oracle results pinned bit for bit: sup, sample counts and witness of
-every search rule, both modes, drawn afresh and from the draw cache.  Also
-checks that the results do not depend on which searches ran before (seed,
-sample count and rule change between calls) or on the route, standalone
-``empirical_sup`` or ``sweep_verify``, and that the draw cache never hands
-one (seed, sample count) another's samples."""
+every search rule, both modes.  Also checks that the results do not depend
+on which searches ran before (seed, sample count and rule change between
+calls) or on the route, standalone ``empirical_sup`` or ``sweep_verify``,
+and that no search builds a random generator."""
 
 import math
 
@@ -17,8 +16,6 @@ from chebbounds.oracle import (
     FULL_SYSTEM,
     PROOF_SET,
     OracleConfig,
-    _RULE_TABLE,
-    _draws,
     empirical_sup,
     fs_quantity,
     sweep_verify,
@@ -127,17 +124,15 @@ def pinned(res):
     return (res.sup_value.hex(), res.n_samples, res.n_infeasible, repr(res.witness))
 
 
-# the key's last slot: True clears the draw cache first, so the rule draws
-# afresh; False runs the same search just before, so its draws come cached
+# the key's last slot: True runs the search alone; False runs the same search
+# just before, which must not change it
 @pytest.mark.parametrize("key", [(*k, cleared) for k in PINS for cleared in (True, False)],
                          ids=lambda k: "-".join(map(str, k)))
 def test_result_pinned(key):
-    point, mode, label, cleared = key
+    point, mode, label, alone = key
     quantity, p = QUANTITIES[label], POINTS[point]
     cfg = OracleConfig(mode=mode, n_samples=400, seed=5)
-    if cleared:
-        _draws.cache_clear()
-    else:
+    if not alone:
         empirical_sup(quantity, p, cfg)
     assert pinned(empirical_sup(quantity, p, cfg)) == PINS[(point, mode, label)]
 
@@ -172,8 +167,8 @@ def test_standalone_equals_sweep_entry(mode):
     assert results == standalone[len(quantities):] + standalone[:len(quantities)]
 
 
-# rule -> (a search that draws the rule's samples, the PINS key of a search
-# that then reads them)
+# rule -> (a search of the rule at another point or quantity, the PINS key of
+# a search of the rule that follows it)
 WARM = {
     "summed": ((A2, ClassParams(2.0, 1.5, 0.5, 0.8)), ("P0", "full-system", "a2")),
     "summed-fs": ((A2, ClassParams(3.0, 0.0, 1.0, 0.9)), ("P0", "full-system", "fs@2.5")),
@@ -185,13 +180,12 @@ WARM = {
 def test_search_builds_no_generator_once_drawn(monkeypatch, warm, key):
     point, mode, label = key
     cfg = OracleConfig(mode=mode, n_samples=400, seed=5)
-    # draws the rule's samples for (mode, seed, n)
-    empirical_sup(*warm, cfg)
 
     def no_generator(*args, **kwargs):
         raise AssertionError("a search built a random generator")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
+    empirical_sup(*warm, cfg)
     assert pinned(empirical_sup(QUANTITIES[label], POINTS[point], cfg)) == PINS[key]
 
 
@@ -209,17 +203,3 @@ def test_free_rule_at_singular_points_is_seed_independent(label):
         if label == "a2":
             assert five.sup_value.hex() == (2.0 * p.t / p.factors.op_linear_factor).hex()
 
-
-def test_draw_cache_keeps_seeds_and_sample_counts_apart():
-    def random_columns(seed, n):
-        """The free rule's random part: c2 and a2 after their extremes."""
-        cols = _draws(_RULE_TABLE["free"].columns, seed, n)
-        return [cols["c2"][-n:], cols["a2"][-n:]]
-
-    calls = [(5, 400), (6, 400), (5, 401), (5, 400)]
-    cached = [random_columns(seed, n) for seed, n in calls]
-    for (seed, n), columns in zip(calls, cached):
-        _draws.cache_clear()
-        fresh = random_columns(seed, n)
-        assert all(np.array_equal(a, b) for a, b in zip(columns, fresh)), (seed, n)
-    assert not any(np.array_equal(a, b) for a, b in zip(cached[0], cached[1]))

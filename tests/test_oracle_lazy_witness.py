@@ -78,13 +78,10 @@ def test_late_read_equals_immediate_read():
     cfg = OracleConfig(FULL_SYSTEM, 400, 5)
     now = [repr(r.witness) for r in sweep_verify(POINTS, ETAS, cfg)]
     late = sweep_verify(POINTS, ETAS, cfg)
-    # each search draws two rules, so these replace all four cached draws
+    # searches of other modes, sample counts and seeds in between
     for mode, n, seed in [(PROOF_SET, 400, 6), (FULL_SYSTEM, 401, 5), (FULL_SYSTEM, 300, 7)]:
         sweep_verify(POINTS, ETAS, OracleConfig(mode, n, seed))
     assert [repr(r.witness) for r in late] == now
-    misses = oracle._draws.cache_info().misses
-    oracle._draws(oracle._RULE_TABLE["summed"].columns, 5, 400)
-    assert oracle._draws.cache_info().misses == misses + 1
 
 
 def replace(res, **changes):

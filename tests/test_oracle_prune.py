@@ -1,8 +1,10 @@
-"""The sampling pass of every rule scores the injected columns first and
-scans a point's random samples only where a bound on their scores over the
-closed unit polydisk exceeds the injected columns' sup.  The bound must hold
-for every sample, the full scan must give the pinned results, and neither
-the default verify grid nor the verify-full one may need it."""
+"""Every rule scores its injected columns only, and a result is settled
+where a bound on the score over the closed unit polydisk stays within a
+relative 1e-12 of their sup.  The bound must hold for any point of the
+polydisk; with every bound at inf, which once forced a full scan of random
+samples, every searched result reads unsettled and keeps the pinned fields;
+and neither the default verify grid nor the verify-full one scores more
+than the injected columns."""
 
 import itertools
 import math
@@ -12,9 +14,10 @@ import pytest
 
 from chebbounds import oracle
 from chebbounds.classop import PARAM_MAX, ClassParams
-from chebbounds.oracle import (A2, A3, FULL_SYSTEM, PROOF_SET, OracleConfig, fs_quantity,
-                               sweep_verify)
+from chebbounds.oracle import (A2, A3, FULL_SYSTEM, PROOF_SET, SKIPPED, UNSETTLED, OracleConfig,
+                               fs_quantity, sweep_verify)
 from test_oracle_digest import CHUNKS, GRIDS, digest, grid_of
+from test_oracle_draws import pinned
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -23,6 +26,15 @@ st = pytest.importorskip("hypothesis.strategies")
 T = st.one_of(st.floats(0.5, 0.5 + 1e-6, exclude_min=True),
               st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
               st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+
+
+def _disk(names, seed, n=200) -> dict[str, np.ndarray]:
+    """n points of the closed unit polydisk over the columns ``names``: the
+    extremes, then uniform in (modulus^2, argument) per column."""
+    rng = np.random.default_rng(seed)
+    return {name: np.concatenate([extremes, np.sqrt(rng.random(n))
+                                  * np.exp(2j * math.pi * rng.random(n))])
+            for name, extremes in oracle._extremes(names).items()}
 
 
 @hypothesis.settings(database=None, max_examples=200, deadline=None)
@@ -43,7 +55,7 @@ def test_no_sample_scores_above_the_closed_disk_bound(lam, mu, delta, t, eta, se
             continue
         row = oracle._RULE_TABLE[rule]
         case = oracle._Case(row, *(c[:, None] for c in consts))
-        a2sq, r = oracle._evaluate(case, row.terms(oracle._draws(row.columns, seed, 200)))
+        a2sq, r = oracle._evaluate(case, row.terms(_disk(row.columns, seed)))
         scores = oracle._scores(quantity, a2sq, r)[0]
         bound = oracle._score_bound(quantity, case)[0]
         assert np.all(scores <= bound * (1.0 + 1e-12)), (quantity, rule)
@@ -68,12 +80,17 @@ def _sampled_widths(monkeypatch) -> list[int]:
 def test_full_scan_gives_the_pinned_results(monkeypatch, name, chunk):
     ranges, mode, samples, pin = GRIDS[name]
     monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", CHUNKS[chunk](samples))
+    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
+    settled = sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)
+    assert digest(settled) == pin
     monkeypatch.setattr(oracle, "_score_bound",
                         lambda quantity, case: np.full(case.u1.shape, np.inf))
     widths = _sampled_widths(monkeypatch)
-    cfg = OracleConfig(mode=mode, n_samples=samples, seed=5)
-    assert digest(sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)) == pin
-    assert max(widths) > samples         # the random samples were scored
+    results = sweep_verify(grid_of(ranges), [0.0, 1.0, 2.0], cfg)
+    assert [pinned(r) for r in results] == [pinned(r) for r in settled]
+    assert [r.verdict for r in results] == [
+        SKIPPED if r.verdict == SKIPPED else UNSETTLED for r in settled]
+    assert set(widths) <= INJECTED[name], sorted(set(widths))   # no random sample
 
 
 # grid -> its injected widths: 25 extremes of (c2, d2) or (c2, a2), 625 of (c1, d1,

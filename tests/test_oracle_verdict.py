@@ -2,9 +2,10 @@
 exceed its bound by VERDICT_TOL plus VERDICT_ULPS ulps of the bound: above
 a bound of about 4.5e6 one ulp is more than VERDICT_TOL, and an attained
 maximum that rounds a few ulps over its bound is no violation.  A bound
-short by a relative 1e-12 still is.  No violation anywhere in the domain:
-lambda, mu and delta up to PARAM_MAX, t next to 1/2 and 1, |eta| up to
-PARAM_MAX, on the singular manifold d = 0 and next to it."""
+short by a relative 1e-12 still is.  No violation and no unsettled result
+anywhere in the domain: lambda, mu and delta up to PARAM_MAX, t next to 1/2
+and 1, |eta| up to PARAM_MAX, on the singular manifold d = 0 and next to
+it."""
 
 import math
 
@@ -14,7 +15,8 @@ import pytest
 from chebbounds import cli, oracle
 from chebbounds.bounds import closed_form
 from chebbounds.classop import PARAM_MAX, ClassParams, param_factors
-from chebbounds.oracle import FULL_SYSTEM, PROOF_SET, OracleConfig, sweep_verify, violations
+from chebbounds.oracle import (FULL_SYSTEM, PROOF_SET, UNSETTLED, OracleConfig, sweep_verify,
+                               verdict_indices, violations)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -91,3 +93,4 @@ def test_no_violation_anywhere(grid, etas, seed):
     for mode in MODES:
         results = sweep_verify(grid, etas, OracleConfig(mode, 100, seed))
         assert violations(results) == [], mode
+        assert verdict_indices(results, UNSETTLED) == [], mode
